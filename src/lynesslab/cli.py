@@ -16,23 +16,17 @@ The environment variable LYNESS_SEED supplies the default seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import math
 import os
 import sys
 from fractions import Fraction
 
 from .errors import DimensionError, DomainError
 from .flow import METHODS, integrate_flow, invariant_drift
-from .invariants import eval_v1, eval_v2, eval_v3, eval_w, z_sign
-from .lyness import Params, step
-from .reduction import (
-    ReducedParams,
-    project,
-    reduced_step_k3,
-    reduced_step_k5,
-    semiconjugacy_residual,
-)
+from .invariants import eval_w, level_signature
+from .lyness import Params, orbit
+from .reduction import replay
 from .scalars import parse_rational
 from .verify import FAIL, run_suites
 
@@ -98,14 +92,30 @@ def _params(k: int, a: Fraction) -> Params:
         raise CliError(str(exc)) from None
 
 
-def _open_out(path):
-    """(handle, needs_close); stdout when no path was given."""
-    if path is None:
-        return sys.stdout, False
+def _float_point(p: Params, x0) -> tuple:
+    """x0 in float64 for a float run; a and x0 must fit, x0 staying positive."""
     try:
-        return open(path, "w", encoding="utf-8", newline=""), True
+        float(p.a)
+        x = tuple(float(c) for c in x0)
+    except OverflowError:
+        raise CliError("--a and --x0 must lie within the float64 range") from None
+    if not all(c > 0 for c in x):
+        raise CliError("--x0 coordinates underflow to 0 in float64")
+    return x
+
+
+@contextlib.contextmanager
+def _output(path):
+    """Text handle for path, closed on exit; stdout when no path was given."""
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise CliError(f"cannot write {path!r}: {exc}") from None
+    with fh:
+        yield fh
 
 
 def _fmt(value) -> str:
@@ -176,50 +186,37 @@ def cmd_verify(args) -> int:
                 for r in results
             ],
         }
-        fh, close = _open_out(args.json)
-        try:
+        with _output(args.json) as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-        finally:
-            if close:
-                fh.close()
     return 1 if failed else 0
 
 
 # ----------------------------------------------------------- orbit rows
 
 
-def _orbit_header(p: Params, proj) -> list:
-    cols = ["n"] + [f"x{i}" for i in proj] + ["V1", "V2"]
-    if p.k % 2 == 1:
-        cols += ["V3", "signZ"]
-    return cols
-
-
 def _orbit_row(p: Params, n: int, x, proj) -> list:
-    row = [str(n)] + [_fmt(x[i - 1]) for i in proj]
-    row += [_fmt(eval_v1(p, x)), _fmt(eval_v2(p, x))]
+    sig = level_signature.kernel(p, x)
+    row = [str(n)] + [_fmt(x[i - 1]) for i in proj] + [_fmt(sig.v1), _fmt(sig.v2)]
     if p.k % 2 == 1:
-        row += [_fmt(eval_v3(p, x)), str(z_sign(p, x))]
+        row += [_fmt(sig.v3), str(sig.z_sign)]
     return row
 
 
-def _write_orbit(p: Params, x0, steps: int, exact: bool, proj, fmt: str, fh) -> None:
-    x = tuple(x0) if exact else tuple(float(c) for c in x0)
-    header = _orbit_header(p, proj)
+def _write_orbit(p: Params, x0, steps: int, proj, fmt: str, fh) -> None:
+    """Rows of the orbit of x0, exact or float as x0 is; a float orbit that
+    leaves the domain ends early with a warning."""
+    header = ["n"] + [f"x{i}" for i in proj] + ["V1", "V2"] + ["V3", "signZ"] * (p.k % 2)
     if fmt == "csv":
         fh.write(",".join(header) + "\n")
-    for n in range(steps + 1):
-        if n:
-            x = step(p, x)
-            if not exact and not all(math.isfinite(c) and c > 0 for c in x):
-                print(f"warning: float orbit left the domain at step {n}", file=sys.stderr)
-                break
+    for n, x in enumerate(orbit(p, x0, steps)):
         row = _orbit_row(p, n, x, proj)
         if fmt == "csv":
             fh.write(",".join(row) + "\n")
         else:
             fh.write(json.dumps(dict(zip(header, row))) + "\n")
+    if n < steps:
+        print(f"warning: float orbit left the domain at step {n + 1}", file=sys.stderr)
 
 
 def cmd_orbit(args) -> int:
@@ -228,12 +225,10 @@ def cmd_orbit(args) -> int:
     proj = _parse_proj(args.proj, p.k)
     if args.steps < 0:
         raise CliError(f"--steps must be >= 0, got {args.steps}")
-    fh, close = _open_out(args.out)
-    try:
-        _write_orbit(p, x0, args.steps, args.exact, proj, args.format, fh)
-    finally:
-        if close:
-            fh.close()
+    if not args.exact:
+        x0 = _float_point(p, x0)
+    with _output(args.out) as fh:
+        _write_orbit(p, x0, args.steps, proj, args.format, fh)
     return 0
 
 
@@ -261,17 +256,13 @@ def cmd_flow(args) -> int:
     proj = _parse_proj(args.proj, p.k)
     method = _METHOD_ALIASES[args.method]
     try:
-        trace = integrate_flow(p, x0, args.dt, args.t_max, method=method)
+        trace = integrate_flow(p, _float_point(p, x0), args.dt, args.t_max, method=method)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
     if args.out is not None:
-        fh, close = _open_out(args.out)
-        try:
+        with _output(args.out) as fh:
             _write_flow_csv(trace, proj, fh)
-        finally:
-            if close:
-                fh.close()
 
     if trace.boundary_hit:
         print(
@@ -295,31 +286,20 @@ def cmd_flow(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    if args.k not in (3, 5):
-        raise CliError(f"order reduction covers k in {{3, 5}}, got k={args.k}")
     p = _params(args.k, _parse_a(args.a))
     x0 = _parse_x0(args.x0, p.k)
     if args.steps < 0:
         raise CliError(f"--steps must be >= 0, got {args.steps}")
 
-    rp = ReducedParams(a=p.a, kappa=1 / eval_w(p, x0))
-    advance = reduced_step_k3 if p.k == 3 else reduced_step_k5
     names = ["y1", "y2"] if p.k == 3 else ["y1", "y2", "y3", "y4"]
-
-    fh, close = _open_out(args.out)
-    try:
+    residual = 0
+    with _output(args.out) as fh:
         fh.write(",".join(["n"] + names) + "\n")
-        y = project(p, x0)
-        fh.write(",".join([str(0)] + [str(c) for c in y]) + "\n")
-        for n in range(1, args.steps + 1):
-            y = advance(rp, y)
+        for n, (y, gap) in enumerate(replay(p, x0, args.steps)):
             fh.write(",".join([str(n)] + [str(c) for c in y]) + "\n")
-    finally:
-        if close:
-            fh.close()
+            residual = max(residual, gap)
 
-    residual = semiconjugacy_residual(p, x0, args.steps)
-    print(f"kappa = {rp.kappa}")
+    print(f"kappa = {1 / eval_w(p, x0)}")
     print(f"semiconjugacy residual over {args.steps} double-steps: {residual}")
     return 0
 
@@ -341,26 +321,18 @@ def _flow_sibling(path: str) -> str:
 def cmd_figures(args) -> int:
     preset = _FIGURE_PRESETS[args.which]
     p = Params(preset["k"], preset["a"])
-    x0 = tuple(Fraction(c) for c in preset["x0"])
+    x0 = tuple(float(c) for c in preset["x0"])
     proj = preset["proj"] or tuple(range(1, p.k + 1))
 
-    fh, close = _open_out(args.out)
-    try:
-        _write_orbit(p, x0, preset["steps"], False, proj, "csv", fh)
-    finally:
-        if close:
-            fh.close()
+    with _output(args.out) as fh:
+        _write_orbit(p, x0, preset["steps"], proj, "csv", fh)
     written = [args.out or "<stdout>"]
 
     if args.which == 1:
         flow_path = _flow_sibling(args.out) if args.out else None
         trace = integrate_flow(p, x0, 1e-3, 10.0, method=METHODS[0])
-        fh, close = _open_out(flow_path)
-        try:
+        with _output(flow_path) as fh:
             _write_flow_csv(trace, proj, fh)
-        finally:
-            if close:
-                fh.close()
         written.append(flow_path or "<stdout>")
 
     print(f"figure {args.which}: wrote {', '.join(written)}", file=sys.stderr)
@@ -434,10 +406,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, DimensionError) as exc:
+    except (CliError, DomainError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,6 +4,7 @@ level profiles along the 2-periodic curve, and a rotation-number estimator.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -11,35 +12,19 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateOrbitError, DimensionError, DomainError, NoRootError
-from .invariants import eval_pi, eval_v1, eval_v2, eval_v3, eval_w, eval_z, level_signature
-from .lyness import OrbitTrace, Params, inverse_step, jacobian_det, require_point, step, two_periodic_point
+from .invariants import eval_pi, eval_v1, eval_v2, eval_v3, eval_z, level_signature
+from .lyness import (
+    OrbitTrace, Params, iterate, jacobian_det, orbit, require_point, step, two_periodic_point,
+    validated,
+)
 
 
 def orbit_signature(p: Params, x0, n: int) -> OrbitTrace:
     """Orbit trace with per-state invariant levels. Float orbits that overflow
     are truncated and flagged instead of propagating inf/nan."""
-    x = require_point(p, x0)
-    advance = step if n >= 0 else inverse_step
-    sgn = 1 if n >= 0 else -1
-    exact = all(isinstance(c, (int, Fraction)) for c in x)
-    indices, states = [0], [x]
-    truncated = False
-    for _ in range(abs(n)):
-        nxt = advance(p, states[-1])
-        if not exact and not all(math.isfinite(c) for c in nxt):
-            truncated = True
-            break
-        states.append(nxt)
-        indices.append(indices[-1] + sgn)
-    sigs = [level_signature(p, s) for s in states]
-    return OrbitTrace(
-        params=p,
-        indices=indices,
-        states=states,
-        signatures=sigs,
-        truncated=truncated,
-        note="" if not truncated else "float overflow",
-    )
+    trace = iterate(p, x0, n)
+    trace.signatures = [level_signature.kernel(p, s) for s in trace.states]
+    return trace
 
 
 @dataclass(frozen=True)
@@ -127,12 +112,7 @@ def sample_g_point(p: Params, template) -> GPoint:
 
     root = _exact_root(coeffs, degree)
     if root is not None:
-        point = filled(root)
-        return GPoint(
-            point=point,
-            residual=abs(eval_z(p, point)),
-            image_residual=abs(eval_z(p, step(p, point))),
-        )
+        return _g_point(p, filled(root))
     return _float_root(p, coeffs, filled)
 
 
@@ -161,13 +141,13 @@ def _float_root(p, coeffs, filled):
     bracket = None
     for (t0, v0), (t1, v1) in zip(signs, signs[1:]):
         if v0 == 0:
-            return _finish_exact(p, filled, t0)
+            return _g_point(p, filled(t0))
         if (v0 < 0) != (v1 < 0):
             bracket = (t0, t1)
             break
     if bracket is None:
         if signs[-1][1] == 0:
-            return _finish_exact(p, filled, grid[-1])
+            return _g_point(p, filled(grid[-1]))
         raise NoRootError("no sign change of Z on the template within (0, 1e6)")
 
     fc = [float(c) for c in coeffs]
@@ -192,19 +172,13 @@ def _float_root(p, coeffs, filled):
         if d == 0.0:
             break
         root -= _poly_eval(fc, root) / d
-    point = tuple(float(c) for c in filled(root))
-    residual = abs(eval_z(p, point))
-    if not residual <= 1e-12:
-        raise NoRootError(f"could not refine the root below 1e-12 (|Z| = {residual:.3e})")
-    return GPoint(
-        point=point,
-        residual=residual,
-        image_residual=abs(eval_z(p, step(p, point))),
-    )
+    found = _g_point(p, tuple(float(c) for c in filled(root)))
+    if not found.residual <= 1e-12:
+        raise NoRootError(f"could not refine the root below 1e-12 (|Z| = {found.residual:.3e})")
+    return found
 
 
-def _finish_exact(p, filled, t):
-    point = filled(t)
+def _g_point(p, point):
     return GPoint(
         point=point,
         residual=abs(eval_z(p, point)),
@@ -231,9 +205,7 @@ def odd_period_guard(p: Params, x, max_odd_period: int) -> OddPeriodVerdict:
     z = eval_z(p, x)
     if z != 0:
         return OddPeriodVerdict(z_value=z, certified_no_odd_period=True)
-    current = x
-    for m in range(1, max_odd_period + 1):
-        current = step(p, current)
+    for m, current in enumerate(orbit(p, x, max_odd_period)):
         if m % 2 == 1 and current == x:
             return OddPeriodVerdict(
                 z_value=z, certified_no_odd_period=False, odd_period=m, checked_up_to=m
@@ -243,18 +215,18 @@ def odd_period_guard(p: Params, x, max_odd_period: int) -> OddPeriodVerdict:
     )
 
 
+@validated
 def measure_density_residual(p: Params, x):
     """Residual pair of the invariance laws of the second iterate's densities:
     (pi o F^2 - det DF^2 * pi, Z o F^2 - det DF^2 * Z); both exactly zero."""
     if p.k % 2 == 0:
         raise DimensionError("density laws are stated in odd dimensions")
-    x = require_point(p, x)
-    x1 = step(p, x)
-    x2 = step(p, x1)
-    det2 = jacobian_det(p, x1) * jacobian_det(p, x)
+    x1 = step.kernel(p, x)
+    x2 = step.kernel(p, x1)
+    det2 = jacobian_det.kernel(p, x1) * jacobian_det.kernel(p, x)
     return (
-        eval_pi(p, x2) - det2 * eval_pi(p, x),
-        eval_z(p, x2) - det2 * eval_z(p, x),
+        eval_pi.kernel(p, x2) - det2 * eval_pi.kernel(p, x),
+        eval_z.kernel(p, x2) - det2 * eval_z.kernel(p, x),
     )
 
 
@@ -359,11 +331,10 @@ def rotation_number(p: Params, x0, n: int) -> float:
         raise DimensionError("the rotation-number estimator is wired for k=3")
     if n < 10:
         raise ValueError("need at least 10 samples")
-    x = tuple(float(c) for c in require_point(p, x0))
-    pts = np.empty((n, 3))
-    for j in range(n):
-        pts[j] = x
-        x = step(p, step(p, x))
+    states = orbit(p, tuple(float(c) for c in x0), 2 * (n - 1))
+    pts = np.array(list(itertools.islice(states, None, None, 2)))  # the F^2 orbit
+    if len(pts) < n:
+        raise DomainError("the float orbit left the domain before n samples")
     centered = pts - pts.mean(axis=0)
     _u, svals, vt = np.linalg.svd(centered, full_matrices=False)
     scale = float(svals[0])

@@ -36,67 +36,71 @@ class FlowTrace:
     boundary_hit: bool = False
 
 
-def _field_at(p: Params, x):
-    return symmetry_vector(p, x)
-
-
 def _in_domain(x):
     return all(math.isfinite(c) and c > BOUNDARY_EPS for c in x)
 
 
 def _rk4_step(p: Params, x, h):
-    k1 = _field_at(p, x)
-    k2 = _field_at(p, tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k1)))
-    k3 = _field_at(p, tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k2)))
-    k4 = _field_at(p, tuple(xi + h * ki for xi, ki in zip(x, k3)))
+    k1 = symmetry_vector(p, x)
+    k2 = symmetry_vector(p, tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k1)))
+    k3 = symmetry_vector(p, tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k2)))
+    k4 = symmetry_vector(p, tuple(xi + h * ki for xi, ki in zip(x, k3)))
     return tuple(
         xi + h / 6.0 * (a + 2 * b + 2 * c + d)
         for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
     )
 
 
+def _grid_steps(dt: float, t_max: float) -> int:
+    """The whole number n >= 1 of dt steps that make up t_max; else ValueError."""
+    if not (0 < dt < math.inf and 0 < t_max < math.inf):
+        raise ValueError("dt and t_max must be positive and finite")
+    ratio = t_max / dt
+    n = round(ratio) if ratio < math.inf else 0
+    if n < 1 or abs(ratio - n) > 1e-9 * n:
+        raise ValueError(f"t_max={t_max!r} is not a whole number of dt={dt!r} steps")
+    return n
+
+
+def _rk4(p: Params, x0, h: float, n_steps: int):
+    """(states, boundary_hit) of up to n_steps RK4 steps of signed size h; a
+    stage point outside the orthant (DomainError from the field) truncates."""
+    states = [x0]
+    for _ in range(n_steps):
+        try:
+            nxt = _rk4_step(p, states[-1], h)
+        except DomainError:
+            return states, True
+        if not _in_domain(nxt):
+            return states, True
+        states.append(nxt)
+    return states, False
+
+
 def integrate_flow(
     p: Params, x0, dt: float, t_max: float, method: str = "rk4-fixed", tol: float = 1e-10
 ) -> FlowTrace:
-    """Flow trace sampled on the uniform grid 0, dt, 2dt, ..., t_max."""
+    """Flow trace sampled on the uniform grid 0, dt, 2dt, ..., t_max; t_max
+    must be a whole number of dt steps."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if not (dt > 0 and t_max > 0):
-        raise ValueError("dt and t_max must be positive")
+    n_steps = _grid_steps(dt, t_max)
     x0 = tuple(float(c) for c in require_point(p, x0))
     trace = FlowTrace(params=p, method=method, dt=dt, t_max=t_max, tol=tol)
-
     if method == "rk4-fixed":
-        n_steps = max(1, round(t_max / dt))
-        t, x = 0.0, x0
-        _append(trace, t, x)
-        for j in range(1, n_steps + 1):
-            try:
-                nxt = _rk4_step(p, x, dt)
-            except DomainError:
-                trace.boundary_hit = True
-                break
-            if not _in_domain(nxt):
-                trace.boundary_hit = True
-                break
-            t, x = j * dt, nxt
-            _append(trace, t, x)
-        return trace
-
-    return _integrate_rk45(p, x0, dt, t_max, tol, trace)
-
-
-def _append(trace: FlowTrace, t, x):
-    trace.times.append(t)
-    trace.states.append(x)
-    trace.signatures.append(level_signature(trace.params, x))
+        trace.states, trace.boundary_hit = _rk4(p, x0, dt, n_steps)
+        trace.times = [j * dt for j in range(len(trace.states))]
+    else:
+        _integrate_rk45(p, x0, dt, t_max, tol, trace)
+    trace.signatures = [level_signature(p, x) for x in trace.states]
+    return trace
 
 
 def _integrate_rk45(p, x0, dt, t_max, tol, trace):
     from scipy.integrate import solve_ivp
 
     def rhs(_t, y):
-        return _field_at(p, tuple(y))
+        return symmetry_vector(p, tuple(y))
 
     def near_boundary(_t, y):
         return float(min(y) - BOUNDARY_EPS)
@@ -118,11 +122,9 @@ def _integrate_rk45(p, x0, dt, t_max, tol, trace):
         raise FlowError(f"adaptive integration failed: {sol.message}")
     reached = sol.t[-1]
     n_steps = int(math.floor(reached / dt + 1e-9))
-    for j in range(n_steps + 1):
-        t = min(j * dt, reached)
-        _append(trace, t, tuple(float(v) for v in sol.sol(t)))
+    trace.times = [min(j * dt, reached) for j in range(n_steps + 1)]
+    trace.states = [tuple(float(v) for v in sol.sol(t)) for t in trace.times]
     trace.boundary_hit = sol.status == 1
-    return trace
 
 
 def invariant_drift(trace: FlowTrace) -> dict:
@@ -173,26 +175,11 @@ class TransportReport:
 
 
 def _two_sided_orbit(p, x0, dt, t_max):
-    fwd = integrate_flow(p, x0, dt, t_max)
-    # reverse time by flowing the mirrored field: reuse RK4 with negative h
-    bwd = FlowTrace(params=p, method="rk4-fixed", dt=dt, t_max=t_max)
-    t, x = 0.0, tuple(float(c) for c in x0)
-    _append(bwd, t, x)
-    n_steps = max(1, round(t_max / dt))
-    for j in range(1, n_steps + 1):
-        try:
-            nxt = _rk4_step(p, x, -dt)
-        except DomainError:
-            bwd.boundary_hit = True
-            break
-        if not _in_domain(nxt):
-            bwd.boundary_hit = True
-            break
-        t, x = -j * dt, nxt
-        _append(bwd, t, x)
-    states = list(reversed(bwd.states))[:-1] + list(fwd.states)
-    truncated = fwd.boundary_hit or bwd.boundary_hit
-    return states, truncated
+    # reverse time by flowing with the negated step
+    n_steps = _grid_steps(dt, t_max)
+    fwd, fwd_hit = _rk4(p, x0, dt, n_steps)
+    bwd, bwd_hit = _rk4(p, x0, -dt, n_steps)
+    return bwd[:0:-1] + fwd, fwd_hit or bwd_hit
 
 
 def transport_diagnostic(

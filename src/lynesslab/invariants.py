@@ -32,18 +32,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError
-from .lyness import Params, require_point
+from .lyness import Params, require_point, validated
 from .scalars import RatMatrix, exact_rank, gradient
 
 
+@validated
 def eval_v1(p: Params, x):
-    x = require_point(p, x)
     total = p.a + sum(x)
     return total * math.prod(c + 1 for c in x) / math.prod(x)
 
 
+@validated
 def eval_v2(p: Params, x):
-    x = require_point(p, x)
     total = p.a + sum(x) + x[0] * x[-1]
     chain = math.prod(1 + x[i] + x[i + 1] for i in range(p.k - 1))
     return total * chain / math.prod(x)
@@ -54,46 +54,43 @@ def _require_odd(p: Params, what: str):
         raise DimensionError(f"{what} is defined for odd k only, got k={p.k}")
 
 
+@validated
 def eval_w(p: Params, x):
     """Alternating 2-integral (odd k): odd positions up top, even ones below."""
     _require_odd(p, "the alternating 2-integral")
-    x = require_point(p, x)
     num = math.prod(x[i] + 1 for i in range(0, p.k, 2))
     den = math.prod(x[i] for i in range(1, p.k, 2))
     return num / den
 
 
+@validated
 def eval_v3(p: Params, x):
     """Third first integral for odd k, evaluated in cleared polynomial form."""
     _require_odd(p, "the third integral")
-    x = require_point(p, x)
     odd = math.prod(x[i] * (x[i] + 1) for i in range(0, p.k, 2))
     even = math.prod(x[i] * (x[i] + 1) for i in range(1, p.k, 2))
     return (odd + (p.a + sum(x)) * even) / math.prod(x)
 
 
+@validated
 def eval_z(p: Params, x):
     """Separating polynomial (odd k); {Z = 0} is an invariant hypersurface."""
     _require_odd(p, "the separating polynomial")
-    x = require_point(p, x)
     odd = math.prod(x[i] * (x[i] + 1) for i in range(0, p.k, 2))
     even = math.prod(x[i] * (x[i] + 1) for i in range(1, p.k, 2))
     return odd - (p.a + sum(x)) * even
 
 
+@validated
 def eval_pi(p: Params, x):
     """Coordinate product; 1/pi is an invariant density of the second iterate."""
-    x = require_point(p, x)
     return math.prod(x)
 
 
+@validated
 def z_sign(p: Params, x) -> int:
-    v = eval_z(p, x)
-    if v > 0:
-        return 1
-    if v < 0:
-        return -1
-    return 0
+    v = eval_z.kernel(p, x)
+    return (v > 0) - (v < 0)
 
 
 @dataclass(frozen=True)
@@ -106,12 +103,12 @@ class LevelSignature:
     z_sign: int = None
 
 
+@validated
 def level_signature(p: Params, x) -> LevelSignature:
+    v1, v2 = eval_v1.kernel(p, x), eval_v2.kernel(p, x)
     if p.k % 2 == 0:
-        return LevelSignature(v1=eval_v1(p, x), v2=eval_v2(p, x))
-    return LevelSignature(
-        v1=eval_v1(p, x), v2=eval_v2(p, x), v3=eval_v3(p, x), z_sign=z_sign(p, x)
-    )
+        return LevelSignature(v1=v1, v2=v2)
+    return LevelSignature(v1=v1, v2=v2, v3=eval_v3.kernel(p, x), z_sign=z_sign.kernel(p, x))
 
 
 _EVALUATORS = {"V1": eval_v1, "V2": eval_v2, "V3": eval_v3}

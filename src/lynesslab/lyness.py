@@ -19,11 +19,15 @@ already fails at k=3, x=(1,1,1), a=1 and breaks the multiplicative
 transport law of the coordinate product. See the README math notes.)
 
 All functions accept coordinates from any scalar backend (Fraction, float,
-Dual) and stay inside it.
+Dual) and stay inside it. Formulas are pure ring arithmetic; the domain is
+checked once at the boundary: a `@validated` public function runs
+`require_point` and then its kernel, which stays reachable as `.kernel` for
+drivers that validated their start point already.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -56,14 +60,39 @@ def require_point(p: Params, x) -> tuple:
     return x
 
 
+def validated(kernel):
+    """Public form of a pure kernel f(p, x, ...): validate x once, then run f."""
+
+    @functools.wraps(kernel)
+    def public(p: Params, x, *args):
+        return kernel(p, require_point(p, x), *args)
+
+    public.kernel = kernel
+    return public
+
+
+@validated
 def step(p: Params, x) -> tuple:
-    x = require_point(p, x)
     return x[1:] + ((p.a + sum(x[1:])) / x[0],)
 
 
+@validated
 def inverse_step(p: Params, y) -> tuple:
-    y = require_point(p, y)
     return ((p.a + sum(y[:-1])) / y[-1],) + y[:-1]
+
+
+def orbit(p: Params, x0, n: int):
+    """Yield x0 and then each image under F (F^-1 for n < 0), |n| images in
+    all. Stops early at the first state outside 0 < c < inf: float overflow
+    or underflow. The comparison also holds for tall rationals."""
+    x = require_point(p, x0)
+    advance = step.kernel if n >= 0 else inverse_step.kernel
+    yield x
+    for _ in range(abs(n)):
+        x = advance(p, x)
+        if not all(0 < c < math.inf for c in x):
+            return
+        yield x
 
 
 @dataclass
@@ -80,21 +109,22 @@ class OrbitTrace:
 
 
 def iterate(p: Params, x0, n: int) -> OrbitTrace:
-    """Orbit trace of |n|+1 states from x0; negative n walks the inverse map."""
-    x = require_point(p, x0)
-    advance = step if n >= 0 else inverse_step
-    sgn = 1 if n >= 0 else -1
-    indices = [0]
-    states = [x]
-    for _ in range(abs(n)):
-        states.append(advance(p, states[-1]))
-        indices.append(indices[-1] + sgn)
-    return OrbitTrace(params=p, indices=indices, states=states)
+    """Orbit trace of up to |n|+1 states from x0; negative n walks the inverse
+    map. A float orbit that overflows is truncated and flagged."""
+    states = list(orbit(p, x0, n))
+    truncated = len(states) <= abs(n)
+    return OrbitTrace(
+        params=p,
+        indices=[j if n >= 0 else -j for j in range(len(states))],
+        states=states,
+        truncated=truncated,
+        note="float overflow" if truncated else "",
+    )
 
 
+@validated
 def jacobian(p: Params, x) -> RatMatrix:
     """DF(x): shift rows for coordinates 1..k-1, one rational row at the bottom."""
-    x = require_point(p, x)
     zero = x[0] - x[0]
     one = zero + 1
     rows = []
@@ -105,9 +135,9 @@ def jacobian(p: Params, x) -> RatMatrix:
     return RatMatrix(rows)
 
 
+@validated
 def jacobian_det(p: Params, x):
     """det DF(x) = (-1)^k (a + x2 + ... + xk) / x1^2 (cofactor closed form)."""
-    x = require_point(p, x)
     val = (p.a + sum(x[1:])) / (x[0] * x[0])
     return val if p.k % 2 == 0 else -val
 

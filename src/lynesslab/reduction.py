@@ -15,8 +15,9 @@ Conventions (pinned by golden tests):
       with c = kappa (s+1)(z+1).
 
 In both cases the reduced step equals the projection of F^2 applied to the
-lifted point, exactly over the rationals; `semiconjugacy_residual` replays
-both sides and returns the largest deviation (zero when the convention holds).
+lifted point, exactly over the rationals; `replay` steps both sides in one
+pass, and `semiconjugacy_residual` returns the largest deviation (zero when
+the convention holds).
 """
 
 from __future__ import annotations
@@ -84,23 +85,28 @@ def project(p: Params, x) -> tuple:
     raise DimensionError(f"order reduction covers k in {{3, 5}}, got k={p.k}")
 
 
-def semiconjugacy_residual(p: Params, x0, n: int):
-    """Max deviation over n steps between the reduced orbit and the projected
-    F^2 orbit started at x0, with kappa = 1/W(x0). Exactly zero over rationals.
+def replay(p: Params, x0, n: int):
+    """Yield (y_j, gap_j) for j = 0..n: the reduced orbit y_j of project(x0)
+    with kappa = 1/W(x0), and its largest deviation from the projection of
+    the F^2 orbit of x0 (zero over the rationals when the convention holds).
     """
     if p.k not in (3, 5):
         raise DimensionError(f"order reduction covers k in {{3, 5}}, got k={p.k}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    x0 = require_point(p, x0)
-    rp = ReducedParams(a=p.a, kappa=1 / eval_w(p, x0))
+    full = require_point(p, x0)
+    rp = ReducedParams(a=p.a, kappa=1 / eval_w.kernel(p, full))
     advance = reduced_step_k3 if p.k == 3 else reduced_step_k5
-    reduced = project(p, x0)
-    full = x0
-    dev = x0[0] - x0[0]  # zero of the working field
-    for _ in range(n):
-        reduced = advance(rp, reduced)
-        full = step(p, step(p, full))
-        gap = max(abs(r - f) for r, f in zip(reduced, project(p, full)))
-        dev = max(dev, gap)
-    return dev
+    reduced = project(p, full)
+    for j in range(n + 1):
+        if j:
+            reduced = advance(rp, reduced)
+            full = step.kernel(p, step.kernel(p, full))
+        yield reduced, max(abs(r - f) for r, f in zip(reduced, project(p, full)))
+
+
+def semiconjugacy_residual(p: Params, x0, n: int):
+    """Max deviation over n steps between the reduced orbit and the projected
+    F^2 orbit started at x0, with kappa = 1/W(x0). Exactly zero over rationals.
+    """
+    return max(gap for _reduced, gap in replay(p, x0, n))

@@ -1,10 +1,10 @@
 """Exact scalar substrate: rationals, forward-mode duals, exact linear algebra.
 
 Every formula in this package is written against plain arithmetic operators so
-the same code runs over exact rationals (`Rat`), float64, or `Dual` numbers.
-`Rat` is the stdlib Fraction: always reduced, positive denominator, exact
-field operations. Gradients are computed with one dual pass per coordinate,
-ranks over the rationals with fraction-free integer elimination.
+the same code runs over exact rationals (the stdlib Fraction: always reduced,
+positive denominator, exact field operations), float64, or `Dual` numbers.
+Gradients are computed with one dual pass per coordinate, ranks over the
+rationals with fraction-free integer elimination.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-
-Rat = Fraction
 
 
 def parse_rational(text: str) -> Fraction:
@@ -149,9 +147,6 @@ class RatMatrix:
         if len(vec) != self.ncols:
             raise ValueError("dimension mismatch")
         return tuple(sum(rij * vj for rij, vj in zip(row, vec)) for row in self.rows)
-
-    def rank(self):
-        return exact_rank(self)
 
 
 def exact_rank(matrix) -> int:

@@ -31,7 +31,7 @@ import math
 
 from .errors import DimensionError
 from .invariants import eval_v1, eval_v2, eval_v3
-from .lyness import Params, jacobian, require_point, step
+from .lyness import Params, jacobian, require_point, step, validated
 from .scalars import gradient
 
 
@@ -42,11 +42,11 @@ def _chain(x, lo, hi, skip=()):
     )
 
 
+@validated
 def symmetry_vector(p: Params, x) -> tuple:
     """X(x), exact over rational coordinates. Defined for k >= 3."""
     if p.k < 3:
         raise DimensionError(f"the symmetry field needs k >= 3, got k={p.k}")
-    x = require_point(p, x)
     k, a = p.k, p.a
     total = a + sum(x)
     out = []
@@ -76,27 +76,27 @@ def symmetry_vector(p: Params, x) -> tuple:
     return tuple(out)
 
 
+@validated
 def lie_residual(p: Params, x) -> tuple:
     """Componentwise X(F(x)) - DF(x) X(x); the zero tuple iff the symmetry holds."""
-    x = require_point(p, x)
-    image = symmetry_vector(p, step(p, x))
-    pushed = jacobian(p, x).matvec(symmetry_vector(p, x))
+    image = symmetry_vector.kernel(p, step.kernel(p, x))
+    pushed = jacobian.kernel(p, x).matvec(symmetry_vector.kernel(p, x))
     return tuple(im - pu for im, pu in zip(image, pushed))
 
 
+@validated
 def shift_residual(p: Params, x, i: int):
     """X_{i+1}(x) - X_i(F(x)) for 1-based 1 <= i <= k-1."""
     if not 1 <= i <= p.k - 1:
         raise DimensionError(f"shift index must satisfy 1 <= i <= k-1, got {i}")
-    x = require_point(p, x)
-    return symmetry_vector(p, x)[i] - symmetry_vector(p, step(p, x))[i - 1]
+    return symmetry_vector.kernel(p, x)[i] - symmetry_vector.kernel(p, step.kernel(p, x))[i - 1]
 
 
+@validated
 def compatibility_residual(p: Params, x):
     """X_k(F(x)) + ((a + x2+...+xk)/x1^2) X_1(x) - (1/x1) sum_{i>=2} X_i(x)."""
-    x = require_point(p, x)
-    here = symmetry_vector(p, x)
-    image_last = symmetry_vector(p, step(p, x))[-1]
+    here = symmetry_vector.kernel(p, x)
+    image_last = symmetry_vector.kernel(p, step.kernel(p, x))[-1]
     return (
         image_last
         + (p.a + sum(x[1:])) / (x[0] * x[0]) * here[0]
@@ -130,12 +130,12 @@ def annihilation_residual(p: Params, x, which: str):
     return sum(g * f for g, f in zip(grad, field))
 
 
+@validated
 def factorization_residual(p: Params, x):
     """Residual of the product factorization of the weighted shift-difference
     sum (k >= 6); exactly zero over the rationals."""
     if p.k < 6:
         raise DimensionError(f"the factorization identity needs k >= 6, got k={p.k}")
-    x = require_point(p, x)
     k = p.k
     acc = x[0] - x[0]  # zero of the working field
     for m in range(2, k):  # 1-based

@@ -21,7 +21,6 @@ from .symmetry import (
     factorization_residual,
     lie_residual,
     shift_residual,
-    symmetry_vector,
 )
 
 OK = "ok"
@@ -188,11 +187,3 @@ def run_suites(k: int, a, trials: int, seed: int) -> list:
         )
     return results
 
-
-def fixed_point_field_check(k: int) -> bool:
-    """X vanishes exactly at the fixed point, checked with a rational fixed
-    point (a = k makes every coordinate equal k)."""
-    p = Params(k, Fraction(k))
-    point = (Fraction(k),) * k
-    assert step(p, point) == point
-    return all(c == 0 for c in symmetry_vector(p, point))

@@ -1,7 +1,10 @@
 """Command-line surface: exit codes, report text, CSV/JSONL schemas,
 environment seeding, and byte-level determinism."""
 
+import hashlib
 import json
+
+import pytest
 
 from lynesslab.cli import main
 
@@ -209,3 +212,74 @@ def test_seeded_verify_output_is_reproducible(capsys):
     assert main(["verify", "--k", "5", "--trials", "20", "--seed", "3"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "--k", "3", "--x0", "1e400,1,1", "--steps", "2"],
+        ["orbit", "--k", "3", "--a", "1e400", "--x0", "1,1,1", "--steps", "2"],
+        ["orbit", "--k", "3", "--x0", "1e-400,1,1", "--steps", "2"],
+        ["flow", "--k", "3", "--x0", "1e400,1,1"],
+        ["flow", "--k", "3", "--a", "1e400", "--x0", "1,1,1"],
+        ["flow", "--k", "3", "--x0", "1,1,1", "--t-max", "inf"],
+        ["flow", "--k", "3", "--x0", "1,1,1", "--dt", "nan"],
+        ["flow", "--k", "3", "--x0", "1,1,1", "--dt", "0.3", "--t-max", "1"],
+        ["flow", "--k", "3", "--x0", "1,1,1", "--dt", "2", "--t-max", "1"],
+        ["flow", "--k", "3", "--x0", "1,1,1", "--dt", "0.3", "--t-max", "1", "--method", "rk45"],
+    ],
+    ids=[
+        "orbit-x0-overflow", "orbit-a-overflow", "orbit-x0-underflow", "flow-x0-overflow",
+        "flow-a-overflow", "flow-tmax-inf", "flow-dt-nan", "flow-partial-step",
+        "flow-dt-beyond-tmax", "flow-rk45-partial-step",
+    ],
+)
+def test_float_inputs_outside_the_run_exit_two(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+# sha256 of stdout followed by the --out file (OUT) for small runs of each
+# command; refactors of the formula path must leave these bytes unchanged.
+PINNED_OUTPUTS = {
+    "orbit-exact-k5": (
+        ["orbit", "--k", "5", "--a", "1", "--x0", "1,2,3,4,5", "--steps", "40", "--exact"],
+        "a8112c7d498eada3bf38cb349c16ecc577f863c5e44bf93d16cff1d52778b318",
+    ),
+    "orbit-jsonl-k6": (
+        ["orbit", "--k", "6", "--a", "1/2", "--x0", "1,2,3,4,5,6", "--steps", "300",
+         "--format", "jsonl"],
+        "1eec31cd915f3a861ac91d5e23f2c937c53f9401d14a3588c4751ed6af0b49be",
+    ),
+    "reduce-k3-stdout": (
+        ["reduce", "--k", "3", "--a", "1", "--x0", "1,1,3", "--steps", "20"],
+        "31fe59f23afd9d2207f1cdf64e7d3daad33ff028795116da7eb948238407fdd0",
+    ),
+    "reduce-k5-csv": (
+        ["reduce", "--k", "5", "--a", "1", "--x0", "1,2,3,4,5", "--steps", "12", "--out", "OUT"],
+        "0c07364f6afa62e1a8a9aad777479665bfc5a895e6f959534fee04cce13b428f",
+    ),
+    "flow-k5-csv": (
+        ["flow", "--k", "5", "--a", "1", "--x0", "1,2,3,4,5", "--dt", "1e-2", "--t-max", "1",
+         "--out", "OUT"],
+        "d5a2c41c8274a3d9666aea11f1acdaeb1193ea9fd9e21d214b6e9b754a1050c2",
+    ),
+    "verify-json": (
+        ["verify", "--k-range", "3..8", "--trials", "2", "--json", "OUT"],
+        "83fa5a1e8e42752c9f9f0327ce2dd4e0467c97c864669c06203b8ac523ca681a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_output_bytes_match_pinned_digests(name, tmp_path, capsys):
+    argv, digest = PINNED_OUTPUTS[name]
+    out_file = tmp_path / "out"
+    assert main([str(out_file) if a == "OUT" else a for a in argv]) == 0
+    h = hashlib.sha256(capsys.readouterr().out.encode())
+    if "OUT" in argv:
+        h.update(out_file.read_bytes())
+    assert h.hexdigest() == digest

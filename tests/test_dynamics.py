@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from lynesslab.cli import main
 from lynesslab.dynamics import (
     measure_density_residual,
     odd_period_guard,
@@ -186,3 +187,19 @@ def test_rotation_number_rejects_degenerate_orbits():
         rotation_number(Params(4, Fraction(1)), (1.0, 1.0, 1.0, 1.0), 200)
     with pytest.raises(ValueError):
         rotation_number(P31, (1.0, 1.0, 3.0), 5)
+
+
+def test_orbit_signature_and_cli_orbit_truncate_alike(capsys):
+    # The first image underflows to 0.0: the API trace and the CLI writer
+    # stop at the same state.
+    p = Params(3, Fraction(0))
+    x0 = (1e300, 1e-300, 1e-300)
+    trace = orbit_signature(p, x0, 5)
+    assert trace.truncated and trace.note == "float overflow"
+    assert trace.states == [x0]
+    assert trace.indices == [0]
+    assert len(trace.signatures) == 1
+    assert main(["orbit", "--k", "3", "--a", "0", "--x0", "1e300,1e-300,1e-300", "--steps", "5"]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 1 + len(trace.states)
+    assert "left the domain at step 1" in captured.err

@@ -101,3 +101,30 @@ def test_transport_probe_shows_image_is_a_different_orbit_k4():
 def test_transport_probe_validates_sample_count():
     with pytest.raises(ValueError):
         transport_diagnostic(P44, X1234, t_max=1.0, samples=0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "dt, t_max",
+    [
+        (1e-3, float("inf")),
+        (float("inf"), 1.0),
+        (float("nan"), 1.0),
+        (1e-3, float("nan")),
+        (0.3, 1.0),   # would stop at t=0.9
+        (2.0, 1.0),   # would step past t_max
+        (1e-300, 1e300),  # t_max/dt overflows
+    ],
+)
+def test_grid_must_be_finite_and_a_whole_number_of_steps(dt, t_max, method):
+    with pytest.raises(ValueError):
+        integrate_flow(P44, X1234, dt=dt, t_max=t_max, method=method)
+
+
+def test_grid_accepts_rounding_noise_in_the_step_count():
+    # 0.7/0.001 is 699.9999999999999 in float64; the grid is still 700 steps
+    trace = integrate_flow(P44, X1234, dt=1e-3, t_max=0.7)
+    assert len(trace.times) == 701
+    assert not trace.boundary_hit
+    with pytest.raises(ValueError):
+        transport_diagnostic(P44, X1234, t_max=1.0, samples=5, dt=0.3)

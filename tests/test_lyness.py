@@ -13,6 +13,7 @@ from lynesslab.lyness import (
     iterate,
     jacobian,
     jacobian_det,
+    orbit,
     step,
     two_periodic_point,
 )
@@ -185,3 +186,37 @@ def test_distinct_streams_decorrelate():
     xs = random_point(stream("suite-one", 7), 6)
     ys = random_point(stream("suite-two", 7), 6)
     assert xs != ys
+
+
+def test_public_formulas_validate_and_expose_a_pure_kernel():
+    p = Params(3, Fraction(1))
+    x = (Fraction(1), Fraction(1), Fraction(3))
+    assert step.kernel(p, x) == step(p, x)
+    assert inverse_step.kernel(p, x) == inverse_step(p, x)
+    assert jacobian_det.kernel(p, x) == jacobian_det(p, x)
+    with pytest.raises(DomainError):
+        step(p, (Fraction(-1), Fraction(1), Fraction(3)))
+    # the kernel is plain arithmetic and does not look at the domain
+    assert step.kernel(p, (Fraction(-1), Fraction(1), Fraction(3))) == (1, 3, -5)
+
+
+def test_orbit_yields_the_start_and_each_image():
+    p = Params(3, Fraction(1))
+    x0 = (Fraction(1), Fraction(1), Fraction(3))
+    assert list(orbit(p, x0, 3)) == iterate(p, x0, 3).states
+    assert list(orbit(p, x0, 0)) == [x0]
+    assert list(orbit(p, (5, 9, 5), -3)) == [(5, 9, 5), (3, 5, 9), (1, 3, 5), (1, 1, 3)]
+    with pytest.raises(DomainError):
+        next(orbit(p, (Fraction(0), Fraction(1), Fraction(3)), 2))
+
+
+def test_orbit_stops_at_the_first_state_outside_the_float_range():
+    p = Params(3, Fraction(1))
+    states = list(orbit(p, (1e-300, 1e300, 1e300), 10))
+    assert len(states) < 11
+    assert all(0 < c < math.inf for s in states for c in s)
+    trace = iterate(p, (1e-300, 1e300, 1e300), 10)
+    assert trace.states == states and trace.truncated
+    # tall rationals compare against inf without a float conversion
+    tall = (Fraction(10**400), Fraction(1), Fraction(1))
+    assert len(list(orbit(p, tall, 3))) == 4

@@ -15,6 +15,7 @@ from lynesslab.reduction import (
     project,
     reduced_step_k3,
     reduced_step_k5,
+    replay,
     semiconjugacy_residual,
 )
 from lynesslab.sampling import random_point, stream
@@ -115,3 +116,14 @@ def test_projection_keeps_the_documented_coordinates():
     assert project(p5, tuple(Fraction(i) for i in (1, 2, 3, 4, 5))) == (1, 2, 3, 5)
     with pytest.raises(DimensionError):
         project(Params(4, Fraction(1)), (Fraction(1),) * 4)
+
+
+def test_replay_yields_each_reduced_state_with_its_gap():
+    p = Params(3, Fraction(1))
+    x0 = (Fraction(1), Fraction(1), Fraction(3))
+    rows = list(replay(p, x0, 4))
+    assert [y for y, _gap in rows][:2] == [(1, 3), (3, 9)]
+    assert len(rows) == 5
+    assert all(gap == 0 for _y, gap in rows)
+    rp = ReducedParams(a=p.a, kappa=1 / eval_w(p, x0))
+    assert rows[2][0] == reduced_step_k3(rp, rows[1][0])
