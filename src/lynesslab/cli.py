@@ -118,6 +118,21 @@ def _output(path):
         yield fh
 
 
+@contextlib.contextmanager
+def _full_digits():
+    """Lift the int->str digit limit while exact output is formatted, so exact
+    values of any height print in full; input parsing keeps the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python without the limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -227,7 +242,8 @@ def cmd_orbit(args) -> int:
         raise CliError(f"--steps must be >= 0, got {args.steps}")
     if not args.exact:
         x0 = _float_point(p, x0)
-    with _output(args.out) as fh:
+    digits = _full_digits() if args.exact else contextlib.nullcontext()
+    with digits, _output(args.out) as fh:
         _write_orbit(p, x0, args.steps, proj, args.format, fh)
     return 0
 
@@ -293,14 +309,13 @@ def cmd_reduce(args) -> int:
 
     names = ["y1", "y2"] if p.k == 3 else ["y1", "y2", "y3", "y4"]
     residual = 0
-    with _output(args.out) as fh:
+    with _full_digits(), _output(args.out) as fh:
         fh.write(",".join(["n"] + names) + "\n")
         for n, (y, gap) in enumerate(replay(p, x0, args.steps)):
             fh.write(",".join([str(n)] + [str(c) for c in y]) + "\n")
             residual = max(residual, gap)
-
-    print(f"kappa = {1 / eval_w(p, x0)}")
-    print(f"semiconjugacy residual over {args.steps} double-steps: {residual}")
+        print(f"kappa = {1 / eval_w(p, x0)}")
+        print(f"semiconjugacy residual over {args.steps} double-steps: {residual}")
     return 0
 
 

@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DegenerateOrbitError, DimensionError, DomainError, NoRootError
 from .invariants import eval_pi, eval_v1, eval_v2, eval_v3, eval_z, level_signature
 from .lyness import (
@@ -331,6 +329,8 @@ def rotation_number(p: Params, x0, n: int) -> float:
         raise DimensionError("the rotation-number estimator is wired for k=3")
     if n < 10:
         raise ValueError("need at least 10 samples")
+    import numpy as np
+
     states = orbit(p, tuple(float(c) for c in x0), 2 * (n - 1))
     pts = np.array(list(itertools.islice(states, None, None, 2)))  # the F^2 orbit
     if len(pts) < n:

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DomainError, FlowError
 from .invariants import level_signature
 from .lyness import Params, require_point, step
@@ -192,6 +190,8 @@ def transport_diagnostic(
     x0 = tuple(float(c) for c in require_point(p, x0))
     base_states, base_trunc = _two_sided_orbit(p, x0, dt, t_max)
     image_states, image_trunc = _two_sided_orbit(p, step(p, x0), dt, t_max)
+
+    import numpy as np
 
     gamma0 = np.asarray(base_states)
     gamma1 = np.asarray(image_states)

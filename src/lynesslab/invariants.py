@@ -36,17 +36,54 @@ from .lyness import Params, require_point, validated
 from .scalars import RatMatrix, exact_rank, gradient
 
 
+# Each formula is written once, over the pieces the integrals share: S, the
+# coordinate product pi and, for odd k, the odd/even terms. The public
+# kernels build their own pieces; `level_signature` builds each piece once
+# and feeds all of them, so every value is the same expression, evaluated in
+# the same order, as its kernel (bit-identical over floats).
+
+
+def _total(p: Params, x):
+    """S = a + x1 + ... + xk."""
+    return p.a + sum(x)
+
+
+def _v1(x, total, pi):
+    return total * math.prod(c + 1 for c in x) / pi
+
+
+def _v2(x, total, pi):
+    chain = math.prod(1 + x[i] + x[i + 1] for i in range(len(x) - 1))
+    return (total + x[0] * x[-1]) * chain / pi
+
+
+def _odd_terms(x, total):
+    """(prod_odd x(x+1), S * prod_even x(x+1)), the two terms of V3 and Z."""
+    odd = math.prod(x[i] * (x[i] + 1) for i in range(0, len(x), 2))
+    even = math.prod(x[i] * (x[i] + 1) for i in range(1, len(x), 2))
+    return odd, total * even
+
+
+def _v3(odd, s_even, pi):
+    return (odd + s_even) / pi
+
+
+def _z(odd, s_even):
+    return odd - s_even
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
 @validated
 def eval_v1(p: Params, x):
-    total = p.a + sum(x)
-    return total * math.prod(c + 1 for c in x) / math.prod(x)
+    return _v1(x, _total(p, x), math.prod(x))
 
 
 @validated
 def eval_v2(p: Params, x):
-    total = p.a + sum(x) + x[0] * x[-1]
-    chain = math.prod(1 + x[i] + x[i + 1] for i in range(p.k - 1))
-    return total * chain / math.prod(x)
+    return _v2(x, _total(p, x), math.prod(x))
 
 
 def _require_odd(p: Params, what: str):
@@ -67,18 +104,14 @@ def eval_w(p: Params, x):
 def eval_v3(p: Params, x):
     """Third first integral for odd k, evaluated in cleared polynomial form."""
     _require_odd(p, "the third integral")
-    odd = math.prod(x[i] * (x[i] + 1) for i in range(0, p.k, 2))
-    even = math.prod(x[i] * (x[i] + 1) for i in range(1, p.k, 2))
-    return (odd + (p.a + sum(x)) * even) / math.prod(x)
+    return _v3(*_odd_terms(x, _total(p, x)), math.prod(x))
 
 
 @validated
 def eval_z(p: Params, x):
     """Separating polynomial (odd k); {Z = 0} is an invariant hypersurface."""
     _require_odd(p, "the separating polynomial")
-    odd = math.prod(x[i] * (x[i] + 1) for i in range(0, p.k, 2))
-    even = math.prod(x[i] * (x[i] + 1) for i in range(1, p.k, 2))
-    return odd - (p.a + sum(x)) * even
+    return _z(*_odd_terms(x, _total(p, x)))
 
 
 @validated
@@ -89,8 +122,7 @@ def eval_pi(p: Params, x):
 
 @validated
 def z_sign(p: Params, x) -> int:
-    v = eval_z.kernel(p, x)
-    return (v > 0) - (v < 0)
+    return _sign(eval_z.kernel(p, x))
 
 
 @dataclass(frozen=True)
@@ -105,10 +137,13 @@ class LevelSignature:
 
 @validated
 def level_signature(p: Params, x) -> LevelSignature:
-    v1, v2 = eval_v1.kernel(p, x), eval_v2.kernel(p, x)
+    """V1, V2 (and V3, sign Z for odd k) in one pass over the shared pieces."""
+    total, pi = _total(p, x), math.prod(x)
+    v1, v2 = _v1(x, total, pi), _v2(x, total, pi)
     if p.k % 2 == 0:
         return LevelSignature(v1=v1, v2=v2)
-    return LevelSignature(v1=v1, v2=v2, v3=eval_v3.kernel(p, x), z_sign=z_sign.kernel(p, x))
+    odd, s_even = _odd_terms(x, total)
+    return LevelSignature(v1=v1, v2=v2, v3=_v3(odd, s_even, pi), z_sign=_sign(_z(odd, s_even)))
 
 
 _EVALUATORS = {"V1": eval_v1, "V2": eval_v2, "V3": eval_v3}

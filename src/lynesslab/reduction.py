@@ -10,9 +10,10 @@ Conventions (pinned by golden tests):
 
   k=5, reduced state (x, y, z, s) = coordinates (1, 2, 3, 5):
       lift(x,y,z,s) = (x, y, z, kappa (x+1)(z+1)(s+1) / y, s)
-      step(x,y,z,s) = (z, kappa (x+1)(z+1)(s+1) / y, s,
-                       (c x^2 + (2c + y(a+s+z)) x + c + y(z+s+a+y)) / (x y^2))
-      with c = kappa (s+1)(z+1).
+      step(x,y,z,s) = (z, c (x+1) / y, s,
+                       ((c (x+1) + b) (x+1) + y^2) / (x y^2))
+      with c = kappa (s+1)(z+1) and b = y (a+s+z); the last numerator is
+      c x^2 + (2c + b) x + c + y (z+s+a+y) in Horner form in x+1.
 
 In both cases the reduced step equals the projection of F^2 applied to the
 lifted point, exactly over the rationals; `replay` steps both sides in one
@@ -61,19 +62,22 @@ def reduced_step_k3(rp: ReducedParams, xz) -> tuple:
     return (z, (rp.a + rp.kappa + z * (rp.kappa + 1)) / (rp.kappa * x * (z + 1)))
 
 
+def _c_k5(rp: ReducedParams, z, s):
+    """c = kappa (s+1)(z+1), shared by the k=5 lift and step."""
+    return rp.kappa * (s + 1) * (z + 1)
+
+
 def lift_k5(rp: ReducedParams, xyzs) -> tuple:
     """Insert the fourth coordinate so the lifted point sits on {W = 1/kappa}."""
     x, y, z, s = _positive(xyzs)
-    return (x, y, z, rp.kappa * (x + 1) * (z + 1) * (s + 1) / y, s)
+    return (x, y, z, _c_k5(rp, z, s) * (x + 1) / y, s)
 
 
 def reduced_step_k5(rp: ReducedParams, xyzs) -> tuple:
     x, y, z, s = _positive(xyzs)
-    c = rp.kappa * (s + 1) * (z + 1)
-    last = (c * x * x + (2 * c + y * (rp.a + s + z)) * x + c + y * (z + s + rp.a + y)) / (
-        x * y * y
-    )
-    return (z, rp.kappa * (x + 1) * (z + 1) * (s + 1) / y, s, last)
+    cx = _c_k5(rp, z, s) * (x + 1)
+    b = y * (rp.a + s + z)
+    return (z, cx / y, s, ((cx + b) * (x + 1) + y * y) / (x * y * y))
 
 
 def project(p: Params, x) -> tuple:

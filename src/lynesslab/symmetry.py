@@ -31,7 +31,7 @@ import math
 
 from .errors import DimensionError
 from .invariants import eval_v1, eval_v2, eval_v3
-from .lyness import Params, jacobian, require_point, step, validated
+from .lyness import Params, jacobian, step, validated
 from .scalars import gradient
 
 
@@ -115,6 +115,7 @@ _ANNIHILATED = {
 }
 
 
+@validated
 def annihilation_residual(p: Params, x, which: str):
     """grad V . X at x, for the (k, integral) pairs where it vanishes identically.
 
@@ -124,9 +125,8 @@ def annihilation_residual(p: Params, x, which: str):
     fn = _ANNIHILATED.get(key)
     if fn is None:
         raise DimensionError(f"no annihilation identity registered for {key}")
-    x = require_point(p, x)
-    grad = gradient(lambda pt: fn(p, pt), x)
-    field = symmetry_vector(p, x)
+    grad = gradient(lambda pt: fn.kernel(p, pt), x)
+    field = symmetry_vector.kernel(p, x)
     return sum(g * f for g, f in zip(grad, field))
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .dynamics import measure_density_residual
 from .invariants import eval_pi, eval_v1, eval_v2, eval_v3, eval_w, eval_z
-from .lyness import Params, inverse_step, jacobian, jacobian_det, step
+from .lyness import Params, inverse_step, jacobian, jacobian_det, require_point, step
 from .sampling import random_point, stream
 from .symmetry import (
     annihilation_residual,
@@ -69,66 +69,69 @@ def _det_gauss(matrix):
 
 
 def _checks_for(p: Params):
-    """(name, applicable, point-check) triples; each check returns True on pass."""
+    """(name, applicable, point-check) triples; each check returns True on pass.
+    Checks take a point `run_suites` validated already, so they call kernels."""
     odd = p.k % 2 == 1
+    F, F_inv, det = step.kernel, inverse_step.kernel, jacobian_det.kernel
+    v1, v2, v3 = eval_v1.kernel, eval_v2.kernel, eval_v3.kernel
+    w, z_of, pi = eval_w.kernel, eval_z.kernel, eval_pi.kernel
 
     def v1_invariant(x):
-        return eval_v1(p, step(p, x)) == eval_v1(p, x)
+        return v1(p, F(p, x)) == v1(p, x)
 
     def v2_invariant(x):
-        return eval_v2(p, step(p, x)) == eval_v2(p, x)
+        return v2(p, F(p, x)) == v2(p, x)
 
     def inverse_round_trip(x):
-        return inverse_step(p, step(p, x)) == x and step(p, inverse_step(p, x)) == x
+        return F_inv(p, F(p, x)) == x and F(p, F_inv(p, x)) == x
 
     def det_closed_form(x):
-        return _det_gauss(jacobian(p, x)) == jacobian_det(p, x)
+        return _det_gauss(jacobian.kernel(p, x)) == det(p, x)
 
     def w_two_integral(x):
-        y = step(p, x)
-        return eval_w(p, step(p, y)) == eval_w(p, x)
+        return w(p, F(p, F(p, x))) == w(p, x)
 
     def v3_invariant(x):
-        return eval_v3(p, step(p, x)) == eval_v3(p, x)
+        return v3(p, F(p, x)) == v3(p, x)
 
     def v3_is_w_sum(x):
-        return eval_v3(p, x) == eval_w(p, x) + eval_w(p, step(p, x))
+        return v3(p, x) == w(p, x) + w(p, F(p, x))
 
     def v1_is_w_product(x):
-        return eval_v1(p, x) == eval_w(p, x) * eval_w(p, step(p, x))
+        return v1(p, x) == w(p, x) * w(p, F(p, x))
 
     def z_transform(x):
-        return eval_z(p, step(p, x)) == jacobian_det(p, x) * eval_z(p, x)
+        return z_of(p, F(p, x)) == det(p, x) * z_of(p, x)
 
     def pi_transform(x):
-        return eval_pi(p, step(p, x)) == -jacobian_det(p, x) * eval_pi(p, x)
+        return pi(p, F(p, x)) == -det(p, x) * pi(p, x)
 
     def sign_alternation(x):
-        z = eval_z(p, x)
+        z = z_of(p, x)
         if z == 0:
             return True  # measure-zero template; nothing to flip
-        zf = eval_z(p, step(p, x))
-        return (z > 0) != (zf > 0) and eval_w(p, x) != eval_w(p, step(p, x))
+        zf = z_of(p, F(p, x))
+        return (z > 0) != (zf > 0) and w(p, x) != w(p, F(p, x))
 
     def density_laws(x):
-        r1, r2 = measure_density_residual(p, x)
+        r1, r2 = measure_density_residual.kernel(p, x)
         return r1 == 0 and r2 == 0
 
     def lie(x):
-        return all(r == 0 for r in lie_residual(p, x))
+        return all(r == 0 for r in lie_residual.kernel(p, x))
 
     def shifts(x):
-        return all(shift_residual(p, x, i) == 0 for i in range(1, p.k))
+        return all(shift_residual.kernel(p, x, i) == 0 for i in range(1, p.k))
 
     def compatibility(x):
-        return compatibility_residual(p, x) == 0
+        return compatibility_residual.kernel(p, x) == 0
 
     def annihilations(x):
         names = ("V1", "V2", "V3") if p.k == 5 else ("V1", "V2")
-        return all(annihilation_residual(p, x, nm) == 0 for nm in names)
+        return all(annihilation_residual.kernel(p, x, nm) == 0 for nm in names)
 
     def factorization(x):
-        return factorization_residual(p, x) == 0
+        return factorization_residual.kernel(p, x) == 0
 
     checks = [
         ("V1 invariance", True, v1_invariant),
@@ -172,7 +175,7 @@ def run_suites(k: int, a, trials: int, seed: int) -> list:
         rng = stream(f"{seed}|k={k}|a={p.a}|{name}", seed)
         failures = 0
         for _ in range(trials):
-            x = random_point(rng, k)
+            x = require_point(p, random_point(rng, k))
             if not check(x):
                 failures += 1
         results.append(

@@ -3,6 +3,7 @@ environment seeding, and byte-level determinism."""
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -283,3 +284,29 @@ def test_output_bytes_match_pinned_digests(name, tmp_path, capsys):
     if "OUT" in argv:
         h.update(out_file.read_bytes())
     assert h.hexdigest() == digest
+
+
+def test_exact_values_of_any_height_are_printed(tmp_path, capsys):
+    # V1 at this x0 has about 8000 digits, past the default int->str limit;
+    # the 4000-digit numerator itself still parses under that limit.
+    x0 = "7" * 4000 + "/3,2,3,4,5"
+    limit = sys.get_int_max_str_digits()
+    out = tmp_path / "tall.csv"
+    assert main(["orbit", "--k", "5", "--a", "1", "--x0", x0, "--steps", "6", "--exact",
+                 "--out", str(out)]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    rows = [line.split(",") for line in _lines(out)[1:]]
+    assert [r[0] for r in rows] == [str(n) for n in range(7)]
+    assert len(rows[0][6]) > limit
+    assert len({r[6] for r in rows}) == 1
+    assert main(["reduce", "--k", "5", "--a", "1", "--x0", x0, "--steps", "2"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    assert "double-steps: 0\n" in capsys.readouterr().out
+    # An exit-2 path from inside the lifted region restores the limit too.
+    missing = str(tmp_path / "missing" / "tall.csv")
+    assert main(["orbit", "--k", "5", "--x0", x0, "--steps", "1", "--exact", "--out", missing]) == 2
+    assert sys.get_int_max_str_digits() == limit
+    assert capsys.readouterr().err.startswith("error: cannot write")
+    # Input keeps the limit: a numerator past it is a usage error.
+    assert main(["orbit", "--k", "3", "--x0", "7" * 5000 + ",1,1", "--exact"]) == 2
+    assert "not a rational literal" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 
 from lynesslab.errors import DimensionError
 from lynesslab.invariants import (
+    LevelSignature,
     eval_pi,
     eval_v1,
     eval_v2,
@@ -164,3 +165,37 @@ def test_invariants_accept_floats_through_the_same_code_path():
     assert eval_v1(P31, x) == 32.0
     assert eval_v3(P31, x) == 12.0
     assert z_sign(P31, x) == 1
+
+
+def _separate_signature(p, x):
+    """The signature from the separate reference kernels."""
+    if p.k % 2 == 0:
+        return LevelSignature(v1=eval_v1.kernel(p, x), v2=eval_v2.kernel(p, x))
+    return LevelSignature(
+        v1=eval_v1.kernel(p, x),
+        v2=eval_v2.kernel(p, x),
+        v3=eval_v3.kernel(p, x),
+        z_sign=z_sign.kernel(p, x),
+    )
+
+
+# A point of {Z = 0} for k=5 (see test_gradient_rank_of_three_integrals).
+ON_Z = {5: (Fraction(421), (Fraction(3), Fraction(1), Fraction(3), Fraction(1), Fraction(3)))}
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_one_pass_signature_equals_the_separate_kernels(k):
+    rng = stream(f"one-pass-signature|k={k}", 0)
+    cases = [(a, random_point(rng, k)) for a in (Fraction(0), Fraction(1), Fraction(7, 3)) for _ in range(8)]
+    if k in ON_Z:
+        cases.append(ON_Z[k])
+    for a, x in cases:
+        p = Params(k, a)
+        assert level_signature.kernel(p, x) == _separate_signature(p, x)
+        # Float rows are bit-identical: == on finite positive floats is bitwise.
+        pf, xf = Params(k, float(a)), tuple(float(c) for c in x)
+        assert level_signature.kernel(pf, xf) == _separate_signature(pf, xf)
+    if k in ON_Z:
+        a, x = ON_Z[k]
+        assert level_signature(Params(k, a), x).z_sign == 0
+        assert level_signature(Params(k, float(a)), tuple(map(float, x))).z_sign == 0
