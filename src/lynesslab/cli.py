@@ -85,13 +85,6 @@ def _parse_proj(text, k: int):
     return idx
 
 
-def _params(k: int, a: Fraction) -> Params:
-    try:
-        return Params(k, a)
-    except (ValueError, DimensionError) as exc:
-        raise CliError(str(exc)) from None
-
-
 def _float_point(p: Params, x0) -> tuple:
     """x0 in float64 for a float run; a and x0 must fit, x0 staying positive."""
     try:
@@ -235,7 +228,7 @@ def _write_orbit(p: Params, x0, steps: int, proj, fmt: str, fh) -> None:
 
 
 def cmd_orbit(args) -> int:
-    p = _params(args.k, _parse_a(args.a))
+    p = Params(args.k, _parse_a(args.a))
     x0 = _parse_x0(args.x0, p.k)
     proj = _parse_proj(args.proj, p.k)
     if args.steps < 0:
@@ -267,7 +260,7 @@ def _write_flow_csv(trace, proj, fh) -> None:
 
 
 def cmd_flow(args) -> int:
-    p = _params(args.k, _parse_a(args.a))
+    p = Params(args.k, _parse_a(args.a))
     x0 = _parse_x0(args.x0, p.k)
     proj = _parse_proj(args.proj, p.k)
     method = _METHOD_ALIASES[args.method]
@@ -302,7 +295,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    p = _params(args.k, _parse_a(args.a))
+    p = Params(args.k, _parse_a(args.a))
     x0 = _parse_x0(args.x0, p.k)
     if args.steps < 0:
         raise CliError(f"--steps must be >= 0, got {args.steps}")

@@ -200,7 +200,7 @@ def odd_period_guard(p: Params, x, max_odd_period: int) -> OddPeriodVerdict:
     x = require_point(p, x)
     if not all(isinstance(c, (int, Fraction)) for c in x):
         raise TypeError("certification needs exact rational coordinates")
-    z = eval_z(p, x)
+    z = eval_z.kernel(p, x)
     if z != 0:
         return OddPeriodVerdict(z_value=z, certified_no_odd_period=True)
     for m, current in enumerate(orbit(p, x, max_odd_period)):

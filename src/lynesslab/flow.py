@@ -3,7 +3,12 @@
 The field is stiff-free and smooth on compact invariant sets, so classic
 fixed-step RK4 (bit-deterministic) is the default; an adaptive RK45 mode is
 available for cross-checks. Trajectories that approach the orthant boundary
-(any coordinate <= 1e-12) are truncated and flagged rather than continued.
+are truncated and flagged rather than continued, by one rule, `_in_domain`
+(every coordinate finite and > 1e-12): RK4 applies it to each stage point,
+before the field is evaluated there, and to each new state; RK45 stops at
+its terminal `near_boundary` event. The start point is validated once at
+entry; the solvers, the signature pass and the transport probe then call
+the pure kernels.
 """
 
 from __future__ import annotations
@@ -11,12 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, FlowError
+from .errors import FlowError
 from .invariants import level_signature
 from .lyness import Params, require_point, step
 from .symmetry import symmetry_vector
 
 BOUNDARY_EPS = 1e-12
+
+RK45_TOL = 1e-10  # relative and absolute tolerance of the adaptive solver
 
 METHODS = ("rk4-fixed", "rk45-adaptive")
 
@@ -27,7 +34,6 @@ class FlowTrace:
     method: str
     dt: float
     t_max: float
-    tol: float = 1e-10
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
     signatures: list = field(default_factory=list)
@@ -35,18 +41,24 @@ class FlowTrace:
 
 
 def _in_domain(x):
+    """The truncation rule: every coordinate finite and > BOUNDARY_EPS."""
     return all(math.isfinite(c) and c > BOUNDARY_EPS for c in x)
 
 
 def _rk4_step(p: Params, x, h):
-    k1 = symmetry_vector(p, x)
-    k2 = symmetry_vector(p, tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k1)))
-    k3 = symmetry_vector(p, tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k2)))
-    k4 = symmetry_vector(p, tuple(xi + h * ki for xi, ki in zip(x, k3)))
-    return tuple(
+    """One RK4 step of signed size h from x, or None if a stage point or the
+    new state leaves the domain; the field only sees points inside it."""
+    ks = [symmetry_vector.kernel(p, x)]
+    for frac in (0.5, 0.5, 1.0):
+        stage = tuple(xi + frac * h * ki for xi, ki in zip(x, ks[-1]))
+        if not _in_domain(stage):
+            return None
+        ks.append(symmetry_vector.kernel(p, stage))
+    nxt = tuple(
         xi + h / 6.0 * (a + 2 * b + 2 * c + d)
-        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+        for xi, a, b, c, d in zip(x, *ks)
     )
+    return nxt if _in_domain(nxt) else None
 
 
 def _grid_steps(dt: float, t_max: float) -> int:
@@ -61,22 +73,18 @@ def _grid_steps(dt: float, t_max: float) -> int:
 
 
 def _rk4(p: Params, x0, h: float, n_steps: int):
-    """(states, boundary_hit) of up to n_steps RK4 steps of signed size h; a
-    stage point outside the orthant (DomainError from the field) truncates."""
+    """(states, boundary_hit) of up to n_steps RK4 steps of signed size h."""
     states = [x0]
     for _ in range(n_steps):
-        try:
-            nxt = _rk4_step(p, states[-1], h)
-        except DomainError:
-            return states, True
-        if not _in_domain(nxt):
+        nxt = _rk4_step(p, states[-1], h)
+        if nxt is None:
             return states, True
         states.append(nxt)
     return states, False
 
 
 def integrate_flow(
-    p: Params, x0, dt: float, t_max: float, method: str = "rk4-fixed", tol: float = 1e-10
+    p: Params, x0, dt: float, t_max: float, method: str = "rk4-fixed"
 ) -> FlowTrace:
     """Flow trace sampled on the uniform grid 0, dt, 2dt, ..., t_max; t_max
     must be a whole number of dt steps."""
@@ -84,21 +92,21 @@ def integrate_flow(
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     n_steps = _grid_steps(dt, t_max)
     x0 = tuple(float(c) for c in require_point(p, x0))
-    trace = FlowTrace(params=p, method=method, dt=dt, t_max=t_max, tol=tol)
+    trace = FlowTrace(params=p, method=method, dt=dt, t_max=t_max)
     if method == "rk4-fixed":
         trace.states, trace.boundary_hit = _rk4(p, x0, dt, n_steps)
         trace.times = [j * dt for j in range(len(trace.states))]
     else:
-        _integrate_rk45(p, x0, dt, t_max, tol, trace)
-    trace.signatures = [level_signature(p, x) for x in trace.states]
+        _integrate_rk45(p, x0, dt, t_max, trace)
+    trace.signatures = [level_signature.kernel(p, x) for x in trace.states]
     return trace
 
 
-def _integrate_rk45(p, x0, dt, t_max, tol, trace):
+def _integrate_rk45(p, x0, dt, t_max, trace):
     from scipy.integrate import solve_ivp
 
     def rhs(_t, y):
-        return symmetry_vector(p, tuple(y))
+        return symmetry_vector.kernel(p, tuple(y))
 
     def near_boundary(_t, y):
         return float(min(y) - BOUNDARY_EPS)
@@ -111,8 +119,8 @@ def _integrate_rk45(p, x0, dt, t_max, tol, trace):
         (0.0, t_max),
         x0,
         method="RK45",
-        rtol=tol,
-        atol=tol,
+        rtol=RK45_TOL,
+        atol=RK45_TOL,
         dense_output=True,
         events=near_boundary,
     )
@@ -164,10 +172,6 @@ class TransportReport:
         return max(self.distances)
 
     @property
-    def mean_distance(self):
-        return sum(self.distances) / len(self.distances)
-
-    @property
     def min_source_distance(self):
         return min(self.source_distances)
 
@@ -189,7 +193,7 @@ def transport_diagnostic(
         raise ValueError("samples must be >= 1")
     x0 = tuple(float(c) for c in require_point(p, x0))
     base_states, base_trunc = _two_sided_orbit(p, x0, dt, t_max)
-    image_states, image_trunc = _two_sided_orbit(p, step(p, x0), dt, t_max)
+    image_states, image_trunc = _two_sided_orbit(p, step.kernel(p, x0), dt, t_max)
 
     import numpy as np
 
@@ -198,7 +202,7 @@ def transport_diagnostic(
     picks = np.linspace(0, len(base_states) - 1, num=samples).astype(int)
     distances, source_distances = [], []
     for idx in picks:
-        q = np.asarray(step(p, base_states[idx]))
+        q = np.asarray(step.kernel(p, base_states[idx]))
         distances.append(float(np.min(np.linalg.norm(gamma1 - q, axis=1))))
         source_distances.append(float(np.min(np.linalg.norm(gamma0 - q, axis=1))))
     scale = float(np.linalg.norm(gamma1.max(axis=0) - gamma1.min(axis=0)))

@@ -159,8 +159,6 @@ def independence_rank(p: Params, x, which=("V1", "V2", "V3")) -> int:
     for name in names:
         if name not in _EVALUATORS:
             raise ValueError(f"unknown integral {name!r}; choose from V1, V2, V3")
-        if name == "V3":
-            _require_odd(p, "the third integral")
-        fn = _EVALUATORS[name]
+        fn = _EVALUATORS[name].kernel
         rows.append(list(gradient(lambda pt, fn=fn: fn(p, pt), x)))
     return exact_rank(RatMatrix(rows))

@@ -117,6 +117,13 @@ def test_flow_writes_the_sampled_trace(tmp_path, capsys):
     assert rows[1].startswith("0.0,1.0,2.0,3.0,4.0,")
 
 
+def test_rk45_flow_from_near_the_boundary_is_truncated_not_an_error(capsys):
+    code = main(["flow", "--k", "3", "--x0", "1e-11,1e-11,1e-11", "--method", "rk45"])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert [line.split(" ", 1)[0] for line in err.splitlines()] == ["warning:"]
+
+
 def test_reduce_replays_the_double_step(capsys):
     code = main(["reduce", "--k", "3", "--a", "1", "--x0", "1,1,3", "--steps", "4"])
     out = capsys.readouterr().out
@@ -267,6 +274,22 @@ PINNED_OUTPUTS = {
         ["flow", "--k", "5", "--a", "1", "--x0", "1,2,3,4,5", "--dt", "1e-2", "--t-max", "1",
          "--out", "OUT"],
         "d5a2c41c8274a3d9666aea11f1acdaeb1193ea9fd9e21d214b6e9b754a1050c2",
+    ),
+    # RK4 truncated at the boundary at t=0.93 and at t=0.07, and an RK45 trace
+    "flow-k5-rk4-truncated": (
+        ["flow", "--k", "5", "--a", "0", "--x0", "6.129,11.671,5.067,5.27,1.238", "--dt", "0.01",
+         "--t-max", "1", "--out", "OUT"],
+        "91cb2e42d5222d423fa275619005e60c2951e71013476e08977e027c08ff2553",
+    ),
+    "flow-k3-rk4-truncated": (
+        ["flow", "--k", "3", "--a", "0", "--x0", "0.108,0.124,0.248", "--dt", "0.01",
+         "--t-max", "1", "--out", "OUT"],
+        "447efaab7a390c283ad29af97ee92bd120647fa95a512a1978e3aeea67ed91d3",
+    ),
+    "flow-k3-rk45": (
+        ["flow", "--k", "3", "--a", "1", "--x0", "1,1,3", "--dt", "1e-2", "--t-max", "0.5",
+         "--method", "rk45", "--out", "OUT"],
+        "e7f82768f6128b0ba015a538eeafa1c6cc81ef60deb54933dac18efd24ebfebd",
     ),
     "verify-json": (
         ["verify", "--k-range", "3..8", "--trials", "2", "--json", "OUT"],

@@ -128,3 +128,13 @@ def test_grid_accepts_rounding_noise_in_the_step_count():
     assert not trace.boundary_hit
     with pytest.raises(ValueError):
         transport_diagnostic(P44, X1234, t_max=1.0, samples=5, dt=0.3)
+
+
+def test_adaptive_integrator_truncates_at_the_boundary_event():
+    # The solver's stage points leave the orthant here; the terminal event,
+    # not a domain check on the field, ends the trace.
+    p = Params(3, Fraction(1))
+    trace = integrate_flow(p, (1e-11,) * 3, dt=1e-3, t_max=1.0, method=METHODS[1])
+    assert trace.boundary_hit
+    assert trace.states
+    assert all(c > 0 for s in trace.states for c in s)
