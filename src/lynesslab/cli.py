@@ -86,15 +86,16 @@ def _parse_proj(text, k: int):
 
 
 def _float_point(p: Params, x0) -> tuple:
-    """x0 in float64 for a float run; a and x0 must fit, x0 staying positive."""
+    """(params, x0) in float64 for a float run, so the kernels never fall back
+    from Fraction to float per operation; a and x0 must fit, x0 staying positive."""
     try:
-        float(p.a)
+        fp = Params(p.k, float(p.a))
         x = tuple(float(c) for c in x0)
     except OverflowError:
         raise CliError("--a and --x0 must lie within the float64 range") from None
     if not all(c > 0 for c in x):
         raise CliError("--x0 coordinates underflow to 0 in float64")
-    return x
+    return fp, x
 
 
 @contextlib.contextmanager
@@ -234,7 +235,7 @@ def cmd_orbit(args) -> int:
     if args.steps < 0:
         raise CliError(f"--steps must be >= 0, got {args.steps}")
     if not args.exact:
-        x0 = _float_point(p, x0)
+        p, x0 = _float_point(p, x0)
     digits = _full_digits() if args.exact else contextlib.nullcontext()
     with digits, _output(args.out) as fh:
         _write_orbit(p, x0, args.steps, proj, args.format, fh)
@@ -264,8 +265,8 @@ def cmd_flow(args) -> int:
     x0 = _parse_x0(args.x0, p.k)
     proj = _parse_proj(args.proj, p.k)
     method = _METHOD_ALIASES[args.method]
-    try:
-        trace = integrate_flow(p, _float_point(p, x0), args.dt, args.t_max, method=method)
+    try:  # the float run computes with a in float64; the report prints p.a as given
+        trace = integrate_flow(*_float_point(p, x0), args.dt, args.t_max, method=method)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -328,8 +329,7 @@ def _flow_sibling(path: str) -> str:
 
 def cmd_figures(args) -> int:
     preset = _FIGURE_PRESETS[args.which]
-    p = Params(preset["k"], preset["a"])
-    x0 = tuple(float(c) for c in preset["x0"])
+    p, x0 = _float_point(Params(preset["k"], preset["a"]), preset["x0"])
     proj = preset["proj"] or tuple(range(1, p.k + 1))
 
     with _output(args.out) as fh:

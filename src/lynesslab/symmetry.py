@@ -35,11 +35,11 @@ from .lyness import Params, jacobian, step, validated
 from .scalars import gradient
 
 
-def _chain(x, lo, hi, skip=()):
-    """prod of L_i = 1 + x_i + x_{i+1} over 1-based i in [lo, hi] minus skip."""
-    return math.prod(
-        1 + x[i - 1] + x[i] for i in range(lo, hi + 1) if i not in skip
-    )
+def _links(x) -> list:
+    """[L_1, ..., L_{k-1}] with L_i = 1 + x_i + x_{i+1}, built once per point.
+    Chains are products over slices of it, taken left to right: regrouping
+    them (say as prefix times suffix products) would change float roundings."""
+    return [1 + x[i] + x[i + 1] for i in range(len(x) - 1)]
 
 
 @validated
@@ -48,27 +48,25 @@ def symmetry_vector(p: Params, x) -> tuple:
     if p.k < 3:
         raise DimensionError(f"the symmetry field needs k >= 3, got k={p.k}")
     k, a = p.k, p.a
-    total = a + sum(x)
-    out = []
-    first = (
+    links = _links(x)
+    middle = a + sum(x) + x[0] * x[k - 1]
+    out = [
         (x[0] + 1)
-        * _chain(x, 2, k - 1)
+        * math.prod(links[1:])
         * (a + sum(x[: k - 1]) - x[1] * x[k - 1])
         / math.prod(x[1:])
-    )
-    out.append(first)
-    for m in range(2, k):  # 1-based middle components
-        i = m - 1
+    ]
+    for i in range(1, k - 1):  # 0-based middle components, chain M_{i+1}
         out.append(
             (x[i] + 1)
-            * _chain(x, 1, k - 1, skip=(m - 1, m))
-            * (total + x[0] * x[k - 1])
+            * math.prod(links[: i - 1] + links[i + 1 :])
+            * middle
             * (x[i - 1] - x[i + 1])
             / math.prod(x[j] for j in range(k) if j != i)
         )
     last = (
         -(x[k - 1] + 1)
-        * _chain(x, 1, k - 2)
+        * math.prod(links[:-1])
         * (a + sum(x[1:]) - x[0] * x[k - 2])
         / math.prod(x[: k - 1])
     )
@@ -137,18 +135,16 @@ def factorization_residual(p: Params, x):
     if p.k < 6:
         raise DimensionError(f"the factorization identity needs k >= 6, got k={p.k}")
     k = p.k
+    links = _links(x)
     acc = x[0] - x[0]  # zero of the working field
-    for m in range(2, k):  # 1-based
-        i = m - 1
-        acc = acc + x[i] * (x[i] + 1) * (x[i - 1] - x[i + 1]) * _chain(
-            x, 1, k - 1, skip=(m - 1, m)
+    for i in range(1, k - 1):  # 0-based middle coordinates, chain M_{i+1}
+        acc = acc + x[i] * (x[i] + 1) * (x[i - 1] - x[i + 1]) * math.prod(
+            links[: i - 1] + links[i + 1 :]
         )
-    l1 = 1 + x[0] + x[1]
-    lkm1 = 1 + x[k - 2] + x[k - 1]
     rhs = (
-        _chain(x, 2, 3)
-        * _chain(x, 4, k - 2)
-        * (x[0] * x[1] * lkm1 - x[k - 2] * x[k - 1] * l1)
+        math.prod(links[1:3])
+        * math.prod(links[3 : k - 2])
+        * (x[0] * x[1] * links[-1] - x[k - 2] * x[k - 1] * links[0])
     )
     return acc - rhs
 

@@ -3,10 +3,13 @@ environment seeding, and byte-level determinism."""
 
 import hashlib
 import json
+import os
 import sys
+from fractions import Fraction
 
 import pytest
 
+from lynesslab import cli
 from lynesslab.cli import main
 
 
@@ -291,6 +294,12 @@ PINNED_OUTPUTS = {
          "--method", "rk45", "--out", "OUT"],
         "e7f82768f6128b0ba015a538eeafa1c6cc81ef60deb54933dac18efd24ebfebd",
     ),
+    # k=7 with a non-integer a: middle components with non-empty skip chains
+    "flow-k7-rational-a": (
+        ["flow", "--k", "7", "--a", "7/10", "--x0", "6,6.2,6.1,6.3,5.9,6.2,6.05", "--dt", "1e-4",
+         "--t-max", "1e-2", "--out", "OUT"],
+        "2c97c54395be7d683556309fc1df7fa196a68759deed534b5139a1adabb4dbee",
+    ),
     "verify-json": (
         ["verify", "--k-range", "3..8", "--trials", "2", "--json", "OUT"],
         "83fa5a1e8e42752c9f9f0327ce2dd4e0467c97c864669c06203b8ac523ca681a",
@@ -307,6 +316,24 @@ def test_output_bytes_match_pinned_digests(name, tmp_path, capsys):
     if "OUT" in argv:
         h.update(out_file.read_bytes())
     assert h.hexdigest() == digest
+
+
+def test_float_runs_compute_with_a_in_float64_and_print_it_as_given(monkeypatch, capsys):
+    seen = []
+    for name in ("integrate_flow", "_write_orbit"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda p, *rest, _real=real, **kw: seen.append(p.a) or _real(p, *rest, **kw)
+        )
+    orbit = ["orbit", "--k", "3", "--a", "7/10", "--x0", "1,1,3", "--steps", "3"]
+    assert main(orbit) == 0
+    assert main(["flow", "--k", "3", "--a", "7/10", "--x0", "1,1,3", "--dt", "1e-2",
+                 "--t-max", "0.1"]) == 0
+    assert main(orbit + ["--exact"]) == 0
+    assert main(["figures", "--which", "2", "--out", os.devnull]) == 0
+    assert seen == [0.7, 0.7, Fraction(7, 10), 1.0]
+    assert [type(a) for a in seen] == [float, float, Fraction, float]
+    assert "flow k=3 a=7/10 method=" in capsys.readouterr().out
 
 
 def test_exact_values_of_any_height_are_printed(tmp_path, capsys):
