@@ -3,8 +3,8 @@
 Every formula in this package is written against plain arithmetic operators so
 the same code runs over exact rationals (the stdlib Fraction: always reduced,
 positive denominator, exact field operations), float64, or `Dual` numbers.
-Gradients are computed with one dual pass per coordinate, ranks over the
-rationals with fraction-free integer elimination.
+A directional derivative is one dual pass (`jvp`), a gradient one per
+coordinate; ranks over the rationals use fraction-free integer elimination.
 """
 
 from __future__ import annotations
@@ -104,21 +104,19 @@ class Dual:
         return self.value >= _lift(other).value
 
 
-def gradient(f, x):
-    """Exact gradient of f at x, one forward dual pass per coordinate.
+def jvp(f, x, v):
+    """Derivative of f at x along v in one forward dual pass, exact over
+    Fractions. A pole of f at x surfaces as DomainError."""
+    try:
+        return f(tuple(map(Dual, x, v))).deriv
+    except ZeroDivisionError as exc:
+        raise DomainError(f"pole encountered while differentiating at {tuple(x)}") from exc
 
-    f takes a tuple of scalars; x supplies the working field (Fractions give
-    an exact gradient). A pole of f at x surfaces as DomainError.
-    """
+
+def gradient(f, x):
+    """Exact gradient of f at x: `jvp` along each unit vector."""
     x = tuple(x)
-    out = []
-    for i in range(len(x)):
-        seeded = tuple(Dual(c, 1 if j == i else 0) for j, c in enumerate(x))
-        try:
-            out.append(f(seeded).deriv)
-        except ZeroDivisionError as exc:
-            raise DomainError(f"pole encountered while differentiating at {x}") from exc
-    return tuple(out)
+    return tuple(jvp(f, x, [int(j == i) for j in range(len(x))]) for i in range(len(x)))
 
 
 @dataclass

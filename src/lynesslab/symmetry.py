@@ -28,17 +28,20 @@ checks it directly. All residuals are exact zeros over rational inputs.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
+from operator import mul
 
 from .errors import DimensionError
 from .invariants import eval_v1, eval_v2, eval_v3
-from .lyness import Params, jacobian, step, validated
-from .scalars import gradient
+from .lyness import Params, step, validated
+from .scalars import Dual, jvp
 
 
 def _links(x) -> list:
     """[L_1, ..., L_{k-1}] with L_i = 1 + x_i + x_{i+1}, built once per point.
-    Chains are products over slices of it, taken left to right: regrouping
-    them (say as prefix times suffix products) would change float roundings."""
+    Chains are products over slices of it, taken left to right from 1 or from
+    a running left-to-right prefix product (the same order of multiplications);
+    any other grouping, say prefix times suffix products, changes float roundings."""
     return [1 + x[i] + x[i + 1] for i in range(len(x) - 1)]
 
 
@@ -49,6 +52,9 @@ def symmetry_vector(p: Params, x) -> tuple:
         raise DimensionError(f"the symmetry field needs k >= 3, got k={p.k}")
     k, a = p.k, p.a
     links = _links(x)
+    # running prefixes: link_heads[j] = prod links[:j], x_heads[j] = prod x[:j]
+    link_heads = list(accumulate(links[:-1], mul, initial=1))
+    x_heads = list(accumulate(x[:-1], mul, initial=1))
     middle = a + sum(x) + x[0] * x[k - 1]
     out = [
         (x[0] + 1)
@@ -59,16 +65,16 @@ def symmetry_vector(p: Params, x) -> tuple:
     for i in range(1, k - 1):  # 0-based middle components, chain M_{i+1}
         out.append(
             (x[i] + 1)
-            * math.prod(links[: i - 1] + links[i + 1 :])
+            * math.prod(links[i + 1 :], start=link_heads[i - 1])
             * middle
             * (x[i - 1] - x[i + 1])
-            / math.prod(x[j] for j in range(k) if j != i)
+            / math.prod(x[i + 1 :], start=x_heads[i])
         )
     last = (
         -(x[k - 1] + 1)
-        * math.prod(links[:-1])
+        * link_heads[-1]
         * (a + sum(x[1:]) - x[0] * x[k - 2])
-        / math.prod(x[: k - 1])
+        / x_heads[-1]
     )
     out.append(last)
     return tuple(out)
@@ -76,10 +82,11 @@ def symmetry_vector(p: Params, x) -> tuple:
 
 @validated
 def lie_residual(p: Params, x) -> tuple:
-    """Componentwise X(F(x)) - DF(x) X(x); the zero tuple iff the symmetry holds."""
+    """Componentwise X(F(x)) - DF(x) X(x); the zero tuple iff the symmetry holds.
+    DF(x) X(x) is the derivative part of F on the duals x + X(x) eps."""
     image = symmetry_vector.kernel(p, step.kernel(p, x))
-    pushed = jacobian.kernel(p, x).matvec(symmetry_vector.kernel(p, x))
-    return tuple(im - pu for im, pu in zip(image, pushed))
+    pushed = step.kernel(p, tuple(map(Dual, x, symmetry_vector.kernel(p, x))))
+    return tuple(im - pu.deriv for im, pu in zip(image, pushed))
 
 
 @validated
@@ -102,7 +109,7 @@ def compatibility_residual(p: Params, x):
     )
 
 
-_ANNIHILATED = {
+ANNIHILATED = {
     (3, "V1"): eval_v1,
     (3, "V2"): eval_v2,
     (4, "V1"): eval_v1,
@@ -115,17 +122,16 @@ _ANNIHILATED = {
 
 @validated
 def annihilation_residual(p: Params, x, which: str):
-    """grad V . X at x, for the (k, integral) pairs where it vanishes identically.
+    """grad V . X at x (one dual pass of V along X), for the (k, integral)
+    pairs where it vanishes identically.
 
     Supported pairs: k=3 and k=4 with V1 or V2, k=5 with V1, V2 or V3.
     """
     key = (p.k, str(which).upper())
-    fn = _ANNIHILATED.get(key)
+    fn = ANNIHILATED.get(key)
     if fn is None:
         raise DimensionError(f"no annihilation identity registered for {key}")
-    grad = gradient(lambda pt: fn.kernel(p, pt), x)
-    field = symmetry_vector.kernel(p, x)
-    return sum(g * f for g, f in zip(grad, field))
+    return jvp(lambda pt: fn.kernel(p, pt), x, symmetry_vector.kernel(p, x))
 
 
 @validated

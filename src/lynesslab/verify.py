@@ -8,6 +8,7 @@ results; they run sequentially here because the work is pure bigint math.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,8 +16,9 @@ from .dynamics import measure_density_residual
 from .invariants import eval_pi, eval_v1, eval_v2, eval_v3, eval_w, eval_z
 from .lyness import Params, inverse_step, jacobian, jacobian_det, require_point, step
 from .sampling import random_point, stream
+from .scalars import jvp
 from .symmetry import (
-    annihilation_residual,
+    ANNIHILATED,
     compatibility_residual,
     factorization_residual,
     lie_residual,
@@ -76,6 +78,7 @@ def _checks_for(p: Params):
     v1, v2, v3 = eval_v1.kernel, eval_v2.kernel, eval_v3.kernel
     w, z_of, pi = eval_w.kernel, eval_z.kernel, eval_pi.kernel
     field = symmetry_vector.kernel
+    integrals = [fn.kernel for (k, _), fn in ANNIHILATED.items() if k == p.k]
 
     def v1_invariant(x):
         return v1(p, F(p, x)) == v1(p, x)
@@ -130,8 +133,11 @@ def _checks_for(p: Params):
         return compatibility_residual.kernel(p, x) == 0
 
     def annihilations(x):
-        names = ("V1", "V2", "V3") if p.k == 5 else ("V1", "V2")
-        return all(annihilation_residual.kernel(p, x, nm) == 0 for nm in names)
+        # grad V . X == 0 iff grad V . sX == 0, s = lcm of X's denominators > 0
+        here = field(p, x)
+        s = math.lcm(*(c.denominator for c in here))
+        seed = [c.numerator * (s // c.denominator) for c in here]
+        return all(jvp(lambda pt: v(p, pt), x, seed) == 0 for v in integrals)
 
     def factorization(x):
         return factorization_residual.kernel(p, x) == 0

@@ -9,7 +9,7 @@ import pytest
 from lynesslab.errors import DomainError
 from lynesslab.invariants import eval_v1, eval_v2, eval_v3, eval_w
 from lynesslab.lyness import Params
-from lynesslab.scalars import Dual, RatMatrix, exact_rank, gradient, parse_rational
+from lynesslab.scalars import Dual, RatMatrix, exact_rank, gradient, jvp, parse_rational
 
 
 def test_parse_rational_accepts_common_forms():
@@ -105,6 +105,17 @@ def test_gradient_matches_finite_differences_at_random_points():
                 approx = _fd_gradient(lambda c, ev=ev: ev(p, c), x)
                 for g, fd in zip(exact, approx):
                     assert abs(float(g) - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+def test_jvp_is_the_gradient_along_a_direction():
+    p = Params(5, Fraction(7, 3))
+    x = tuple(Fraction(n, 3) for n in (2, 5, 7, 1, 4))
+    v = (Fraction(1, 2), -3, Fraction(5, 7), 0, 2)
+    for ev in (eval_v1, eval_v2, eval_v3, eval_w):
+        f = lambda c, ev=ev: ev(p, c)
+        assert jvp(f, x, v) == sum(g * d for g, d in zip(gradient(f, x), v))
+    with pytest.raises(DomainError):
+        jvp(lambda c: 1 / c[0], (Fraction(0), Fraction(1)), (1, 0))
 
 
 def test_gradient_reports_poles_as_domain_errors():

@@ -1,6 +1,8 @@
 """Symmetry field: defining condition, shift and compatibility laws,
 annihilation of the integrals, the k>=6 sum factorization, and equilibria."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,38 @@ def test_golden_field_values():
     ones = (Fraction(1), Fraction(1), Fraction(1))
     assert symmetry_vector(P31, ones) == (12, 0, -12)
     assert symmetry_vector(P31, (Fraction(1), Fraction(1), Fraction(3))) == (0, -12, -48)
+
+
+def _field_oracle(p, x):
+    """The field with every chain and denominator rebuilt from its own slices,
+    O(k^2) multiplications, in the left-to-right order the kernel must keep."""
+    k, a = p.k, p.a
+    links = [1 + x[i] + x[i + 1] for i in range(k - 1)]
+    middle = a + sum(x) + x[0] * x[k - 1]
+    out = [(x[0] + 1) * math.prod(links[1:]) * (a + sum(x[: k - 1]) - x[1] * x[k - 1])
+           / math.prod(x[1:])]
+    for i in range(1, k - 1):
+        out.append((x[i] + 1) * math.prod(links[: i - 1] + links[i + 1 :]) * middle
+                   * (x[i - 1] - x[i + 1]) / math.prod(x[j] for j in range(k) if j != i))
+    out.append(-(x[k - 1] + 1) * math.prod(links[:-1]) * (a + sum(x[1:]) - x[0] * x[k - 2])
+               / math.prod(x[: k - 1]))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("a", [Fraction(0), Fraction(7, 10), Fraction(1e-300)])
+@pytest.mark.parametrize("k", range(3, 12))
+def test_field_keeps_the_order_of_its_multiplications(k, a):
+    # prefix sharing must not regroup a product: float bits stay those of the oracle
+    rng = random.Random(f"field-order|{k}|{a}")
+    pf = Params(k, float(a))
+    for _ in range(40):
+        x = tuple(rng.choice((rng.uniform(1e-3, 1.0), rng.uniform(1.0, 1e3))) for _ in range(k))
+        got, want = symmetry_vector(pf, x), _field_oracle(pf, x)
+        assert [c.hex() for c in got] == [c.hex() for c in want]
+    pq = Params(k, a)
+    for _ in range(3):
+        x = random_point(rng, k)
+        assert symmetry_vector(pq, x) == _field_oracle(pq, x)
 
 
 def test_golden_field_is_pushed_forward_by_the_map():

@@ -1,5 +1,9 @@
-"""Identity suites: each drawn point is validated once per trial, and the
-shift law evaluates the field once at x and once at F(x)."""
+"""Identity suites: each drawn point is validated once per trial, the shift
+law and the symmetry condition evaluate the field once at x and once at F(x),
+integral annihilation evaluates it once, and a wrong field fails every suite
+that uses it."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -39,4 +43,69 @@ def test_shift_law_evaluates_the_field_twice_per_trial(k, monkeypatch):
     trials = 3
     [result] = run_suites(k, 1, trials, 0)
     assert (result.name, result.trials, result.failures) == ("shift law", trials, 0)
+    assert len(calls) == 2 * trials
+
+
+FIELD_SUITES = ("symmetry condition", "shift law", "compatibility identity", "integral annihilation")
+
+
+def _only(monkeypatch, name):
+    checks = verify._checks_for
+    monkeypatch.setattr(verify, "_checks_for", lambda p: [c for c in checks(p) if c[0] == name])
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 8])
+def test_a_perturbed_field_fails_every_field_suite(k, monkeypatch):
+    real = symmetry_vector.kernel
+
+    def perturbed(p, x):
+        out = list(real(p, x))
+        out[1] += Fraction(1, 10**9)
+        return tuple(out)
+
+    monkeypatch.setattr(symmetry_vector, "kernel", perturbed)
+    by_name = {r.name: r for r in run_suites(k, 1, 2, 0)}
+    for name in FIELD_SUITES:
+        if name == "integral annihilation" and k > 5:
+            assert by_name[name].status == verify.NA
+        else:
+            assert by_name[name].failures == 2, name
+    assert by_name["V1 invariance"].failures == 0
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_integral_annihilation_evaluates_the_field_once_per_trial(k, monkeypatch):
+    calls = []
+    real = symmetry_vector.kernel
+
+    def counting(p, x):
+        calls.append(x)
+        return real(p, x)
+
+    monkeypatch.setattr(symmetry_vector, "kernel", counting)
+    _only(monkeypatch, "integral annihilation")
+    trials = 3
+    [result] = run_suites(k, 1, trials, 0)
+    assert (result.name, result.trials, result.failures) == ("integral annihilation", trials, 0)
+    assert len(calls) == trials
+
+
+@pytest.mark.parametrize("k", [3, 8])
+def test_symmetry_condition_evaluates_the_field_twice_and_builds_no_jacobian(k, monkeypatch):
+    calls = []
+    real = symmetry_vector.kernel
+
+    def counting(p, x):
+        calls.append(x)
+        return real(p, x)
+
+    def no_jacobian(p, x):
+        raise AssertionError("the symmetry condition built DF(x)")
+
+    monkeypatch.setattr(symmetry_vector, "kernel", counting)
+    monkeypatch.setattr(lyness.jacobian, "kernel", no_jacobian)
+    _only(monkeypatch, "symmetry condition")
+    trials = 3
+    [result] = run_suites(k, 1, trials, 0)
+    assert (result.name, result.trials, result.failures) == ("symmetry condition", trials, 0)
     assert len(calls) == 2 * trials
