@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import DimensionError, DomainError
 from .flow import METHODS, integrate_flow, invariant_drift
 from .invariants import eval_w, level_signature
-from .lyness import Params, orbit
+from .lyness import Params, float_point, orbit
 from .reduction import replay
 from .scalars import parse_rational
 from .verify import FAIL, run_suites
@@ -83,19 +83,6 @@ def _parse_proj(text, k: int):
     if len(set(idx)) != 3 or not all(1 <= i <= k for i in idx):
         raise CliError(f"--proj indices must be distinct and within 1..{k}")
     return idx
-
-
-def _float_point(p: Params, x0) -> tuple:
-    """(params, x0) in float64 for a float run, so the kernels never fall back
-    from Fraction to float per operation; a and x0 must fit, x0 staying positive."""
-    try:
-        fp = Params(p.k, float(p.a))
-        x = tuple(float(c) for c in x0)
-    except OverflowError:
-        raise CliError("--a and --x0 must lie within the float64 range") from None
-    if not all(c > 0 for c in x):
-        raise CliError("--x0 coordinates underflow to 0 in float64")
-    return fp, x
 
 
 @contextlib.contextmanager
@@ -182,18 +169,7 @@ def cmd_verify(args) -> int:
             "trials": args.trials,
             "seed": seed,
             "ok": not failed,
-            "suites": [
-                {
-                    "name": r.name,
-                    "k": r.k,
-                    "a": str(r.a),
-                    "trials": r.trials,
-                    "failures": r.failures,
-                    "status": r.status,
-                    "note": r.note,
-                }
-                for r in results
-            ],
+            "suites": [{**vars(r), "a": str(r.a)} for r in results],
         }
         with _output(args.json) as fh:
             json.dump(payload, fh, indent=2)
@@ -235,7 +211,7 @@ def cmd_orbit(args) -> int:
     if args.steps < 0:
         raise CliError(f"--steps must be >= 0, got {args.steps}")
     if not args.exact:
-        p, x0 = _float_point(p, x0)
+        p, x0 = float_point(p, x0)
     digits = _full_digits() if args.exact else contextlib.nullcontext()
     with digits, _output(args.out) as fh:
         _write_orbit(p, x0, args.steps, proj, args.format, fh)
@@ -266,7 +242,7 @@ def cmd_flow(args) -> int:
     proj = _parse_proj(args.proj, p.k)
     method = _METHOD_ALIASES[args.method]
     try:  # the float run computes with a in float64; the report prints p.a as given
-        trace = integrate_flow(*_float_point(p, x0), args.dt, args.t_max, method=method)
+        trace = integrate_flow(*float_point(p, x0), args.dt, args.t_max, method=method)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -329,7 +305,7 @@ def _flow_sibling(path: str) -> str:
 
 def cmd_figures(args) -> int:
     preset = _FIGURE_PRESETS[args.which]
-    p, x0 = _float_point(Params(preset["k"], preset["a"]), preset["x0"])
+    p, x0 = float_point(Params(preset["k"], preset["a"]), preset["x0"])
     proj = preset["proj"] or tuple(range(1, p.k + 1))
 
     with _output(args.out) as fh:

@@ -12,8 +12,8 @@ from fractions import Fraction
 from .errors import DegenerateOrbitError, DimensionError, DomainError, NoRootError
 from .invariants import eval_pi, eval_v1, eval_v2, eval_v3, eval_z, level_signature
 from .lyness import (
-    OrbitTrace, Params, iterate, jacobian_det, orbit, require_point, step, two_periodic_point,
-    validated,
+    OrbitTrace, Params, float_point, iterate, jacobian_det, orbit, require_point, step,
+    two_periodic_point, validated,
 )
 
 
@@ -150,21 +150,7 @@ def _float_root(p, coeffs, filled):
 
     fc = [float(c) for c in coeffs]
     dfc = [float(c * (i + 1)) for i, c in enumerate(coeffs[1:])]
-    lo, hi = float(bracket[0]), float(bracket[1])
-    flo = _poly_eval(fc, lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fmid = _poly_eval(fc, mid)
-        if fmid == 0.0:
-            lo = hi = mid
-            break
-        if (fmid < 0) == (flo < 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
+    root = _bisect(lambda t: _poly_eval(fc, t), float(bracket[0]), float(bracket[1]), 0.0)
     for _ in range(4):  # Newton polish on the exact-coefficient polynomial
         d = _poly_eval(dfc, root)
         if d == 0.0:
@@ -174,6 +160,24 @@ def _float_root(p, coeffs, filled):
     if not found.residual <= 1e-12:
         raise NoRootError(f"could not refine the root below 1e-12 (|Z| = {found.residual:.3e})")
     return found
+
+
+def _bisect(g, lo, hi, tol):
+    """Bisect g on [lo, hi], where g changes sign, keeping the half whose ends
+    differ in sign; the first midpoint with |g| <= tol, or the last one."""
+    lo_negative = g(lo) < 0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        g_mid = g(mid)
+        if abs(g_mid) <= tol:
+            return mid
+        if (g_mid < 0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _g_point(p, point):
@@ -236,32 +240,35 @@ def v_profile(p: Params, x) -> tuple:
     return (eval_v1(p, pt), eval_v2(p, pt), eval_v3(p, pt))
 
 
-def _v1_on_curve_exact(p: Params, xf: float) -> Fraction:
-    # float probe, exact evaluation: comparisons near the flat minimum stay exact
-    return eval_v1(p, two_periodic_point(p, Fraction(xf)))
+def _v1_on_curve(p: Params, x):
+    """V1 at the k=5 curve point of parameter x, in x's backend (float or Fraction)."""
+    return eval_v1(p, two_periodic_point(p, x))
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_V1_MIN_BRACKET = (2.0 + 1e-6, 100.0)
+_V1_MIN_TOL = 1e-10
 
 
-def v1_minimum(p: Params, lo: float = 2.0 + 1e-6, hi: float = 100.0, tol: float = 1e-10) -> float:
+def v1_minimum(p: Params) -> float:
     """Golden-section minimizer of V1 along the k=5 curve; the profile is
-    unimodal on (2, inf) (it blows up at both ends)."""
+    unimodal on (2, inf) (it blows up at both ends). Probes are floats, the
+    values exact, so comparisons near the flat minimum stay exact."""
     if p.k != 5:
         raise DimensionError("the curve profile is defined for k=5")
-    a, b = float(lo), float(hi)
+    a, b = _V1_MIN_BRACKET
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = _v1_on_curve_exact(p, c), _v1_on_curve_exact(p, d)
-    while b - a > tol:
+    fc, fd = _v1_on_curve(p, Fraction(c)), _v1_on_curve(p, Fraction(d))
+    while b - a > _V1_MIN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = _v1_on_curve_exact(p, c)
+            fc = _v1_on_curve(p, Fraction(c))
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = _v1_on_curve_exact(p, d)
+            fd = _v1_on_curve(p, Fraction(d))
     return 0.5 * (a + b)
 
 
@@ -271,46 +278,28 @@ def solve_v1_level(p: Params, h: float) -> tuple:
     if p.k != 5:
         raise DimensionError("the curve profile is defined for k=5")
     h = float(h)
-    xmin = 2.0 + math.sqrt(4.0 + float(p.a))
-    vmin = float(_v1f(p, xmin))
+    xmin = 2.0 + math.sqrt(4.0 + p.a)
+    vmin = _v1_on_curve(p, xmin)
     if not h > vmin * (1 + 1e-12):
         raise NoRootError(f"level {h} does not exceed the curve minimum {vmin}")
 
+    def gap(x):
+        return _v1_on_curve(p, x) - h
+
     lo = 2.0 + 1e-9
-    while _v1f(p, lo) < h:
+    while gap(lo) < 0:
         lo = 2.0 + (lo - 2.0) / 1e3
         if lo - 2.0 < 1e-300:
             raise NoRootError("level too high to bracket against the x->2 blow-up")
-    left = _bisect_level(p, lo, xmin, h, decreasing=True)
+    left = _bisect(gap, lo, xmin, 1e-12 * h)
 
     hi = xmin + 1.0
-    while _v1f(p, hi) < h:
+    while gap(hi) < 0:
         hi = 2.0 + (hi - 2.0) * 2.0
         if hi > 1e12:
             raise NoRootError("level too high to bracket on the right branch")
-    right = _bisect_level(p, xmin, hi, h, decreasing=False)
+    right = _bisect(gap, xmin, hi, 1e-12 * h)
     return (left, right)
-
-
-def _v1f(p, x):
-    pt = two_periodic_point(p, float(x))
-    return eval_v1(p, pt)
-
-
-def _bisect_level(p, lo, hi, h, decreasing):
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        val = _v1f(p, mid)
-        if abs(val - h) <= 1e-12 * h:
-            return mid
-        too_high = val > h
-        if too_high == decreasing:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def rotation_number(p: Params, x0, n: int) -> float:
@@ -331,7 +320,7 @@ def rotation_number(p: Params, x0, n: int) -> float:
         raise ValueError("need at least 10 samples")
     import numpy as np
 
-    states = orbit(p, tuple(float(c) for c in x0), 2 * (n - 1))
+    states = orbit(*float_point(p, x0), 2 * (n - 1))
     pts = np.array(list(itertools.islice(states, None, None, 2)))  # the F^2 orbit
     if len(pts) < n:
         raise DomainError("the float orbit left the domain before n samples")

@@ -6,9 +6,9 @@ available for cross-checks. Trajectories that approach the orthant boundary
 are truncated and flagged rather than continued, by one rule, `_in_domain`
 (every coordinate finite and > 1e-12): RK4 applies it to each stage point,
 before the field is evaluated there, and to each new state; RK45 stops at
-its terminal `near_boundary` event. The start point is validated once at
-entry; the solvers, the signature pass and the transport probe then call
-the pure kernels.
+its terminal `near_boundary` event. The start point is validated and put
+in float64, a with it, once at entry by `lyness.float_point`; the solvers,
+the signature pass and the transport probe then call the pure kernels.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import FlowError
 from .invariants import level_signature
-from .lyness import Params, require_point, step
+from .lyness import Params, float_point, step
 from .symmetry import symmetry_vector
 
 BOUNDARY_EPS = 1e-12
@@ -87,18 +87,18 @@ def integrate_flow(
     p: Params, x0, dt: float, t_max: float, method: str = "rk4-fixed"
 ) -> FlowTrace:
     """Flow trace sampled on the uniform grid 0, dt, 2dt, ..., t_max; t_max
-    must be a whole number of dt steps."""
+    must be a whole number of dt steps. The trace keeps p as given."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     n_steps = _grid_steps(dt, t_max)
-    x0 = tuple(float(c) for c in require_point(p, x0))
+    fp, x0 = float_point(p, x0)
     trace = FlowTrace(params=p, method=method, dt=dt, t_max=t_max)
     if method == "rk4-fixed":
-        trace.states, trace.boundary_hit = _rk4(p, x0, dt, n_steps)
+        trace.states, trace.boundary_hit = _rk4(fp, x0, dt, n_steps)
         trace.times = [j * dt for j in range(len(trace.states))]
     else:
-        _integrate_rk45(p, x0, dt, t_max, trace)
-    trace.signatures = [level_signature.kernel(p, x) for x in trace.states]
+        _integrate_rk45(fp, x0, dt, t_max, trace)
+    trace.signatures = [level_signature.kernel(fp, x) for x in trace.states]
     return trace
 
 
@@ -191,9 +191,9 @@ def transport_diagnostic(
     measure the nearest-sample distance to the flow orbit through F(x0)."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    x0 = tuple(float(c) for c in require_point(p, x0))
-    base_states, base_trunc = _two_sided_orbit(p, x0, dt, t_max)
-    image_states, image_trunc = _two_sided_orbit(p, step.kernel(p, x0), dt, t_max)
+    fp, x0 = float_point(p, x0)
+    base_states, base_trunc = _two_sided_orbit(fp, x0, dt, t_max)
+    image_states, image_trunc = _two_sided_orbit(fp, step.kernel(fp, x0), dt, t_max)
 
     import numpy as np
 
@@ -202,7 +202,7 @@ def transport_diagnostic(
     picks = np.linspace(0, len(base_states) - 1, num=samples).astype(int)
     distances, source_distances = [], []
     for idx in picks:
-        q = np.asarray(step.kernel(p, base_states[idx]))
+        q = np.asarray(step.kernel(fp, base_states[idx]))
         distances.append(float(np.min(np.linalg.norm(gamma1 - q, axis=1))))
         source_distances.append(float(np.min(np.linalg.norm(gamma0 - q, axis=1))))
     scale = float(np.linalg.norm(gamma1.max(axis=0) - gamma1.min(axis=0)))

@@ -22,7 +22,8 @@ All functions accept coordinates from any scalar backend (Fraction, float,
 Dual) and stay inside it. Formulas are pure ring arithmetic; the domain is
 checked once at the boundary: a `@validated` public function runs
 `require_point` and then its kernel, which stays reachable as `.kernel` for
-drivers that validated their start point already.
+drivers that validated their start point already. Every float run enters
+float64 through `float_point`, the one place that converts a and x0.
 """
 
 from __future__ import annotations
@@ -58,6 +59,21 @@ def require_point(p: Params, x) -> tuple:
     if not all(c > 0 for c in x):
         raise DomainError(f"point must have strictly positive coordinates: {x}")
     return x
+
+
+def float_point(p: Params, x0) -> tuple:
+    """(params, x0) with a and x0 in float64, the one entry of every float run:
+    x0 is validated once with `require_point`, then a and x0 are converted
+    once, so no kernel falls back from Fraction to float per operation. A value
+    past the float64 range, or a coordinate that underflows to 0, is a DomainError."""
+    x = require_point(p, x0)
+    try:
+        fp, x = Params(p.k, float(p.a)), tuple(map(float, x))
+    except OverflowError:
+        raise DomainError("a and x0 must lie within the float64 range") from None
+    if not (fp.a < math.inf and all(0 < c < math.inf for c in x)):
+        raise DomainError("a and x0 must be finite in float64, and x0 must not underflow to 0")
+    return fp, x
 
 
 def validated(kernel):
@@ -151,7 +167,7 @@ def fixed_point(p: Params) -> FixedPoint:
     """The unique orthant fixed point: all coordinates equal the positive root
     of c^2 - (k-1) c - a = 0."""
     km1 = p.k - 1
-    c = (km1 + math.sqrt(km1 * km1 + 4 * float(p.a))) / 2.0
+    c = (km1 + math.sqrt(km1 * km1 + 4.0 * p.a)) / 2.0
     return FixedPoint(point=(c,) * p.k, quadratic=(1, -km1, -p.a))
 
 

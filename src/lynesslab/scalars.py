@@ -16,16 +16,36 @@ from fractions import Fraction
 from .errors import DomainError
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q', an integer, or a finite decimal into an exact rational.
+MAX_LITERAL_DIGITS = 4300  # CPython's default int->str digit limit
 
-    Decimal text is converted exactly (no float round-trip). Malformed text
-    and zero denominators raise ValueError.
-    """
+
+def parse_rational(text: str) -> Fraction:
+    """Parse 'p/q', an integer, or a finite decimal (exponent allowed) into an
+    exact rational, with no float round-trip. Malformed text, zero denominators
+    and literals whose numerator or denominator would need more than
+    MAX_LITERAL_DIGITS digits (read off the text, before any big-integer work)
+    raise ValueError."""
+    literal = str(text).strip()
     try:
-        return Fraction(str(text).strip())
+        if _literal_digits(literal) > MAX_LITERAL_DIGITS:
+            raise ValueError("literal too large")
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc
+
+
+def _literal_digits(literal: str) -> float:
+    """Digits of the larger of the unreduced numerator and denominator of a
+    literal, counted on its text (leading zeros too): 'p/q' parts as written;
+    for a decimal 'w.f' with exponent e, wf times 10**(e - len(f))."""
+    body = literal.lstrip("+-").lower().replace("_", "")
+    if "/" in body:
+        return max(len(part.strip()) for part in body.split("/"))
+    head, _, exp = body.partition("e")
+    if len(exp.lstrip("+-").lstrip("0")) > len(str(MAX_LITERAL_DIGITS)):
+        return math.inf  # |e| alone is past the bound, on either side
+    shift = int(exp or 0) - len(head.partition(".")[2])
+    return max(len(head.replace(".", "")) + max(shift, 0), 1 - min(shift, 0))
 
 
 def _lift(v):

@@ -238,11 +238,16 @@ def test_seeded_verify_output_is_reproducible(capsys):
         ["flow", "--k", "3", "--x0", "1,1,1", "--dt", "0.3", "--t-max", "1"],
         ["flow", "--k", "3", "--x0", "1,1,1", "--dt", "2", "--t-max", "1"],
         ["flow", "--k", "3", "--x0", "1,1,1", "--dt", "0.3", "--t-max", "1", "--method", "rk45"],
+        # exponent literals past the 4300-digit input bound, refused before any bigint work
+        ["verify", "--k", "3", "--a", "1e5000", "--trials", "1"],
+        ["orbit", "--k", "3", "--x0", "1,1,1e99999", "--steps", "1", "--exact"],
+        ["orbit", "--k", "3", "--x0", "1,1,1e999999", "--steps", "1", "--exact"],
     ],
     ids=[
         "orbit-x0-overflow", "orbit-a-overflow", "orbit-x0-underflow", "flow-x0-overflow",
         "flow-a-overflow", "flow-tmax-inf", "flow-dt-nan", "flow-partial-step",
-        "flow-dt-beyond-tmax", "flow-rk45-partial-step",
+        "flow-dt-beyond-tmax", "flow-rk45-partial-step", "verify-a-exponent-5000",
+        "orbit-x0-exponent-99999", "orbit-x0-exponent-999999",
     ],
 )
 def test_float_inputs_outside_the_run_exit_two(argv, capsys):

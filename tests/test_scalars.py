@@ -2,6 +2,7 @@
 and fraction-free rank."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,19 @@ def test_parse_rational_rejects_garbage_and_zero_denominator():
     for bad in ("4/0", "abc", "1/2/3", ""):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def test_parse_rational_bounds_the_digits_of_a_literal():
+    assert parse_rational("7" * 4000) == int("7" * 4000)
+    assert parse_rational("1/" + "3" * 4000).denominator == int("3" * 4000)
+    assert parse_rational("1e4299") == 10**4299
+    assert parse_rational("1.5e-4298") == Fraction(15, 10**4299)
+    for bad in ("7" * 5000, "1/" + "3" * 5000, "1e4300", "1e-4300", "1e5000", "1e999999",
+                "-1e-99999999999999999999", "0." + "0" * 4300 + "1"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="not a rational literal"):
+            parse_rational(bad)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_dual_product_rule():
