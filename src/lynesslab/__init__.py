@@ -14,6 +14,8 @@ through one generic code path, so exact checks and float simulations are
 guaranteed to share the arithmetic they test.
 """
 
+from types import ModuleType as _ModuleType
+
 from .dynamics import (
     GPoint,
     OddPeriodVerdict,
@@ -52,6 +54,7 @@ from .invariants import (
     eval_z,
     independence_rank,
     level_signature,
+    level_signatures,
     z_sign,
 )
 from .lyness import (
@@ -75,7 +78,7 @@ from .reduction import (
     reduced_step_k5,
     semiconjugacy_residual,
 )
-from .scalars import Dual, RatMatrix, exact_rank, gradient, parse_rational
+from .scalars import Cleared, Dual, RatMatrix, exact_rank, gradient, parse_rational
 from .symmetry import (
     annihilation_residual,
     compatibility_residual,
@@ -89,67 +92,6 @@ from .verify import SuiteResult, run_suites
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOUNDARY_EPS",
-    "METHODS",
-    "DegenerateOrbitError",
-    "DimensionError",
-    "DomainError",
-    "Dual",
-    "FixedPoint",
-    "FlowError",
-    "FlowTrace",
-    "GPoint",
-    "LevelSignature",
-    "NoRootError",
-    "OddPeriodVerdict",
-    "OrbitTrace",
-    "Params",
-    "RatMatrix",
-    "ReducedParams",
-    "SuiteResult",
-    "TransportReport",
-    "annihilation_residual",
-    "compatibility_residual",
-    "equilibrium_residual",
-    "eval_pi",
-    "eval_v1",
-    "eval_v2",
-    "eval_v3",
-    "eval_w",
-    "eval_z",
-    "exact_rank",
-    "factorization_residual",
-    "fixed_point",
-    "gradient",
-    "independence_rank",
-    "integrate_flow",
-    "invariant_drift",
-    "inverse_step",
-    "iterate",
-    "jacobian",
-    "jacobian_det",
-    "level_signature",
-    "lie_residual",
-    "lift_k3",
-    "lift_k5",
-    "measure_density_residual",
-    "odd_period_guard",
-    "orbit_signature",
-    "parse_rational",
-    "project",
-    "reduced_step_k3",
-    "reduced_step_k5",
-    "rotation_number",
-    "sample_g_point",
-    "semiconjugacy_residual",
-    "shift_residual",
-    "solve_v1_level",
-    "step",
-    "symmetry_vector",
-    "transport_diagnostic",
-    "two_periodic_point",
-    "v1_minimum",
-    "v_profile",
-    "z_sign",
-]
+# the public API is every name imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

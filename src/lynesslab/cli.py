@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from .errors import DimensionError, DomainError
 from .flow import METHODS, integrate_flow, invariant_drift
-from .invariants import eval_w, level_signature
+from .invariants import eval_w, level_signatures
 from .lyness import Params, float_point, orbit
 from .reduction import replay
 from .scalars import parse_rational
@@ -180,22 +181,17 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------- orbit rows
 
 
-def _orbit_row(p: Params, n: int, x, proj) -> list:
-    sig = level_signature.kernel(p, x)
-    row = [str(n)] + [_fmt(x[i - 1]) for i in proj] + [_fmt(sig.v1), _fmt(sig.v2)]
-    if p.k % 2 == 1:
-        row += [_fmt(sig.v3), str(sig.z_sign)]
-    return row
-
-
 def _write_orbit(p: Params, x0, steps: int, proj, fmt: str, fh) -> None:
     """Rows of the orbit of x0, exact or float as x0 is; a float orbit that
     leaves the domain ends early with a warning."""
     header = ["n"] + [f"x{i}" for i in proj] + ["V1", "V2"] + ["V3", "signZ"] * (p.k % 2)
     if fmt == "csv":
         fh.write(",".join(header) + "\n")
-    for n, x in enumerate(orbit(p, x0, steps)):
-        row = _orbit_row(p, n, x, proj)
+    states, levels = itertools.tee(orbit(p, x0, steps))
+    for n, (x, sig) in enumerate(zip(states, level_signatures(p, levels))):
+        row = [str(n)] + [_fmt(x[i - 1]) for i in proj] + [_fmt(sig.v1), _fmt(sig.v2)]
+        if p.k % 2 == 1:
+            row += [_fmt(sig.v3), str(sig.z_sign)]
         if fmt == "csv":
             fh.write(",".join(row) + "\n")
         else:

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateOrbitError, DimensionError, DomainError, NoRootError
-from .invariants import eval_pi, eval_v1, eval_v2, eval_v3, eval_z, level_signature
+from .invariants import eval_pi, eval_v1, eval_v2, eval_v3, eval_z, level_signatures
 from .lyness import (
-    OrbitTrace, Params, float_point, iterate, jacobian_det, orbit, require_point, step,
-    two_periodic_point, validated,
+    OrbitTrace, Params, float_params, float_point, iterate, jacobian_det, orbit, require_point,
+    step, two_periodic_point, validated,
 )
 
 
@@ -21,7 +21,7 @@ def orbit_signature(p: Params, x0, n: int) -> OrbitTrace:
     """Orbit trace with per-state invariant levels. Float orbits that overflow
     are truncated and flagged instead of propagating inf/nan."""
     trace = iterate(p, x0, n)
-    trace.signatures = [level_signature.kernel(p, s) for s in trace.states]
+    trace.signatures = list(level_signatures(p, trace.states))
     return trace
 
 
@@ -277,7 +277,7 @@ def solve_v1_level(p: Params, h: float) -> tuple:
     the minimum; requires h strictly above the minimum level."""
     if p.k != 5:
         raise DimensionError("the curve profile is defined for k=5")
-    h = float(h)
+    p, h = float_params(p), float(h)
     xmin = 2.0 + math.sqrt(4.0 + p.a)
     vmin = _v1_on_curve(p, xmin)
     if not h > vmin * (1 + 1e-12):

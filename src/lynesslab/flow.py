@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import FlowError
-from .invariants import level_signature
+from .invariants import level_signatures
 from .lyness import Params, float_point, step
 from .symmetry import symmetry_vector
 
@@ -98,7 +98,7 @@ def integrate_flow(
         trace.times = [j * dt for j in range(len(trace.states))]
     else:
         _integrate_rk45(fp, x0, dt, t_max, trace)
-    trace.signatures = [level_signature.kernel(fp, x) for x in trace.states]
+    trace.signatures = list(level_signatures(fp, trace.states))
     return trace
 
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .errors import DimensionError
 from .lyness import Params, require_point, validated
-from .scalars import RatMatrix, exact_rank, gradient
+from .scalars import Cleared, RatMatrix, exact_rank, gradient
 
 
 # Each formula is written once, over the pieces the integrals share: S, the
@@ -144,6 +144,27 @@ def level_signature(p: Params, x) -> LevelSignature:
         return LevelSignature(v1=v1, v2=v2)
     odd, s_even = _odd_terms(x, total)
     return LevelSignature(v1=v1, v2=v2, v3=_v3(odd, s_even, pi), z_sign=_sign(_z(odd, s_even)))
+
+
+def level_signatures(p: Params, states):
+    """`level_signature.kernel(p, x)` for each state x, equal in value and type.
+    Where those levels are Fractions, the kernel runs over `Cleared` coordinates
+    and each level is confirmed against the previous row's by one exact
+    cross-multiplication; only row 0 and a changed level are reduced (gcd).
+    Other states, floats among them, go straight to the kernel."""
+    if type(p.a) not in (int, Fraction):
+        yield from (level_signature.kernel(p, x) for x in states)
+        return
+    prev = LevelSignature(None, None)
+    for x in states:
+        kinds = {type(p.a), *map(type, x)}
+        if not (kinds <= {int, Fraction} and Fraction in kinds):  # all int gives floats
+            yield level_signature.kernel(p, x)
+            continue
+        sig = level_signature.kernel(p, tuple(map(Cleared.of, x)))
+        v3 = None if sig.v3 is None else sig.v3.fraction(prev.v3)
+        prev = LevelSignature(sig.v1.fraction(prev.v1), sig.v2.fraction(prev.v2), v3, sig.z_sign)
+        yield prev
 
 
 _EVALUATORS = {"V1": eval_v1, "V2": eval_v2, "V3": eval_v3}

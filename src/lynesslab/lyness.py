@@ -67,13 +67,26 @@ def float_point(p: Params, x0) -> tuple:
     once, so no kernel falls back from Fraction to float per operation. A value
     past the float64 range, or a coordinate that underflows to 0, is a DomainError."""
     x = require_point(p, x0)
+    fp = float_params(p)
     try:
-        fp, x = Params(p.k, float(p.a)), tuple(map(float, x))
+        x = tuple(map(float, x))
     except OverflowError:
-        raise DomainError("a and x0 must lie within the float64 range") from None
-    if not (fp.a < math.inf and all(0 < c < math.inf for c in x)):
-        raise DomainError("a and x0 must be finite in float64, and x0 must not underflow to 0")
+        raise DomainError("x0 must lie within the float64 range") from None
+    if not all(0 < c < math.inf for c in x):
+        raise DomainError("x0 must be finite in float64 and must not underflow to 0")
     return fp, x
+
+
+def float_params(p: Params) -> Params:
+    """p with a in float64, as `float_point` converts it, also for float runs
+    with no start point; an a past the float64 range is a DomainError."""
+    try:
+        a = float(p.a)
+    except OverflowError:
+        a = math.inf
+    if not a < math.inf:
+        raise DomainError("a must lie within the float64 range")
+    return Params(p.k, a)
 
 
 def validated(kernel):

@@ -2,7 +2,8 @@
 
 Every formula in this package is written against plain arithmetic operators so
 the same code runs over exact rationals (the stdlib Fraction: always reduced,
-positive denominator, exact field operations), float64, or `Dual` numbers.
+positive denominator, exact field operations), float64, `Dual` numbers, or
+`Cleared` rationals, which are never reduced and so take no gcd.
 A directional derivative is one dual pass (`jvp`), a gradient one per
 coordinate; ranks over the rationals use fraction-free integer elimination.
 """
@@ -137,6 +138,86 @@ def gradient(f, x):
     """Exact gradient of f at x: `jvp` along each unit vector."""
     x = tuple(x)
     return tuple(jvp(f, x, [int(j == i) for j in range(len(x))]) for i in range(len(x)))
+
+
+def _cancel(d1, d2):
+    """d1 and d2 less their shared factors: each factor of d2 cancels one equal one of d1."""
+    rest, extra = list(d1), []
+    for f in d2:
+        if f in rest:
+            rest.remove(f)
+        else:
+            extra.append(f)
+    return rest, extra
+
+
+class Cleared:
+    """Exact rational n / prod(den) that is never reduced, den a tuple of positive
+    integer factors. Operations with int, Fraction or Cleared operands only
+    multiply integers and cancel factors shared by two denominators: no gcd.
+    The formulas subtract from and divide Cleared values only, so - and / have
+    no reflected forms."""
+
+    __slots__ = ("n", "den")
+
+    def __init__(self, n: int, den: tuple = ()):
+        self.n, self.den = n, den
+
+    @classmethod
+    def of(cls, q):
+        """q itself if Cleared; an int or Fraction q with no factor for a denominator 1."""
+        if isinstance(q, cls):
+            return q
+        return cls(q.numerator, (q.denominator,) if q.denominator != 1 else ())
+
+    def __add__(self, other):
+        if type(other) is int:  # the formulas' literals, without a lift
+            return Cleared(self.n + other * math.prod(self.den), self.den)
+        o = Cleared.of(other)
+        if not o.n or self.den == o.den:
+            return Cleared(self.n + o.n, self.den)
+        rest, extra = _cancel(self.den, o.den)
+        return Cleared(self.n * math.prod(extra) + o.n * math.prod(rest), self.den + tuple(extra))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Cleared(-self.n, self.den)
+
+    def __sub__(self, other):
+        return self + -Cleared.of(other)
+
+    def __mul__(self, other):
+        o = Cleared.of(other)
+        return Cleared(self.n * o.n, self.den + o.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = Cleared.of(other)
+        if not o.n:
+            raise ZeroDivisionError("Cleared division by zero")
+        rest, extra = _cancel(self.den, o.den)
+        n = self.n * math.prod(extra)
+        return Cleared(n if o.n > 0 else -n, (*rest, abs(o.n)))
+
+    @property
+    def sign(self) -> int:
+        return (self.n > 0) - (self.n < 0)
+
+    def __lt__(self, other):
+        return (self - other).sign < 0
+
+    def __gt__(self, other):
+        return (self - other).sign > 0
+
+    def fraction(self, hint=None) -> Fraction:
+        """The reduced value: hint itself if one exact cross-multiplication shows
+        it equal (no gcd), else Fraction(n, prod(den))."""
+        d = math.prod(self.den)
+        if hint is not None and d and self.n * hint.denominator == d * hint.numerator:
+            return hint
+        return Fraction(self.n, d)
 
 
 @dataclass

@@ -1,0 +1,161 @@
+"""The cleared-denominator backend and the one signature driver: `Cleared`
+agrees with Fraction and never calls gcd, and `level_signatures` returns what
+`level_signature.kernel` returns, in value and in type, whatever the hints."""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from lynesslab.invariants import eval_z, level_signature, level_signatures  # noqa: E402
+from lynesslab.lyness import Params, orbit  # noqa: E402
+from lynesslab.scalars import Cleared  # noqa: E402
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
+rationals = st.fractions(min_value=-100, max_value=100, max_denominator=60)
+# unreduced values, factors repeated and shared across operands, zero included
+cleared = st.builds(
+    Cleared,
+    st.integers(-10**6, 10**6) | st.just(0),
+    st.lists(st.sampled_from([2, 3, 6, 7, 10**20 + 39]), max_size=4).map(tuple),
+)
+operands = cleared | rationals | st.integers(-50, 50)
+
+
+def value(c):
+    return Fraction(c.n, math.prod(c.den)) if isinstance(c, Cleared) else Fraction(c)
+
+
+@SETTINGS
+@given(a=cleared, b=operands)
+def test_ring_operations_agree_with_fraction(a, b):
+    for got, want in ((a + b, value(a) + value(b)), (b + a, value(b) + value(a)),
+                      (a * b, value(a) * value(b)), (b * a, value(b) * value(a)),
+                      (a - b, value(a) - value(b))):
+        assert isinstance(got, Cleared)
+        assert value(got) == want
+    if value(b) == 0:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        assert value(a / b) == value(a) / value(b)
+
+
+@SETTINGS
+@given(a=cleared, b=operands)
+def test_sign_negation_and_comparisons_agree_with_fraction(a, b):
+    x, y = value(a), value(b)
+    assert value(-a) == -x
+    assert a.sign == (x > 0) - (x < 0)
+    assert all(f > 0 for c in (a * b, a - b, a / -3) for f in c.den)
+    assert (a > 0, a < 0) == (x > 0, x < 0)
+    assert (a > b, a < b) == (x > y, x < y)
+
+
+@SETTINGS
+@given(a=cleared, hint=rationals)
+def test_fraction_is_the_reduced_value_and_returns_only_an_equal_hint(a, hint):
+    x = value(a)
+    assert a.fraction() == x and type(a.fraction()) is Fraction
+    got = a.fraction(hint)
+    assert got == x
+    if hint == x:
+        assert got is hint
+    equal = Fraction(x.numerator, x.denominator)
+    assert a.fraction(equal) is equal
+
+
+def test_a_zero_divisor_raises():
+    for zero in (0, Fraction(0), Cleared(0), Cleared(0, (3, 5))):
+        with pytest.raises(ZeroDivisionError):
+            Cleared(1, (2,)) / zero
+
+
+def test_a_zero_product_of_denominator_factors_never_matches_a_hint():
+    for c, hint in ((Cleared(0, (0,)), Fraction(0)), (Cleared(0, (2, 0)), Fraction(5)),
+                    (Cleared(3, (0, 4)), Fraction(0))):
+        with pytest.raises(ZeroDivisionError):
+            c.fraction(hint)
+
+
+def test_operations_and_a_confirmed_hint_call_no_gcd(monkeypatch):
+    half, q = Fraction(1, 2), (Fraction(3, 2), Fraction(7, 3), 2, Fraction(9, 4))
+    want = (half + q[0] * q[1] - q[2] / q[3] + 1) / q[0]
+    calls = []
+    real = math.gcd
+    monkeypatch.setattr(math, "gcd", lambda *args: calls.append(args) or real(*args))
+    x = tuple(map(Cleared.of, q))
+    got = (half + x[0] * x[1] - x[2] / x[3] + 1) / x[0]
+    assert got.fraction(want) is want
+    assert not calls
+    assert got.fraction(want + 1) == want  # a wrong hint: reduced with gcd
+    assert calls
+
+
+def _same(p, states):
+    """level_signatures equals the kernel on each state, in value and type."""
+    states = list(states)
+    got = list(level_signatures(p, states))
+    want = [level_signature.kernel(p, x) for x in states]
+    assert got == want
+    for g, w in zip(got, want):
+        assert [type(v) for v in vars(g).values()] == [type(v) for v in vars(w).values()]
+    return got
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+@pytest.mark.parametrize("n", [60, -60], ids=["forward", "backward"])
+def test_exact_orbits_give_the_kernel_levels(k, n):
+    for a in (Fraction(1), Fraction(7, 10), 0):
+        p = Params(k, a)
+        x0 = tuple(Fraction(i + 2, i % 3 + 1) for i in range(k))
+        got = _same(p, orbit(p, x0, n))
+        assert len({(s.v1, s.v2, s.v3) for s in got}) == 1
+        assert all(type(s.v1) is Fraction for s in got)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data(), k=st.integers(3, 8), a=st.fractions(0, 20, max_denominator=10))
+def test_unrelated_points_give_the_kernel_levels(data, k, a):
+    positive = st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=100)
+    points = data.draw(st.lists(st.tuples(*[positive] * k), min_size=1, max_size=6))
+    _same(Params(k, a), points)
+
+
+def test_an_exact_orbit_reduces_only_its_first_row(monkeypatch):
+    p = Params(5, Fraction(1))
+    rows = level_signatures(p, list(orbit(p, (1, 2, 3, 4, 5), 40)))
+    calls = []
+    real = math.gcd
+    monkeypatch.setattr(math, "gcd", lambda *args: calls.append(args) or real(*args))
+    next(rows)
+    assert len(calls) == 3  # V1, V2 and V3 of row 0
+    assert len(list(rows)) == 40
+    assert len(calls) == 3
+
+
+def test_points_on_the_invariant_hypersurface_give_z_sign_zero():
+    # Z = prod_odd x(x+1) - S prod_even x(x+1) vanishes when a makes S the ratio
+    for p, x0 in ((Params(3, Fraction(7)), (1, 1, 3)), (Params(5, Fraction(5)), (1, 1, 1, 1, 3))):
+        assert eval_z.kernel(p, x0) == 0
+        got = _same(p, orbit(p, x0, 12))
+        assert {s.z_sign for s in got} == {0}
+
+
+def test_int_fraction_mixed_and_float_states_keep_their_types():
+    half = Fraction(1, 2)
+    cases = [
+        (Params(4, 1), [(1, 2, 3, 4), (2, 3, 4, 5)], float),  # int / int divides to float
+        (Params(4, Fraction(1)), [(1, 2, 3, 4), (2, 3, 4, 5)], Fraction),
+        (Params(5, 1), [(1, half, 3, 4, 5), (half, 3, 4, 5, 2)], Fraction),
+        (Params(5, 1.0), [(1.0, 0.5, 3.0, 4.0, 5.0), (1, half, 3, 4, 5)], float),
+        (Params(3, 2), [(1.0, 2.0, 3.0), (1, half, 3), (1, 2, 3), (1, half, 3)], None),
+    ]
+    for p, states, kind in cases:
+        got = _same(p, states)
+        if kind is not None:
+            assert {type(s.v1) for s in got} == {kind}

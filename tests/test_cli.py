@@ -309,6 +309,17 @@ PINNED_OUTPUTS = {
         ["verify", "--k-range", "3..8", "--trials", "2", "--json", "OUT"],
         "83fa5a1e8e42752c9f9f0327ce2dd4e0467c97c864669c06203b8ac523ca681a",
     ),
+    # exact rows whose levels are confirmed against the previous row: even k
+    # with a non-unit a, and odd k projected to JSONL
+    "orbit-exact-k4-rational-a": (
+        ["orbit", "--k", "4", "--a", "7/10", "--x0", "1,2,3,4", "--steps", "60", "--exact"],
+        "cd6d39b0f0a881e94f36da739e36b7927f3f5a3eb9cafeb9e12338e0990ed2c7",
+    ),
+    "orbit-exact-k5-proj-jsonl": (
+        ["orbit", "--k", "5", "--a", "1", "--x0", "1,2,3,4,5", "--steps", "120", "--exact",
+         "--proj", "1,3,5", "--format", "jsonl"],
+        "8219325203a31373d17ff5f3c05c801f927b1ad20b9b49866da76af81b6fef51",
+    ),
 }
 
 

@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from lynesslab import lyness, symmetry
-from lynesslab.dynamics import rotation_number
+from lynesslab import dynamics, lyness, symmetry
+from lynesslab.dynamics import rotation_number, solve_v1_level
 from lynesslab.errors import DimensionError, DomainError
 from lynesslab.flow import METHODS, integrate_flow, transport_diagnostic
-from lynesslab.lyness import Params, float_point
+from lynesslab.lyness import Params, float_params, float_point
 
 # name -> (run(a), the kernel-owning public function the run calls)
 DRIVERS = {
@@ -124,3 +124,35 @@ def test_float_point_refuses_points_outside_float64(a, x0, error):
 def test_exact_input_outside_float64_is_a_domain_error(run, a, x0):
     with pytest.raises(DomainError):
         run(Params(3, a), x0)
+
+
+def test_solve_v1_level_computes_with_a_in_float64(monkeypatch):
+    seen = []
+    real = dynamics.eval_v1
+
+    def spy(p, x):
+        seen.append((type(p.a), all(isinstance(c, float) for c in x)))
+        return real(p, x)
+
+    monkeypatch.setattr(dynamics, "eval_v1", spy)
+    solve_v1_level(Params(5, Fraction(7, 10)), 200.0)
+    assert seen
+    assert set(seen) == {(float, True)}
+
+
+@pytest.mark.parametrize("a", [0, Fraction(7, 10), Fraction(1, 3), 4],
+                         ids=["0", "7/10", "1/3", "4"])
+def test_solve_v1_level_gives_the_roots_of_a_in_float64(a):
+    for h in (80.0, 200.0, 1e6):
+        roots = solve_v1_level(Params(5, a), h)
+        twin = solve_v1_level(Params(5, float(a)), h)
+        assert [r.hex() for r in roots] == [r.hex() for r in twin]
+
+
+def test_float_params_converts_a_alone():
+    assert float_params(Params(5, Fraction(1, 3))) == Params(5, 1 / 3)
+    for a in (10**400, math.inf):
+        with pytest.raises(DomainError):
+            float_params(Params(5, a))
+        with pytest.raises(DomainError):
+            solve_v1_level(Params(5, a), 200.0)
