@@ -3,7 +3,8 @@
 Every formula in this package is written against plain arithmetic operators so
 the same code runs over exact rationals (the stdlib Fraction: always reduced,
 positive denominator, exact field operations), float64, `Dual` numbers, or
-`Cleared` rationals, which are never reduced and so take no gcd.
+`Cleared` rationals, which are never reduced and so take no gcd; the exact
+orbit rows and the verify suites run over `Cleared`.
 A directional derivative is one dual pass (`jvp`), a gradient one per
 coordinate; ranks over the rationals use fraction-free integer elimination.
 """
@@ -153,10 +154,9 @@ def _cancel(d1, d2):
 
 class Cleared:
     """Exact rational n / prod(den) that is never reduced, den a tuple of positive
-    integer factors. Operations with int, Fraction or Cleared operands only
-    multiply integers and cancel factors shared by two denominators: no gcd.
-    The formulas subtract from and divide Cleared values only, so - and / have
-    no reflected forms."""
+    integer factors. Operations and equality with int, Fraction or Cleared
+    operands only multiply integers and cancel factors shared by two
+    denominators: no gcd."""
 
     __slots__ = ("n", "den")
 
@@ -187,6 +187,9 @@ class Cleared:
     def __sub__(self, other):
         return self + -Cleared.of(other)
 
+    def __rsub__(self, other):
+        return -self + other
+
     def __mul__(self, other):
         o = Cleared.of(other)
         return Cleared(self.n * o.n, self.den + o.den)
@@ -200,6 +203,18 @@ class Cleared:
         rest, extra = _cancel(self.den, o.den)
         n = self.n * math.prod(extra)
         return Cleared(n if o.n > 0 else -n, (*rest, abs(o.n)))
+
+    def __rtruediv__(self, other):
+        return Cleared.of(other) / self
+
+    def __eq__(self, other):
+        if type(other) is int:  # the zero tests, without a lift
+            return self.n == other * math.prod(self.den)
+        if not isinstance(other, (int, Fraction, Cleared)):
+            return NotImplemented
+        o = Cleared.of(other)
+        rest, extra = _cancel(self.den, o.den)
+        return self.n * math.prod(extra) == o.n * math.prod(rest)
 
     @property
     def sign(self) -> int:

@@ -8,7 +8,6 @@ results; they run sequentially here because the work is pure bigint math.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,7 +15,7 @@ from .dynamics import measure_density_residual
 from .invariants import eval_pi, eval_v1, eval_v2, eval_v3, eval_w, eval_z
 from .lyness import Params, inverse_step, jacobian, jacobian_det, require_point, step
 from .sampling import random_point, stream
-from .scalars import jvp
+from .scalars import Cleared, jvp
 from .symmetry import (
     ANNIHILATED,
     compatibility_residual,
@@ -51,11 +50,11 @@ def _det_gauss(matrix):
     """Independent determinant by exact Gaussian elimination (not Bareiss)."""
     rows = [list(r) for r in matrix.rows]
     n = len(rows)
-    det = Fraction(1)
+    det = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
             det = -det
@@ -134,11 +133,8 @@ def _checks_for(p: Params):
         return compatibility_residual.kernel(p, x) == 0
 
     def annihilations(x):
-        # grad V . X == 0 iff grad V . sX == 0, s = lcm of X's denominators > 0
         here = field(p, x)
-        s = math.lcm(*(c.denominator for c in here))
-        seed = [c.numerator * (s // c.denominator) for c in here]
-        return all(jvp(lambda pt: v(p, pt), x, seed) == 0 for v in integrals)
+        return all(jvp(lambda pt: v(p, pt), x, here) == 0 for v in integrals)
 
     def factorization(x):
         return factorization_residual.kernel(p, x) == 0
@@ -166,7 +162,8 @@ def _checks_for(p: Params):
 
 
 def run_suites(k: int, a, trials: int, seed: int) -> list:
-    """All applicable identity suites for one (k, a); exact arithmetic only."""
+    """All applicable identity suites for one (k, a); exact arithmetic only: each
+    point is drawn as Fractions, validated, and checked on its Cleared image."""
     p = Params(k, Fraction(a))
     results = []
     for name, na_note, check in _checks_for(p):
@@ -178,7 +175,7 @@ def run_suites(k: int, a, trials: int, seed: int) -> list:
         rng = stream(f"{seed}|k={k}|a={p.a}|{name}", seed)
         failures = 0
         for _ in range(trials):
-            x = require_point(p, random_point(rng, k))
+            x = tuple(map(Cleared.of, require_point(p, random_point(rng, k))))
             if not check(x):
                 failures += 1
         results.append(

@@ -11,9 +11,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from lynesslab.errors import DomainError  # noqa: E402
 from lynesslab.invariants import eval_z, level_signature, level_signatures  # noqa: E402
 from lynesslab.lyness import Params, orbit  # noqa: E402
-from lynesslab.scalars import Cleared  # noqa: E402
+from lynesslab.scalars import Cleared, jvp  # noqa: E402
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=60)
@@ -94,6 +95,53 @@ def test_operations_and_a_confirmed_hint_call_no_gcd(monkeypatch):
     assert not calls
     assert got.fraction(want + 1) == want  # a wrong hint: reduced with gcd
     assert calls
+
+
+@SETTINGS
+@given(a=cleared, b=operands)
+def test_equality_and_reflected_operations_agree_with_fraction(a, b):
+    x, y = value(a), value(b)
+    assert (a == b, b == a, a != b, b != a) == (x == y, y == x, x != y, y != x)
+    assert a == Cleared(a.n * 6, (*a.den, 2, 3)) == x
+    for c in (Cleared(-a.n, a.den), a * a):
+        assert (a == c) == (x == value(c))
+    for m in (1, -4, 0):
+        if x == 0:
+            with pytest.raises(ZeroDivisionError):
+                m / a
+        else:
+            assert isinstance(m / a, Cleared) and value(m / a) == m / x
+    assert value(7 - a) == 7 - x and value(Fraction(1, 3) - a) == Fraction(1, 3) - x
+
+
+def test_equality_and_reflected_operations_call_no_gcd(monkeypatch):
+    q = (Fraction(3, 2), Fraction(-7, 6), 0, Fraction(9, 4))
+    x = tuple(map(Cleared.of, q))  # Fractions are made before gcd is counted
+    calls = []
+    real = math.gcd
+    monkeypatch.setattr(math, "gcd", lambda *args: calls.append(args) or real(*args))
+    assert x[0] * x[1] == Cleared(-21, (2, 6)) == Cleared(-7, (4,))
+    assert x[0] != x[1] and x[2] == 0 and x[2] != x[3]
+    assert 2 / x[0] == Cleared(4, (3,)) and 1 - x[3] == Cleared(-5, (4,))
+    assert (x[0] == q[0], q[0] == x[0], q[1] != x[0], 0 == x[2]) == (True,) * 4
+    assert not calls
+
+
+def test_equality_with_other_types_is_false_and_does_not_raise():
+    c = Cleared(3, (2,))
+    assert (c == None) is False and (c == 1.5) is False  # noqa: E711
+    assert c != None and c != 1.5  # noqa: E711
+    assert c.__eq__(1.5) is NotImplemented and c.__hash__ is None
+
+
+def test_jvp_over_cleared_takes_the_exact_derivative_and_reports_a_pole():
+    def f(c):
+        return 1 / c[0] + c[1] * c[1]
+
+    x = (Cleared(4, (2,)), Cleared(1))
+    assert value(jvp(f, x, (Cleared(1), Cleared(3, (3,))))) == Fraction(-1, 4) + 2
+    with pytest.raises(DomainError):
+        jvp(f, (Cleared(0, (5,)), Cleared(1)), (1, 0))
 
 
 def _same(p, states):

@@ -1,13 +1,17 @@
 """Identity suites: each drawn point is validated once per trial, the shift
 law and the symmetry condition evaluate the field once at x and once at F(x),
-integral annihilation evaluates it once, and a wrong field fails every suite
-that uses it."""
+integral annihilation evaluates it once, a wrong field fails every suite
+that uses it, and every check gives the same verdict on a `Cleared` point as
+on the `Fraction` point it was made from."""
 
 from fractions import Fraction
 
 import pytest
 
 from lynesslab import lyness, verify
+from lynesslab.lyness import Params
+from lynesslab.sampling import random_point, stream
+from lynesslab.scalars import Cleared
 from lynesslab.symmetry import symmetry_vector
 from lynesslab.verify import run_suites
 
@@ -109,3 +113,38 @@ def test_symmetry_condition_evaluates_the_field_twice_and_builds_no_jacobian(k, 
     [result] = run_suites(k, 1, trials, 0)
     assert (result.name, result.trials, result.failures) == ("symmetry condition", trials, 0)
     assert len(calls) == 2 * trials
+
+
+def _verdicts(k, points=5):
+    """{(a, suite): [(verdict on the Fraction point, on its Cleared image)]} over
+    seeded points, for every suite that applies to k."""
+    out = {}
+    for a in (Fraction(0), Fraction(1), Fraction(7, 3)):
+        p = Params(k, a)
+        for name, na_note, check in verify._checks_for(p):
+            if na_note is None:
+                rng = stream(f"backends|k={k}|a={a}|{name}", 0)
+                xs = [lyness.require_point(p, random_point(rng, k)) for _ in range(points)]
+                out[a, name] = [(check(x), check(tuple(map(Cleared.of, x)))) for x in xs]
+    return out
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_every_check_gives_the_same_verdict_on_cleared_and_fraction_points(k):
+    for key, pairs in _verdicts(k).items():
+        assert all(pair == (True, True) for pair in pairs), key
+
+
+@pytest.mark.parametrize("k", [3, 5, 6])
+def test_a_broken_field_fails_on_both_backends(k, monkeypatch):
+    real = symmetry_vector.kernel
+
+    def broken(p, x):
+        out = list(real(p, x))
+        out[0] += Fraction(1, 10**6)
+        return tuple(out)
+
+    monkeypatch.setattr(symmetry_vector, "kernel", broken)
+    for (a, name), pairs in _verdicts(k).items():
+        want = name not in FIELD_SUITES
+        assert all(pair == (want, want) for pair in pairs), (a, name)
