@@ -115,12 +115,6 @@ def _full_digits():
         sys.set_int_max_str_digits(limit)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 # ---------------------------------------------------------------- verify
 
 
@@ -189,9 +183,9 @@ def _write_orbit(p: Params, x0, steps: int, proj, fmt: str, fh) -> None:
         fh.write(",".join(header) + "\n")
     states, levels = itertools.tee(orbit(p, x0, steps))
     for n, (x, sig) in enumerate(zip(states, level_signatures(p, levels))):
-        row = [str(n)] + [_fmt(x[i - 1]) for i in proj] + [_fmt(sig.v1), _fmt(sig.v2)]
+        row = [str(n)] + [str(x[i - 1]) for i in proj] + [str(sig.v1), str(sig.v2)]
         if p.k % 2 == 1:
-            row += [_fmt(sig.v3), str(sig.z_sign)]
+            row += [str(sig.v3), str(sig.z_sign)]
         if fmt == "csv":
             fh.write(",".join(row) + "\n")
         else:

@@ -4,7 +4,8 @@ Every formula in this package is written against plain arithmetic operators so
 the same code runs over exact rationals (the stdlib Fraction: always reduced,
 positive denominator, exact field operations), float64, `Dual` numbers, or
 `Cleared` rationals, which are never reduced and so take no gcd; the exact
-orbit rows and the verify suites run over `Cleared`.
+orbit rows run over `Cleared`, and the verify suites over a point's
+common-denominator `Cleared` image (`Cleared.common`).
 A directional derivative is one dual pass (`jvp`), a gradient one per
 coordinate; ranks over the rationals use fraction-free integer elimination.
 """
@@ -69,8 +70,9 @@ class Dual:
     deriv: object
 
     def __add__(self, other):
-        o = _lift(other)
-        return Dual(self.value + o.value, self.deriv + o.deriv)
+        if not isinstance(other, Dual):  # a plain scalar adds to the value alone
+            return Dual(self.value + other, self.deriv)
+        return Dual(self.value + other.value, self.deriv + other.deriv)
 
     __radd__ = __add__
 
@@ -83,8 +85,9 @@ class Dual:
         return Dual(o.value - self.value, o.deriv - self.deriv)
 
     def __mul__(self, other):
-        o = _lift(other)
-        return Dual(self.value * o.value, self.value * o.deriv + self.deriv * o.value)
+        if not isinstance(other, Dual):
+            return Dual(self.value * other, self.deriv * other)
+        return Dual(self.value * other.value, self.value * other.deriv + self.deriv * other.value)
 
     __rmul__ = __mul__
 
@@ -170,10 +173,19 @@ class Cleared:
             return q
         return cls(q.numerator, (q.denominator,) if q.denominator != 1 else ())
 
+    @classmethod
+    def common(cls, x) -> tuple:
+        """The int or Fraction point x over one shared denominator D, the lcm of
+        its denominators: x_i = Cleared(p_i * (D // q_i), (D,)), no factor if D = 1.
+        Sums of its coordinates then add numerators over equal denominators."""
+        d = math.lcm(*(q.denominator for q in x))
+        den = (d,) if d != 1 else ()
+        return tuple(cls(q.numerator * (d // q.denominator), den) for q in x)
+
     def __add__(self, other):
         if type(other) is int:  # the formulas' literals, without a lift
-            return Cleared(self.n + other * math.prod(self.den), self.den)
-        o = Cleared.of(other)
+            return Cleared(self.n + other * math.prod(self.den), self.den) if other else self
+        o = other if type(other) is Cleared else Cleared.of(other)
         if not o.n or self.den == o.den:
             return Cleared(self.n + o.n, self.den)
         rest, extra = _cancel(self.den, o.den)
@@ -191,13 +203,15 @@ class Cleared:
         return -self + other
 
     def __mul__(self, other):
-        o = Cleared.of(other)
+        if type(other) is int:
+            return Cleared(self.n * other, self.den)
+        o = other if type(other) is Cleared else Cleared.of(other)
         return Cleared(self.n * o.n, self.den + o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = Cleared.of(other)
+        o = other if type(other) is Cleared else Cleared.of(other)
         if not o.n:
             raise ZeroDivisionError("Cleared division by zero")
         rest, extra = _cancel(self.den, o.den)
@@ -209,10 +223,10 @@ class Cleared:
 
     def __eq__(self, other):
         if type(other) is int:  # the zero tests, without a lift
-            return self.n == other * math.prod(self.den)
+            return self.n == other * math.prod(self.den) if other else not self.n
         if not isinstance(other, (int, Fraction, Cleared)):
             return NotImplemented
-        o = Cleared.of(other)
+        o = other if type(other) is Cleared else Cleared.of(other)
         rest, extra = _cancel(self.den, o.den)
         return self.n * math.prod(extra) == o.n * math.prod(rest)
 

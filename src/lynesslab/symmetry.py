@@ -28,8 +28,6 @@ checks it directly. All residuals are exact zeros over rational inputs.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
-from operator import mul
 
 from .errors import DimensionError
 from .invariants import eval_v1, eval_v2, eval_v3
@@ -40,41 +38,47 @@ from .scalars import Dual, jvp
 def _links(x) -> list:
     """[L_1, ..., L_{k-1}] with L_i = 1 + x_i + x_{i+1}, built once per point.
     Chains are products over slices of it, taken left to right from 1 or from
-    a running left-to-right prefix product (the same order of multiplications);
-    any other grouping, say prefix times suffix products, changes float roundings."""
+    a prefix product carried through the loop over components (the same order
+    of multiplications); any other grouping, say prefix times suffix products,
+    changes float roundings."""
     return [1 + x[i] + x[i + 1] for i in range(len(x) - 1)]
 
 
 @validated
 def symmetry_vector(p: Params, x) -> tuple:
-    """X(x), exact over rational coordinates. Defined for k >= 3."""
+    """X(x), exact over rational coordinates. Defined for k >= 3.
+
+    At middle component i (0-based) the loop carries the left-to-right prefixes
+    link_head = prod links[:i-1] and x_head = prod x[:i], one multiplication
+    each per component; the last component takes the values they end with.
+    sum(x) is sum(x[:k-1]) + x[k-1], the same additions in the same order."""
     if p.k < 3:
         raise DimensionError(f"the symmetry field needs k >= 3, got k={p.k}")
     k, a = p.k, p.a
     links = _links(x)
-    # running prefixes: link_heads[j] = prod links[:j], x_heads[j] = prod x[:j]
-    link_heads = list(accumulate(links[:-1], mul, initial=1))
-    x_heads = list(accumulate(x[:-1], mul, initial=1))
-    middle = a + sum(x) + x[0] * x[k - 1]
+    head_sum = sum(x[: k - 1])
+    middle = a + (head_sum + x[k - 1]) + x[0] * x[k - 1]
     out = [
         (x[0] + 1)
         * math.prod(links[1:])
-        * (a + sum(x[: k - 1]) - x[1] * x[k - 1])
+        * (a + head_sum - x[1] * x[k - 1])
         / math.prod(x[1:])
     ]
+    link_head, x_head = 1, x[0]
     for i in range(1, k - 1):  # 0-based middle components, chain M_{i+1}
         out.append(
             (x[i] + 1)
-            * math.prod(links[i + 1 :], start=link_heads[i - 1])
+            * math.prod(links[i + 1 :], start=link_head)
             * middle
             * (x[i - 1] - x[i + 1])
-            / math.prod(x[i + 1 :], start=x_heads[i])
+            / math.prod(x[i + 1 :], start=x_head)
         )
+        link_head, x_head = link_head * links[i - 1], x_head * x[i]
     last = (
         -(x[k - 1] + 1)
-        * link_heads[-1]
+        * link_head
         * (a + sum(x[1:]) - x[0] * x[k - 2])
-        / x_heads[-1]
+        / x_head
     )
     out.append(last)
     return tuple(out)

@@ -163,7 +163,8 @@ def _checks_for(p: Params):
 
 def run_suites(k: int, a, trials: int, seed: int) -> list:
     """All applicable identity suites for one (k, a); exact arithmetic only: each
-    point is drawn as Fractions, validated, and checked on its Cleared image."""
+    point is drawn as Fractions, validated, and checked on its common-denominator
+    Cleared image (`Cleared.common`)."""
     p = Params(k, Fraction(a))
     results = []
     for name, na_note, check in _checks_for(p):
@@ -175,7 +176,7 @@ def run_suites(k: int, a, trials: int, seed: int) -> list:
         rng = stream(f"{seed}|k={k}|a={p.a}|{name}", seed)
         failures = 0
         for _ in range(trials):
-            x = tuple(map(Cleared.of, require_point(p, random_point(rng, k))))
+            x = Cleared.common(require_point(p, random_point(rng, k)))
             if not check(x):
                 failures += 1
         results.append(

@@ -207,3 +207,61 @@ def test_int_fraction_mixed_and_float_states_keep_their_types():
         got = _same(p, states)
         if kind is not None:
             assert {type(s.v1) for s in got} == {kind}
+
+
+@SETTINGS
+@given(x=st.lists(rationals | st.integers(-50, 50), min_size=1, max_size=8))
+def test_the_common_denominator_image_has_the_point_values_over_one_denominator(x):
+    image = Cleared.common(x)
+    d = math.lcm(*(Fraction(q).denominator for q in x))
+    assert [c.fraction() for c in image] == [Fraction(q) for q in x]
+    assert {c.den for c in image} == {(d,) if d != 1 else ()}
+
+
+def test_the_common_denominator_image_of_an_integer_point_has_no_factor():
+    image = Cleared.common((Fraction(3), 1, Fraction(-4, 2)))
+    assert [(c.n, c.den) for c in image] == [(3, ()), (1, ()), (-2, ())]
+    assert [c.fraction() for c in image] == [3, 1, -2]
+
+
+class Factor(int):
+    """A denominator factor that counts the products it enters."""
+
+    products = 0
+
+    def __mul__(self, other):
+        Factor.products += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+def test_int_operands_and_coordinate_sums_form_no_denominator_product(monkeypatch):
+    q = (Fraction(3, 2), Fraction(-7, 6), 0, Fraction(9, 4))
+    d = Factor(Cleared.common(q)[0].den[0])
+    x = tuple(Cleared(c.n, (d,)) for c in Cleared.common(q))  # the image, counted factor
+    c = x[1]
+    calls = []
+    real = math.gcd
+    monkeypatch.setattr(math, "gcd", lambda *args: calls.append(args) or real(*args))
+    Factor.products = 0
+    got = (c - 0, c * 0, c * 5, -3 * c, sum(x), x[0] - x[3], x[0] + x[1] - x[3])
+    tests = (c == 0, 0 == c, c != 0, x[2] == 0, x[2] != 0, x[0] == x[1])
+    assert (c + 0) is c and (0 + c) is c
+    assert Factor.products == 0 and not calls  # before value() below takes its own
+    assert tests == (False, False, True, True, False, False)
+    assert [value(g) for g in got] == [q[1], 0, 5 * q[1], -3 * q[1], sum(q), q[0] - q[3],
+                                       q[0] + q[1] - q[3]]
+    Factor.products = 0
+    assert (c == -7) is False
+    assert Factor.products == 1  # a nonzero int is compared over the denominator
+
+
+@SETTINGS
+@given(a=cleared, m=st.integers(-50, 50))
+def test_int_fast_paths_agree_with_fraction(a, m):
+    x = value(a)
+    for got, want in ((a + 0, x), (a - 0, x), (a * 0, 0), (a * m, x * m), (m * a, m * x),
+                      (a + m, x + m)):
+        assert isinstance(got, Cleared) and value(got) == want
+    assert (a == 0, 0 == a, a == m, m == a, a != m) == (x == 0, x == 0, x == m, m == x, x != m)

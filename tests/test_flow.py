@@ -1,10 +1,15 @@
 """Flow integration: conservation drift, equilibria, determinism, boundary
-truncation, the adaptive integrator, and the orbit-transport probe."""
+truncation, the adaptive integrator, the orbit-transport probe, and RK4
+states bit for bit those of the field built from `accumulate` prefix lists."""
 
+import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import pytest
 
+from lynesslab import flow
 from lynesslab.flow import (
     METHODS,
     integrate_flow,
@@ -12,6 +17,7 @@ from lynesslab.flow import (
     transport_diagnostic,
 )
 from lynesslab.lyness import Params
+from lynesslab.symmetry import symmetry_vector
 
 P44 = Params(4, Fraction(4))
 X1234 = (Fraction(1), Fraction(2), Fraction(3), Fraction(4))
@@ -138,3 +144,32 @@ def test_adaptive_integrator_truncates_at_the_boundary_event():
     assert trace.boundary_hit
     assert trace.states
     assert all(c > 0 for s in trace.states for c in s)
+
+
+def _accumulate_field(p, x):
+    """The field as it was built from two `accumulate` prefix lists, kept as the
+    reference for the loop-carried prefixes of `symmetry_vector.kernel`."""
+    k, a = p.k, p.a
+    links = [1 + x[i] + x[i + 1] for i in range(k - 1)]
+    link_heads = list(accumulate(links[:-1], mul, initial=1))
+    x_heads = list(accumulate(x[:-1], mul, initial=1))
+    middle = a + sum(x) + x[0] * x[k - 1]
+    out = [(x[0] + 1) * math.prod(links[1:]) * (a + sum(x[: k - 1]) - x[1] * x[k - 1])
+           / math.prod(x[1:])]
+    for i in range(1, k - 1):
+        out.append((x[i] + 1) * math.prod(links[i + 1 :], start=link_heads[i - 1]) * middle
+                   * (x[i - 1] - x[i + 1]) / math.prod(x[i + 1 :], start=x_heads[i]))
+    out.append(-(x[k - 1] + 1) * link_heads[-1] * (a + sum(x[1:]) - x[0] * x[k - 2])
+               / x_heads[-1])
+    return tuple(out)
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_rk4_states_are_those_of_the_accumulate_field(k, monkeypatch):
+    p = Params(k, 0.7)
+    x0 = tuple(1.0 + 0.37 * i for i in range(k))
+    got, hit = flow._rk4(p, x0, 1e-4, 40)
+    monkeypatch.setattr(symmetry_vector, "kernel", _accumulate_field)
+    want, want_hit = flow._rk4(p, x0, 1e-4, 40)
+    assert (len(got), hit) == (len(want), want_hit) == (41, False)
+    assert [[c.hex() for c in x] for x in got] == [[c.hex() for c in x] for x in want]

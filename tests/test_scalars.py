@@ -10,7 +10,7 @@ import pytest
 from lynesslab.errors import DomainError
 from lynesslab.invariants import eval_v1, eval_v2, eval_v3, eval_w
 from lynesslab.lyness import Params
-from lynesslab.scalars import Dual, RatMatrix, exact_rank, gradient, jvp, parse_rational
+from lynesslab.scalars import Cleared, Dual, RatMatrix, exact_rank, gradient, jvp, parse_rational
 
 
 def test_parse_rational_accepts_common_forms():
@@ -194,3 +194,17 @@ def test_ratmatrix_validates_shape():
         RatMatrix([[Fraction(1)], [Fraction(1), Fraction(2)]])
     empty = RatMatrix([])
     assert empty.nrows == 0 and empty.ncols == 0 and exact_rank(empty) == 0
+
+
+def test_dual_with_a_plain_operand_equals_the_lifted_result():
+    cleared = (Cleared(-3, (4,)), Cleared(0, (2, 5)), Cleared(5))
+    duals = [Dual(Fraction(5, 3), Fraction(-2, 7)), Dual(Fraction(1, 2), 0), Dual(*cleared[:2]),
+             Dual(cleared[2], cleared[0])]
+    for u in duals:
+        for o in (0, 3, -1, Fraction(-2, 5), Fraction(0), *cleared):
+            lifted = Dual(o, 0)
+            pairs = [(u + o, u + lifted), (u * o, u * lifted)]
+            if not isinstance(o, Cleared):  # a Cleared takes no Dual operand
+                pairs += [(o + u, lifted + u), (o * u, lifted * u)]
+            for got, want in pairs:
+                assert (got.value == want.value, got.deriv == want.deriv) == (True, True)

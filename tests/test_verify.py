@@ -1,8 +1,9 @@
 """Identity suites: each drawn point is validated once per trial, the shift
 law and the symmetry condition evaluate the field once at x and once at F(x),
 integral annihilation evaluates it once, a wrong field fails every suite
-that uses it, and every check gives the same verdict on a `Cleared` point as
-on the `Fraction` point it was made from."""
+that uses it, every check gives the same verdict on both `Cleared` images of
+a point as on the `Fraction` point they were made from, and the suites check
+the common-denominator image of each drawn point."""
 
 from fractions import Fraction
 
@@ -115,8 +116,15 @@ def test_symmetry_condition_evaluates_the_field_twice_and_builds_no_jacobian(k, 
     assert len(calls) == 2 * trials
 
 
+def _cleared_verdict(check, x):
+    """The verdict on both Cleared images of x, one denominator per coordinate
+    and one common denominator, or None where the two differ."""
+    own, common = check(tuple(map(Cleared.of, x))), check(Cleared.common(x))
+    return own if own == common else None
+
+
 def _verdicts(k, points=5):
-    """{(a, suite): [(verdict on the Fraction point, on its Cleared image)]} over
+    """{(a, suite): [(verdict on the Fraction point, on its Cleared images)]} over
     seeded points, for every suite that applies to k."""
     out = {}
     for a in (Fraction(0), Fraction(1), Fraction(7, 3)):
@@ -125,7 +133,7 @@ def _verdicts(k, points=5):
             if na_note is None:
                 rng = stream(f"backends|k={k}|a={a}|{name}", 0)
                 xs = [lyness.require_point(p, random_point(rng, k)) for _ in range(points)]
-                out[a, name] = [(check(x), check(tuple(map(Cleared.of, x)))) for x in xs]
+                out[a, name] = [(check(x), _cleared_verdict(check, x)) for x in xs]
     return out
 
 
@@ -148,3 +156,24 @@ def test_a_broken_field_fails_on_both_backends(k, monkeypatch):
     for (a, name), pairs in _verdicts(k).items():
         want = name not in FIELD_SUITES
         assert all(pair == (want, want) for pair in pairs), (a, name)
+
+
+@pytest.mark.parametrize("k", [3, 6])
+def test_suites_check_the_common_denominator_image_of_each_drawn_point(k, monkeypatch):
+    drawn, checked = [], []
+    real = lyness.require_point
+
+    def recording(p, x):
+        drawn.append(real(p, x))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify, "require_point", recording)
+    checks = verify._checks_for
+    monkeypatch.setattr(verify, "_checks_for", lambda p: [
+        (name, note, lambda x, check=check: checked.append(x) or check(x))
+        for name, note, check in checks(p)])
+    assert all(r.failures == 0 for r in run_suites(k, Fraction(7, 3), 2, 0))
+    assert len(checked) == len(drawn) > 0
+    for x, image in zip(drawn, checked):
+        assert [c.fraction() for c in image] == list(x)
+        assert len({c.den for c in image}) == 1
