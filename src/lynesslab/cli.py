@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -181,15 +182,16 @@ def _write_orbit(p: Params, x0, steps: int, proj, fmt: str, fh) -> None:
     header = ["n"] + [f"x{i}" for i in proj] + ["V1", "V2"] + ["V3", "signZ"] * (p.k % 2)
     if fmt == "csv":
         fh.write(",".join(header) + "\n")
+        template = ",".join(["%s"] * len(header)) + "\n"
+    else:  # a cell holds only digits and . e + - /, which json.dumps does not escape,
+        # so filling this with str(cell) gives json.dumps(dict(zip(header, row)))
+        template = json.dumps(dict.fromkeys(header, "%s")) + "\n"
+    pick = operator.itemgetter(*(i - 1 for i in proj))
+    odd = p.k % 2 == 1
     states, levels = itertools.tee(orbit(p, x0, steps))
     for n, (x, sig) in enumerate(zip(states, level_signatures(p, levels))):
-        row = [str(n)] + [str(x[i - 1]) for i in proj] + [str(sig.v1), str(sig.v2)]
-        if p.k % 2 == 1:
-            row += [str(sig.v3), str(sig.z_sign)]
-        if fmt == "csv":
-            fh.write(",".join(row) + "\n")
-        else:
-            fh.write(json.dumps(dict(zip(header, row))) + "\n")
+        row = (n, *pick(x), sig.v1, sig.v2, sig.v3, sig.z_sign) if odd else (n, *pick(x), sig.v1, sig.v2)
+        fh.write(template % row)
     if n < steps:
         print(f"warning: float orbit left the domain at step {n + 1}", file=sys.stderr)
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .errors import DimensionError
 from .lyness import Params, require_point, validated
-from .scalars import Cleared, RatMatrix, exact_rank, gradient
+from .scalars import Cleared, RatMatrix, exact_kinds, exact_rank, gradient
 
 
 # Each formula is written once, over the pieces the integrals share: S, the
@@ -157,8 +157,7 @@ def level_signatures(p: Params, states):
         return
     prev = LevelSignature(None, None)
     for x in states:
-        kinds = {type(p.a), *map(type, x)}
-        if not (kinds <= {int, Fraction} and Fraction in kinds):  # all int gives floats
+        if not exact_kinds((p.a, *x)):
             yield level_signature.kernel(p, x)
             continue
         sig = level_signature.kernel(p, tuple(map(Cleared.of, x)))

@@ -144,6 +144,14 @@ def gradient(f, x):
     return tuple(jvp(f, x, [int(j == i) for j in range(len(x))]) for i in range(len(x)))
 
 
+def exact_kinds(values) -> bool:
+    """Whether every value is an int or Fraction and one is a Fraction: the
+    inputs whose arithmetic `Cleared` repeats exactly (all-int ones divide
+    to floats)."""
+    kinds = set(map(type, values))
+    return kinds <= {int, Fraction} and Fraction in kinds
+
+
 def _cancel(d1, d2):
     """d1 and d2 less their shared factors: each factor of d2 cancels one equal one of d1."""
     rest, extra = list(d1), []
@@ -159,7 +167,8 @@ class Cleared:
     """Exact rational n / prod(den) that is never reduced, den a tuple of positive
     integer factors. Operations and equality with int, Fraction or Cleared
     operands only multiply integers and cancel factors shared by two
-    denominators: no gcd."""
+    denominators: no gcd. Any other operand type gets NotImplemented, so its
+    own reflected operation runs (a `Dual` takes a `Cleared` value part)."""
 
     __slots__ = ("n", "den")
 
@@ -185,11 +194,12 @@ class Cleared:
     def __add__(self, other):
         if type(other) is int:  # the formulas' literals, without a lift
             return Cleared(self.n + other * math.prod(self.den), self.den) if other else self
-        o = other if type(other) is Cleared else Cleared.of(other)
-        if not o.n or self.den == o.den:
-            return Cleared(self.n + o.n, self.den)
-        rest, extra = _cancel(self.den, o.den)
-        return Cleared(self.n * math.prod(extra) + o.n * math.prod(rest), self.den + tuple(extra))
+        if type(other) is not Cleared:
+            return self + Cleared.of(other) if isinstance(other, (int, Fraction)) else NotImplemented
+        if not other.n or self.den == other.den:
+            return Cleared(self.n + other.n, self.den)
+        rest, extra = _cancel(self.den, other.den)
+        return Cleared(self.n * math.prod(extra) + other.n * math.prod(rest), self.den + tuple(extra))
 
     __radd__ = __add__
 
@@ -197,38 +207,41 @@ class Cleared:
         return Cleared(-self.n, self.den)
 
     def __sub__(self, other):
-        return self + -Cleared.of(other)
+        if type(other) is Cleared or isinstance(other, (int, Fraction)):
+            return self.__add__(-other)
+        return NotImplemented
 
     def __rsub__(self, other):
-        return -self + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if type(other) is int:
             return Cleared(self.n * other, self.den)
-        o = other if type(other) is Cleared else Cleared.of(other)
-        return Cleared(self.n * o.n, self.den + o.den)
+        if type(other) is not Cleared:
+            return self * Cleared.of(other) if isinstance(other, (int, Fraction)) else NotImplemented
+        return Cleared(self.n * other.n, self.den + other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = other if type(other) is Cleared else Cleared.of(other)
-        if not o.n:
+        if type(other) is not Cleared:
+            return self / Cleared.of(other) if isinstance(other, (int, Fraction)) else NotImplemented
+        if not other.n:
             raise ZeroDivisionError("Cleared division by zero")
-        rest, extra = _cancel(self.den, o.den)
+        rest, extra = _cancel(self.den, other.den)
         n = self.n * math.prod(extra)
-        return Cleared(n if o.n > 0 else -n, (*rest, abs(o.n)))
+        return Cleared(n if other.n > 0 else -n, (*rest, abs(other.n)))
 
     def __rtruediv__(self, other):
-        return Cleared.of(other) / self
+        return Cleared.of(other) / self if isinstance(other, (int, Fraction)) else NotImplemented
 
     def __eq__(self, other):
         if type(other) is int:  # the zero tests, without a lift
             return self.n == other * math.prod(self.den) if other else not self.n
-        if not isinstance(other, (int, Fraction, Cleared)):
-            return NotImplemented
-        o = other if type(other) is Cleared else Cleared.of(other)
-        rest, extra = _cancel(self.den, o.den)
-        return self.n * math.prod(extra) == o.n * math.prod(rest)
+        if type(other) is not Cleared:
+            return self == Cleared.of(other) if isinstance(other, (int, Fraction)) else NotImplemented
+        rest, extra = _cancel(self.den, other.den)
+        return self.n * math.prod(extra) == other.n * math.prod(rest)
 
     @property
     def sign(self) -> int:

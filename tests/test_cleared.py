@@ -14,7 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 from lynesslab.errors import DomainError  # noqa: E402
 from lynesslab.invariants import eval_z, level_signature, level_signatures  # noqa: E402
 from lynesslab.lyness import Params, orbit  # noqa: E402
-from lynesslab.scalars import Cleared, jvp  # noqa: E402
+from lynesslab.scalars import Cleared, Dual, jvp  # noqa: E402
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=60)
@@ -132,6 +132,22 @@ def test_equality_with_other_types_is_false_and_does_not_raise():
     assert (c == None) is False and (c == 1.5) is False  # noqa: E711
     assert c != None and c != 1.5  # noqa: E711
     assert c.__eq__(1.5) is NotImplemented and c.__hash__ is None
+
+
+def test_operations_with_other_types_are_not_implemented_so_the_other_side_runs():
+    c = Cleared(5, (3,))
+    names = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+             "__truediv__", "__rtruediv__")
+    for other in (Dual(1, 0), 1.5, None, "1"):
+        assert all(getattr(c, name)(other) is NotImplemented for name in names)
+    d = Dual(Fraction(1, 2), Fraction(-3))
+    for got, want in ((c + d, d + c), (c - d, -(d - c)), (c * d, d * c),
+                      (c / d, Dual(c, 0) / d), (d / c, d / Dual(c, 0))):
+        assert (got.value == want.value, got.deriv == want.deriv) == (True, True)
+    with pytest.raises(TypeError):
+        c + 1.5
+    with pytest.raises(TypeError):
+        "1" - c
 
 
 def test_jvp_over_cleared_takes_the_exact_derivative_and_reports_a_pole():

@@ -2,6 +2,7 @@
 environment seeding, and byte-level determinism."""
 
 import hashlib
+import io
 import json
 import os
 import sys
@@ -11,6 +12,8 @@ import pytest
 
 from lynesslab import cli
 from lynesslab.cli import main
+from lynesslab.invariants import level_signature
+from lynesslab.lyness import Params, float_point, orbit
 
 
 def _lines(path):
@@ -332,6 +335,27 @@ def test_output_bytes_match_pinned_digests(name, tmp_path, capsys):
     if "OUT" in argv:
         h.update(out_file.read_bytes())
     assert h.hexdigest() == digest
+
+
+def _reference_rows(p, x0, steps, proj, fmt):
+    """The orbit rows cell by cell: str of each value, json.dumps per JSONL row."""
+    header = ["n"] + [f"x{i}" for i in proj] + ["V1", "V2"] + ["V3", "signZ"] * (p.k % 2)
+    lines = [",".join(header)] if fmt == "csv" else []
+    for n, x in enumerate(orbit(p, x0, steps)):
+        sig = level_signature.kernel(p, x)
+        row = [n] + [x[i - 1] for i in proj] + [sig.v1, sig.v2]
+        row = [str(c) for c in row + ([sig.v3, sig.z_sign] if p.k % 2 else [])]
+        lines.append(",".join(row) if fmt == "csv" else json.dumps(dict(zip(header, row))))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("k, a, proj", [(5, 0, (1, 2, 3, 4, 5)), (6, 1e-3, (6, 1, 2)), (3, 1e6, (2, 3, 1))])
+def test_orbit_rows_equal_str_cells_and_json_dumps(k, a, proj, fmt):
+    p, x0 = float_point(Params(k, a), [1e-4 * 3**i for i in range(k)])
+    fh = io.StringIO()
+    cli._write_orbit(p, x0, 200, proj, fmt, fh)
+    assert fh.getvalue() == _reference_rows(p, x0, 200, proj, fmt)
 
 
 def test_float_runs_compute_with_a_in_float64_and_print_it_as_given(monkeypatch, capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lynesslab import reduction
 from lynesslab.errors import DimensionError, DomainError
 from lynesslab.invariants import eval_w
 from lynesslab.lyness import Params, step
@@ -19,6 +20,7 @@ from lynesslab.reduction import (
     semiconjugacy_residual,
 )
 from lynesslab.sampling import random_point, stream
+from lynesslab.scalars import Cleared
 
 
 def test_reduced_step_k3_golden():
@@ -107,6 +109,10 @@ def test_reduced_states_must_be_positive():
         reduced_step_k3(rp, (Fraction(1), Fraction(-3)))
     with pytest.raises(DomainError):
         lift_k5(rp, (Fraction(1), Fraction(0), Fraction(2), Fraction(3)))
+    with pytest.raises(DomainError):
+        reduced_step_k5(rp, (Fraction(1), Fraction(2), Fraction(-2), Fraction(3)))
+    with pytest.raises(DomainError):
+        lift_k3(rp, (Fraction(0), Fraction(1)))
 
 
 def test_projection_keeps_the_documented_coordinates():
@@ -127,3 +133,90 @@ def test_replay_yields_each_reduced_state_with_its_gap():
     assert all(gap == 0 for _y, gap in rows)
     rp = ReducedParams(a=p.a, kappa=1 / eval_w(p, x0))
     assert rows[2][0] == reduced_step_k3(rp, rows[1][0])
+
+
+def _fraction_replay(p, x0, n):
+    """The replay on Fraction alone, as the reference: every reduced step is
+    reduced with gcd and subtracted from the projected F^2 state."""
+    full = tuple(x0)
+    rp = ReducedParams(a=p.a, kappa=1 / eval_w.kernel(p, full))
+    advance = (reduced_step_k3 if p.k == 3 else reduced_step_k5).kernel
+    reduced = project(p, full)
+    for j in range(n + 1):
+        if j:
+            reduced = advance(rp, reduced)
+            full = step.kernel(p, step.kernel(p, full))
+        yield reduced, max(abs(r - f) for r, f in zip(reduced, project(p, full)))
+
+
+def _typed(rows):
+    return [(y, tuple(map(type, y)), gap, type(gap)) for y, gap in rows]
+
+
+REPLAY_CASES = [(k, a) for k in (3, 5) for a in (0, 1, Fraction(7, 3))]
+
+
+def _points(k, a, count=3):
+    rng = stream(f"replay|{k}|{a}", 0)
+    return [random_point(rng, k) for _ in range(count)]
+
+
+@pytest.mark.parametrize("k, a", REPLAY_CASES)
+def test_replay_equals_the_fraction_loop_in_value_and_type(k, a):
+    p = Params(k, a)
+    for x0 in _points(k, a):
+        assert _typed(replay(p, x0, 30)) == _typed(_fraction_replay(p, x0, 30))
+
+
+def test_a_float_replay_equals_the_fraction_loop_run_on_floats():
+    for k in (3, 5):
+        p = Params(k, 1.0)
+        for x0 in _points(k, "float"):
+            x0 = tuple(map(float, x0))
+            got = list(replay(p, x0, 30))
+            assert _typed(got) == _typed(_fraction_replay(p, x0, 30))
+            assert any(gap for _y, gap in got)  # rounding shows, so both paths ran
+
+
+def _plus_one(real):
+    def kernel(rp, y):
+        out = real(rp, y)
+        return (*out[:-1], out[-1] + 1)
+    return kernel
+
+
+def _double_kappa(real):
+    return lambda rp, y: real(ReducedParams(a=rp.a, kappa=2 * rp.kappa), y)
+
+
+@pytest.mark.parametrize("k, a", REPLAY_CASES)
+@pytest.mark.parametrize("perturb", [_plus_one, _double_kappa])
+def test_a_broken_reduced_step_gives_the_reference_rows_and_residual(k, a, perturb, monkeypatch):
+    public = reduced_step_k3 if k == 3 else reduced_step_k5
+    monkeypatch.setattr(public, "kernel", perturb(public.kernel))
+    p = Params(k, a)
+    for x0 in _points(k, a, 2):
+        want = _typed(_fraction_replay(p, x0, 12))
+        assert _typed(replay(p, x0, 12)) == want
+        residual = semiconjugacy_residual(p, x0, 12)
+        assert residual > 0 and residual == max(gap for *_y, gap, _t in want)
+
+
+def test_a_valid_exact_replay_reduces_nothing_and_checks_the_domain_once(monkeypatch):
+    counts = {"fraction": 0, "positive": 0}
+    real_fraction, real_positive = Cleared.fraction, reduction._positive
+
+    def fraction(self, hint=None):
+        counts["fraction"] += 1
+        return real_fraction(self, hint)
+
+    def positive(coords):
+        counts["positive"] += 1
+        return real_positive(coords)
+
+    monkeypatch.setattr(Cleared, "fraction", fraction)
+    monkeypatch.setattr(reduction, "_positive", positive)
+    for k, a in REPLAY_CASES:
+        for x0 in _points(k, a, 2):
+            assert all(gap == 0 for _y, gap in replay(Params(k, a), x0, 30))
+    assert counts == {"fraction": 0, "positive": 0}

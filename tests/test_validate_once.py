@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from lynesslab import dynamics, invariants, lyness
+from lynesslab import dynamics, invariants, lyness, reduction
 from lynesslab.dynamics import odd_period_guard
 from lynesslab.flow import METHODS, integrate_flow, transport_diagnostic
 from lynesslab.invariants import independence_rank
 from lynesslab.lyness import Params
+from lynesslab.reduction import replay
 
 P44 = Params(4, Fraction(4))
 X1234 = (Fraction(1), Fraction(2), Fraction(3), Fraction(4))
@@ -36,6 +37,9 @@ DRIVERS = {
     "odd_period_guard": (
         lambda n: odd_period_guard(Params(3, Fraction(1)), Z0_POINT, n), 10, 1000, 2,
     ),
+    "replay": (
+        lambda n: list(replay(Params(5, Fraction(1)), (Fraction(1),) * 5, n)), 5, 50, 1,
+    ),
 }
 
 
@@ -50,7 +54,7 @@ def test_drivers_validate_once_whatever_the_work(name, monkeypatch):
         return real(p, x)
 
     # flow validates through lyness.float_point, so it needs no patch of its own
-    for module in (lyness, invariants, dynamics):
+    for module in (lyness, invariants, dynamics, reduction):
         monkeypatch.setattr(module, "require_point", counting)
     counts = []
     for size in (small, large):
