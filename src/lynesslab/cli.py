@@ -27,7 +27,7 @@ from fractions import Fraction
 from .errors import DimensionError, DomainError
 from .flow import METHODS, integrate_flow, invariant_drift
 from .invariants import eval_w, level_signatures
-from .lyness import Params, float_point, orbit
+from .lyness import Params, float_point, orbit, require_point
 from .reduction import replay
 from .scalars import parse_rational
 from .verify import FAIL, run_suites
@@ -177,8 +177,9 @@ def cmd_verify(args) -> int:
 
 
 def _write_orbit(p: Params, x0, steps: int, proj, fmt: str, fh) -> None:
-    """Rows of the orbit of x0, exact or float as x0 is; a float orbit that
-    leaves the domain ends early with a warning."""
+    """Rows of the orbit of x0, exact or float as x0 is, from a start that
+    `float_point` or `require_point` has checked; a float orbit that leaves
+    the domain ends early with a warning."""
     header = ["n"] + [f"x{i}" for i in proj] + ["V1", "V2"] + ["V3", "signZ"] * (p.k % 2)
     if fmt == "csv":
         fh.write(",".join(header) + "\n")
@@ -188,7 +189,7 @@ def _write_orbit(p: Params, x0, steps: int, proj, fmt: str, fh) -> None:
         template = json.dumps(dict.fromkeys(header, "%s")) + "\n"
     pick = operator.itemgetter(*(i - 1 for i in proj))
     odd = p.k % 2 == 1
-    states, levels = itertools.tee(orbit(p, x0, steps))
+    states, levels = itertools.tee(orbit.kernel(p, x0, steps))
     for n, (x, sig) in enumerate(zip(states, level_signatures(p, levels))):
         row = (n, *pick(x), sig.v1, sig.v2, sig.v3, sig.z_sign) if odd else (n, *pick(x), sig.v1, sig.v2)
         fh.write(template % row)
@@ -202,8 +203,7 @@ def cmd_orbit(args) -> int:
     proj = _parse_proj(args.proj, p.k)
     if args.steps < 0:
         raise CliError(f"--steps must be >= 0, got {args.steps}")
-    if not args.exact:
-        p, x0 = float_point(p, x0)
+    p, x0 = (p, require_point(p, x0)) if args.exact else float_point(p, x0)
     digits = _full_digits() if args.exact else contextlib.nullcontext()
     with digits, _output(args.out) as fh:
         _write_orbit(p, x0, args.steps, proj, args.format, fh)
@@ -234,7 +234,7 @@ def cmd_flow(args) -> int:
     proj = _parse_proj(args.proj, p.k)
     method = _METHOD_ALIASES[args.method]
     try:  # the float run computes with a in float64; the report prints p.a as given
-        trace = integrate_flow(*float_point(p, x0), args.dt, args.t_max, method=method)
+        trace = integrate_flow(p, x0, args.dt, args.t_max, method=method)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -276,7 +276,7 @@ def cmd_reduce(args) -> int:
         for n, (y, gap) in enumerate(replay(p, x0, args.steps)):
             fh.write(",".join([str(n)] + [str(c) for c in y]) + "\n")
             residual = max(residual, gap)
-        print(f"kappa = {1 / eval_w(p, x0)}")
+        print(f"kappa = {1 / eval_w.kernel(p, x0)}")  # x0 passed replay's check
         print(f"semiconjugacy residual over {args.steps} double-steps: {residual}")
     return 0
 

@@ -96,8 +96,8 @@ def sample_g_point(p: Params, template) -> GPoint:
     def filled(t):
         return tuple(t if v is None else v for v in template)
 
-    def z_of(t):
-        return eval_z(p, filled(t))
+    def z_of(t):  # the nodes t > 0 fill a template checked above
+        return eval_z.kernel(p, filled(t))
 
     # Z is polynomial in t; each odd-position hole contributes degree 2,
     # each even-position hole degree 3 at most (t(t+1) times the linear sum).
@@ -156,7 +156,8 @@ def _float_root(p, coeffs, filled):
         if d == 0.0:
             break
         root -= _poly_eval(fc, root) / d
-    found = _g_point(p, tuple(float(c) for c in filled(root)))
+    # the float point is new: the conversion or Newton may leave the orthant
+    found = _g_point(p, require_point(p, map(float, filled(root))))
     if not found.residual <= 1e-12:
         raise NoRootError(f"could not refine the root below 1e-12 (|Z| = {found.residual:.3e})")
     return found
@@ -181,10 +182,11 @@ def _bisect(g, lo, hi, tol):
 
 
 def _g_point(p, point):
+    """GPoint of a point in the orthant: a positive root on a checked template."""
     return GPoint(
         point=point,
-        residual=abs(eval_z(p, point)),
-        image_residual=abs(eval_z(p, step(p, point))),
+        residual=abs(eval_z.kernel(p, point)),
+        image_residual=abs(eval_z.kernel(p, step.kernel(p, point))),
     )
 
 
@@ -207,7 +209,7 @@ def odd_period_guard(p: Params, x, max_odd_period: int) -> OddPeriodVerdict:
     z = eval_z.kernel(p, x)
     if z != 0:
         return OddPeriodVerdict(z_value=z, certified_no_odd_period=True)
-    for m, current in enumerate(orbit(p, x, max_odd_period)):
+    for m, current in enumerate(orbit.kernel(p, x, max_odd_period)):
         if m % 2 == 1 and current == x:
             return OddPeriodVerdict(
                 z_value=z, certified_no_odd_period=False, odd_period=m, checked_up_to=m
@@ -237,12 +239,12 @@ def v_profile(p: Params, x) -> tuple:
     if p.k != 5:
         raise DimensionError("the curve profile is defined for k=5")
     pt = two_periodic_point(p, x)
-    return (eval_v1(p, pt), eval_v2(p, pt), eval_v3(p, pt))
+    return (eval_v1.kernel(p, pt), eval_v2.kernel(p, pt), eval_v3.kernel(p, pt))
 
 
 def _v1_on_curve(p: Params, x):
     """V1 at the k=5 curve point of parameter x, in x's backend (float or Fraction)."""
-    return eval_v1(p, two_periodic_point(p, x))
+    return eval_v1.kernel(p, two_periodic_point(p, x))
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -320,7 +322,7 @@ def rotation_number(p: Params, x0, n: int) -> float:
         raise ValueError("need at least 10 samples")
     import numpy as np
 
-    states = orbit(*float_point(p, x0), 2 * (n - 1))
+    states = orbit.kernel(*float_point(p, x0), 2 * (n - 1))
     pts = np.array(list(itertools.islice(states, None, None, 2)))  # the F^2 orbit
     if len(pts) < n:
         raise DomainError("the float orbit left the domain before n samples")

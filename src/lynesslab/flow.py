@@ -126,7 +126,7 @@ def _integrate_rk45(p, x0, dt, t_max, trace):
     )
     if sol.status == -1:
         raise FlowError(f"adaptive integration failed: {sol.message}")
-    reached = sol.t[-1]
+    reached = float(sol.t[-1])
     n_steps = int(math.floor(reached / dt + 1e-9))
     trace.times = [min(j * dt, reached) for j in range(n_steps + 1)]
     trace.states = [tuple(float(v) for v in sol.sol(t)) for t in trace.times]

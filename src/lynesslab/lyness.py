@@ -89,12 +89,14 @@ def float_params(p: Params) -> Params:
     return Params(p.k, a)
 
 
-def validated(kernel):
-    """Public form of a pure kernel f(p, x, ...): validate x once, then run f."""
+def validated(kernel, check=None):
+    """Public form of a pure kernel f(p, x, ...): run check(p, x) once, by
+    default `require_point` as bound when the public form is called, then f
+    on the checked point."""
 
     @functools.wraps(kernel)
-    def public(p: Params, x, *args):
-        return kernel(p, require_point(p, x), *args)
+    def public(p, x, *args):
+        return kernel(p, (check or require_point)(p, x), *args)
 
     public.kernel = kernel
     return public
@@ -110,11 +112,11 @@ def inverse_step(p: Params, y) -> tuple:
     return ((p.a + sum(y[:-1])) / y[-1],) + y[:-1]
 
 
-def orbit(p: Params, x0, n: int):
-    """Yield x0 and then each image under F (F^-1 for n < 0), |n| images in
+@validated
+def orbit(p: Params, x, n: int):
+    """Yield x and then each image under F (F^-1 for n < 0), |n| images in
     all. Stops early at the first state outside 0 < c < inf: float overflow
     or underflow. The comparison also holds for tall rationals."""
-    x = require_point(p, x0)
     advance = step.kernel if n >= 0 else inverse_step.kernel
     yield x
     for _ in range(abs(n)):

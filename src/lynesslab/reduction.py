@@ -18,19 +18,20 @@ Conventions (pinned by golden tests):
 In both cases the reduced step equals the projection of F^2 applied to the
 lifted point, exactly over the rationals; `replay` steps both sides in one
 pass, and `semiconjugacy_residual` returns the largest deviation (zero when
-the convention holds). The public lifts and steps check that the reduced
-state is strictly positive, then run a pure kernel, reachable as `.kernel`.
+the convention holds). The lifts and steps are `lyness.validated` kernels
+whose check is that the reduced state is strictly positive.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 
 from .errors import DimensionError, DomainError
 from .invariants import eval_w
-from .lyness import Params, require_point, step
+from .lyness import Params, orbit, require_point, validated
 from .scalars import Cleared, exact_kinds
 
 
@@ -48,33 +49,21 @@ class ReducedParams:
             raise DomainError(f"kappa must be > 0, got {self.kappa!r}")
 
 
-def _positive(coords):
+def _positive(_rp: ReducedParams, coords) -> tuple:
     coords = tuple(coords)
     if not all(c > 0 for c in coords):
         raise DomainError(f"reduced state must be strictly positive: {coords}")
     return coords
 
 
-def _reduced(kernel):
-    """Public form of a pure kernel f(rp, y): check y > 0 once, then run f;
-    `replay` calls `.kernel` on states it has already checked."""
-
-    @functools.wraps(kernel)
-    def public(rp: ReducedParams, y) -> tuple:
-        return kernel(rp, _positive(y))
-
-    public.kernel = kernel
-    return public
-
-
-@_reduced
+@functools.partial(validated, check=_positive)
 def lift_k3(rp: ReducedParams, xz) -> tuple:
     """Insert the middle coordinate so the lifted point sits on {W = 1/kappa}."""
     x, z = xz
     return (x, rp.kappa * (x + 1) * (z + 1), z)
 
 
-@_reduced
+@functools.partial(validated, check=_positive)
 def reduced_step_k3(rp: ReducedParams, xz) -> tuple:
     x, z = xz
     return (z, (rp.a + rp.kappa + z * (rp.kappa + 1)) / (rp.kappa * x * (z + 1)))
@@ -85,14 +74,14 @@ def _c_k5(rp: ReducedParams, z, s):
     return rp.kappa * (s + 1) * (z + 1)
 
 
-@_reduced
+@functools.partial(validated, check=_positive)
 def lift_k5(rp: ReducedParams, xyzs) -> tuple:
     """Insert the fourth coordinate so the lifted point sits on {W = 1/kappa}."""
     x, y, z, s = xyzs
     return (x, y, z, _c_k5(rp, z, s) * (x + 1) / y, s)
 
 
-@_reduced
+@functools.partial(validated, check=_positive)
 def reduced_step_k5(rp: ReducedParams, xyzs) -> tuple:
     x, y, z, s = xyzs
     cx = _c_k5(rp, z, s) * (x + 1)
@@ -117,24 +106,25 @@ def replay(p: Params, x0, n: int):
     """Yield (y_j, gap_j) for j = 0..n: the reduced orbit y_j of project(x0)
     with kappa = 1/W(x0), and its largest deviation from the projection of
     the F^2 orbit of x0 (zero over the rationals when the convention holds).
-    The F^2 orbit is the reference. Over exact a and x0 each reduced step runs
-    on `Cleared` (no gcd) and each coordinate is confirmed against the
-    projected F^2 state by one cross-multiplication; a match takes that state
-    with gap zero, and only a mismatch is reduced (gcd) and measured.
+    The F^2 orbit, every second state of `orbit`, is the reference; a float
+    one that leaves the domain ends the replay early. Over exact a and x0
+    each reduced step runs on `Cleared` (no gcd) and each coordinate is
+    confirmed against the projected F^2 state by one cross-multiplication;
+    a match takes that state with gap zero, and only a mismatch is reduced
+    (gcd) and measured.
     """
     if p.k not in (3, 5):
         raise DimensionError(f"order reduction covers k in {{3, 5}}, got k={p.k}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    full = require_point(p, x0)
-    rp = ReducedParams(a=p.a, kappa=1 / eval_w.kernel(p, full))
+    x0 = require_point(p, x0)
+    rp = ReducedParams(a=p.a, kappa=1 / eval_w.kernel(p, x0))
     advance = (reduced_step_k3 if p.k == 3 else reduced_step_k5).kernel
-    lift, settle = (Cleared.of, Cleared.fraction) if exact_kinds((p.a, *full)) else (_same, _same)
-    reduced = project(p, full)
+    lift, settle = (Cleared.of, Cleared.fraction) if exact_kinds((p.a, *x0)) else (_same, _same)
+    reduced = project(p, x0)
     zero = reduced[0] - reduced[0]  # the gap of a match, in the states' type
     yield reduced, zero
-    for _ in range(n):
-        full = step.kernel(p, step.kernel(p, full))
+    for full in itertools.islice(orbit.kernel(p, x0, 2 * n), 2, None, 2):  # the F^2 orbit
         target = project(p, full)
         image = advance(rp, tuple(map(lift, reduced)))
         if all(map(operator.eq, image, target)):

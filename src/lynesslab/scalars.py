@@ -253,6 +253,12 @@ class Cleared:
     def __gt__(self, other):
         return (self - other).sign > 0
 
+    def __le__(self, other):
+        return (self - other).sign <= 0
+
+    def __ge__(self, other):
+        return (self - other).sign >= 0
+
     def fraction(self, hint=None) -> Fraction:
         """The reduced value: hint itself if one exact cross-multiplication shows
         it equal (no gcd), else Fraction(n, prod(den))."""

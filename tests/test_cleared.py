@@ -14,6 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 from lynesslab.errors import DomainError  # noqa: E402
 from lynesslab.invariants import eval_z, level_signature, level_signatures  # noqa: E402
 from lynesslab.lyness import Params, orbit  # noqa: E402
+from lynesslab.reduction import ReducedParams  # noqa: E402
 from lynesslab.scalars import Cleared, Dual, jvp  # noqa: E402
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
@@ -55,6 +56,19 @@ def test_sign_negation_and_comparisons_agree_with_fraction(a, b):
     assert all(f > 0 for c in (a * b, a - b, a / -3) for f in c.den)
     assert (a > 0, a < 0) == (x > 0, x < 0)
     assert (a > b, a < b) == (x > y, x < y)
+    assert (a >= 0, a <= 0) == (x >= 0, x <= 0)
+    assert (a >= b, a <= b) == (x >= y, x <= y)
+    assert (b >= a, b <= a) == (y >= x, y <= x)
+
+
+def test_validated_constructors_take_cleared_values():
+    assert Params(3, Cleared(1)).a == 1
+    assert Params(3, Cleared(0, (7,))).a == 0
+    rp = ReducedParams(Cleared(1), Cleared(2, (3,)))
+    assert (rp.a, rp.kappa) == (1, Fraction(2, 3))
+    for bad in (lambda: Params(3, Cleared(-1, (2,))), lambda: ReducedParams(Cleared(1), Cleared(0))):
+        with pytest.raises(DomainError):
+            bad()
 
 
 @SETTINGS

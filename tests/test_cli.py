@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from lynesslab import cli
+from lynesslab import cli, flow
 from lynesslab.cli import main
 from lynesslab.invariants import level_signature
 from lynesslab.lyness import Params, float_point, orbit
@@ -245,12 +245,15 @@ def test_seeded_verify_output_is_reproducible(capsys):
         ["verify", "--k", "3", "--a", "1e5000", "--trials", "1"],
         ["orbit", "--k", "3", "--x0", "1,1,1e99999", "--steps", "1", "--exact"],
         ["orbit", "--k", "3", "--x0", "1,1,1e999999", "--steps", "1", "--exact"],
+        ["orbit", "--k", "3", "--x0", "1,1,3", "--proj", "1,x,3"],
+        ["reduce", "--k", "5", "--x0", "1,2,3,4,5", "--steps", "-1"],
     ],
     ids=[
         "orbit-x0-overflow", "orbit-a-overflow", "orbit-x0-underflow", "flow-x0-overflow",
         "flow-a-overflow", "flow-tmax-inf", "flow-dt-nan", "flow-partial-step",
         "flow-dt-beyond-tmax", "flow-rk45-partial-step", "verify-a-exponent-5000",
-        "orbit-x0-exponent-99999", "orbit-x0-exponent-999999",
+        "orbit-x0-exponent-99999", "orbit-x0-exponent-999999", "orbit-proj-not-integer",
+        "reduce-negative-steps",
     ],
 )
 def test_float_inputs_outside_the_run_exit_two(argv, capsys):
@@ -259,6 +262,10 @@ def test_float_inputs_outside_the_run_exit_two(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+RK45_REACHED = ["flow", "--k", "3", "--a", "1", "--x0", "1,1,3", "--dt", "0.1", "--t-max", "0.3",
+                "--method", "rk45", "--out", "OUT"]
 
 
 # sha256 of stdout followed by the --out file (OUT) for small runs of each
@@ -302,6 +309,9 @@ PINNED_OUTPUTS = {
          "--method", "rk45", "--out", "OUT"],
         "e7f82768f6128b0ba015a538eeafa1c6cc81ef60deb54933dac18efd24ebfebd",
     ),
+    # RK45 whose last grid time 3 * 0.1 passes t_max = 0.3, so the row takes
+    # the time the solver reached
+    "flow-k3-rk45-reached": (RK45_REACHED, "3da8011b26dd690c5819632603a140c144a8a85f8db6c6513dfe45a749bfd250"),
     # k=7 with a non-integer a: middle components with non-empty skip chains
     "flow-k7-rational-a": (
         ["flow", "--k", "7", "--a", "7/10", "--x0", "6,6.2,6.1,6.3,5.9,6.2,6.05", "--dt", "1e-4",
@@ -337,6 +347,14 @@ def test_output_bytes_match_pinned_digests(name, tmp_path, capsys):
     assert h.hexdigest() == digest
 
 
+def test_flow_time_cells_are_plain_floats(tmp_path, capsys):
+    out = tmp_path / "rk45.csv"
+    assert main([str(out) if a == "OUT" else a for a in RK45_REACHED]) == 0
+    capsys.readouterr()
+    times = [line.split(",")[0] for line in _lines(out)[1:]]
+    assert [float(t) for t in times] == [0.0, 0.1, 0.2, 0.3]
+
+
 def _reference_rows(p, x0, steps, proj, fmt):
     """The orbit rows cell by cell: str of each value, json.dumps per JSONL row."""
     header = ["n"] + [f"x{i}" for i in proj] + ["V1", "V2"] + ["V3", "signZ"] * (p.k % 2)
@@ -360,10 +378,11 @@ def test_orbit_rows_equal_str_cells_and_json_dumps(k, a, proj, fmt):
 
 def test_float_runs_compute_with_a_in_float64_and_print_it_as_given(monkeypatch, capsys):
     seen = []
-    for name in ("integrate_flow", "_write_orbit"):
-        real = getattr(cli, name)
+    # where the float runs compute: the orbit writer and the RK4 driver
+    for module, name in ((flow, "_rk4"), (cli, "_write_orbit")):
+        real = getattr(module, name)
         monkeypatch.setattr(
-            cli, name, lambda p, *rest, _real=real, **kw: seen.append(p.a) or _real(p, *rest, **kw)
+            module, name, lambda p, *rest, _real=real, **kw: seen.append(p.a) or _real(p, *rest, **kw)
         )
     orbit = ["orbit", "--k", "3", "--a", "7/10", "--x0", "1,1,3", "--steps", "3"]
     assert main(orbit) == 0

@@ -128,13 +128,14 @@ def test_exact_input_outside_float64_is_a_domain_error(run, a, x0):
 
 def test_solve_v1_level_computes_with_a_in_float64(monkeypatch):
     seen = []
-    real = dynamics.eval_v1
+    real = dynamics.eval_v1.kernel
 
     def spy(p, x):
         seen.append((type(p.a), all(isinstance(c, float) for c in x)))
         return real(p, x)
 
-    monkeypatch.setattr(dynamics, "eval_v1", spy)
+    # the curve tools call the V1 kernel on points of the checked curve
+    monkeypatch.setattr(dynamics.eval_v1, "kernel", spy)
     solve_v1_level(Params(5, Fraction(7, 10)), 200.0)
     assert seen
     assert set(seen) == {(float, True)}

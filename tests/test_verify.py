@@ -2,8 +2,9 @@
 law and the symmetry condition evaluate the field once at x and once at F(x),
 integral annihilation evaluates it once, a wrong field fails every suite
 that uses it, every check gives the same verdict on both `Cleared` images of
-a point as on the `Fraction` point they were made from, and the suites check
-the common-denominator image of each drawn point."""
+a point as on the `Fraction` point they were made from, the suites check
+the common-denominator image of each drawn point, and the determinant oracle
+eliminates dense rational matrices exactly."""
 
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import pytest
 from lynesslab import lyness, verify
 from lynesslab.lyness import Params
 from lynesslab.sampling import random_point, stream
-from lynesslab.scalars import Cleared
+from lynesslab.scalars import Cleared, RatMatrix
 from lynesslab.symmetry import symmetry_vector
 from lynesslab.verify import run_suites
 
@@ -177,3 +178,34 @@ def test_suites_check_the_common_denominator_image_of_each_drawn_point(k, monkey
     for x, image in zip(drawn, checked):
         assert [c.fraction() for c in image] == list(x)
         assert len({c.den for c in image}) == 1
+
+
+def _product(lower, upper):
+    n = len(lower)
+    return [[sum(lower[i][m] * upper[m][j] for m in range(n)) for j in range(n)] for i in range(n)]
+
+
+F = Fraction
+# L U with L unit lower triangular and U upper triangular: det = prod diag(U).
+# Every entry below the diagonal is nonzero, so each column is eliminated.
+DENSE_3 = (_product([[1, 0, 0], [F(1, 2), 1, 0], [F(-2, 3), F(5, 7), 1]],
+                    [[F(3, 2), F(-1, 4), 2], [0, F(2, 5), F(7, 3)], [0, 0, F(-5, 6)]]),
+           F(3, 2) * F(2, 5) * F(-5, 6))
+_L4U4 = _product([[1, 0, 0, 0], [3, 1, 0, 0], [F(-1, 2), F(4, 9), 1, 0], [F(5, 3), -2, F(1, 8), 1]],
+                 [[F(2, 7), 1, F(-3, 5), 4], [0, F(-9, 4), 2, F(1, 3)], [0, 0, 5, F(-7, 2)],
+                  [0, 0, 0, F(11, 6)]])
+# L U with its last two rows exchanged, so the sign flips
+DENSE_4 = (_L4U4[:2] + [_L4U4[3], _L4U4[2]], -(F(2, 7) * F(-9, 4) * 5 * F(11, 6)))
+# the third row is the first plus 2/3 of the second
+SINGULAR_3 = ([[F(1, 2), 3, F(-4, 5)], [2, F(7, 3), 1],
+               [F(1, 2) + F(4, 3), 3 + F(14, 9), F(-4, 5) + F(2, 3)]], 0)
+
+
+@pytest.mark.parametrize("rows, det", [DENSE_3, DENSE_4, SINGULAR_3],
+                         ids=["dense-3x3", "dense-4x4-swap", "singular-3x3"])
+@pytest.mark.parametrize("image", ["fraction", "common"])
+def test_det_gauss_eliminates_dense_rational_matrices(rows, det, image):
+    assert all(row[0] != 0 for row in rows)  # no zero to skip in the first column
+    if image == "common":
+        rows = [Cleared.common(row) for row in rows]
+    assert verify._det_gauss(RatMatrix(rows)) == det
