@@ -214,18 +214,11 @@ def cmd_orbit(args) -> int:
 
 
 def _write_flow_csv(trace, proj, fh) -> None:
-    p = trace.params
-    cols = ["t"] + [f"x{i}" for i in proj] + ["V1", "V2"]
-    odd = p.k % 2 == 1
-    if odd:
-        cols.append("V3")
-    fh.write(",".join(cols) + "\n")
+    odd = trace.params.k % 2 == 1
+    fh.write(",".join(["t"] + [f"x{i}" for i in proj] + ["V1", "V2"] + ["V3"] * odd) + "\n")
     for t, x, sig in zip(trace.times, trace.states, trace.signatures):
-        row = [repr(t)] + [repr(x[i - 1]) for i in proj]
-        row += [repr(sig.v1), repr(sig.v2)]
-        if odd:
-            row.append(repr(sig.v3))
-        fh.write(",".join(row) + "\n")
+        row = [t, *(x[i - 1] for i in proj), sig.v1, sig.v2] + [sig.v3] * odd
+        fh.write(",".join(map(repr, row)) + "\n")
 
 
 def cmd_flow(args) -> int:

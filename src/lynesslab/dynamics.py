@@ -238,7 +238,7 @@ def v_profile(p: Params, x) -> tuple:
     """(V1, V2, V3) along the k=5 2-periodic curve at parameter x > 2."""
     if p.k != 5:
         raise DimensionError("the curve profile is defined for k=5")
-    pt = two_periodic_point(p, x)
+    pt = require_point(p, two_periodic_point(p, x))  # x > 2 alone admits x = inf
     return (eval_v1.kernel(p, pt), eval_v2.kernel(p, pt), eval_v3.kernel(p, pt))
 
 

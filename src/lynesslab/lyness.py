@@ -91,8 +91,8 @@ def float_params(p: Params) -> Params:
 
 def validated(kernel, check=None):
     """Public form of a pure kernel f(p, x, ...): run check(p, x) once, by
-    default `require_point` as bound when the public form is called, then f
-    on the checked point."""
+    default `require_point` as bound when the public form is called (a check
+    passed in is bound here), then f on the checked point."""
 
     @functools.wraps(kernel)
     def public(p, x, *args):

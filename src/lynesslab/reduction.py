@@ -107,7 +107,8 @@ def replay(p: Params, x0, n: int):
     with kappa = 1/W(x0), and its largest deviation from the projection of
     the F^2 orbit of x0 (zero over the rationals when the convention holds).
     The F^2 orbit, every second state of `orbit`, is the reference; a float
-    one that leaves the domain ends the replay early. Over exact a and x0
+    one that leaves the domain raises DomainError after the rows it reached,
+    so a short run is never taken for a whole one. Over exact a and x0
     each reduced step runs on `Cleared` (no gcd) and each coordinate is
     confirmed against the projected F^2 state by one cross-multiplication;
     a match takes that state with gap zero, and only a mismatch is reduced
@@ -124,7 +125,8 @@ def replay(p: Params, x0, n: int):
     reduced = project(p, x0)
     zero = reduced[0] - reduced[0]  # the gap of a match, in the states' type
     yield reduced, zero
-    for full in itertools.islice(orbit.kernel(p, x0, 2 * n), 2, None, 2):  # the F^2 orbit
+    done = 0  # double-steps taken along the F^2 orbit
+    for done, full in enumerate(itertools.islice(orbit.kernel(p, x0, 2 * n), 2, None, 2), 1):
         target = project(p, full)
         image = advance(rp, tuple(map(lift, reduced)))
         if all(map(operator.eq, image, target)):
@@ -133,6 +135,8 @@ def replay(p: Params, x0, n: int):
             reduced = tuple(map(settle, image))
             gap = max(abs(r - f) for r, f in zip(reduced, target))
         yield reduced, gap
+    if done < n:
+        raise DomainError(f"the F^2 orbit left the domain after {done} of {n} double-steps")
 
 
 def semiconjugacy_residual(p: Params, x0, n: int):

@@ -18,7 +18,7 @@ from lynesslab.dynamics import (
     v1_minimum,
     v_profile,
 )
-from lynesslab.errors import DegenerateOrbitError, DimensionError, NoRootError
+from lynesslab.errors import DegenerateOrbitError, DimensionError, DomainError, NoRootError
 from lynesslab.invariants import eval_v1, eval_z
 from lynesslab.lyness import Params, step, two_periodic_point
 from lynesslab.sampling import random_point, stream
@@ -145,6 +145,12 @@ def test_level_profile_golden_on_the_curve():
     assert pt == (3, 7, 3, 7, 3)
     assert v1 == eval_v1(P51, pt)
     assert v3 == Fraction(64, 49) + Fraction(512, 9)
+
+
+def test_level_profile_rejects_a_curve_point_outside_the_domain():
+    # x > 2 holds, but y = (2x + a)/(x - 2) is nan at x = inf
+    with pytest.raises(DomainError):
+        v_profile(Params(5, 1.0), math.inf)
 
 
 def test_minimum_of_the_level_profile_sits_at_the_fixed_parameter():

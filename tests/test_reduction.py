@@ -202,21 +202,45 @@ def test_a_broken_reduced_step_gives_the_reference_rows_and_residual(k, a, pertu
         assert residual > 0 and residual == max(gap for *_y, gap, _t in want)
 
 
+def _counting(counts, public):
+    """Stand-in for a public reduction map: counts each public call and keeps
+    the real kernel, so only a call that skips `.kernel` is counted."""
+
+    def call(rp, coords):
+        counts["public"] += 1
+        return public(rp, coords)
+
+    call.kernel = public.kernel
+    return call
+
+
 def test_a_valid_exact_replay_reduces_nothing_and_checks_the_domain_once(monkeypatch):
-    counts = {"fraction": 0, "positive": 0}
-    real_fraction, real_positive = Cleared.fraction, reduction._positive
+    counts = {"fraction": 0, "public": 0}
+    real_fraction = Cleared.fraction
 
     def fraction(self, hint=None):
         counts["fraction"] += 1
         return real_fraction(self, hint)
 
-    def positive(coords):
-        counts["positive"] += 1
-        return real_positive(coords)
-
     monkeypatch.setattr(Cleared, "fraction", fraction)
-    monkeypatch.setattr(reduction, "_positive", positive)
+    # the positivity check runs only in the public forms; after its one
+    # require_point the replay calls kernels alone
+    for name in ("lift_k3", "lift_k5", "reduced_step_k3", "reduced_step_k5"):
+        monkeypatch.setattr(reduction, name, _counting(counts, getattr(reduction, name)))
     for k, a in REPLAY_CASES:
         for x0 in _points(k, a, 2):
             assert all(gap == 0 for _y, gap in replay(Params(k, a), x0, 30))
-    assert counts == {"fraction": 0, "positive": 0}
+    assert counts == {"fraction": 0, "public": 0}
+
+
+def test_a_float_replay_whose_orbit_leaves_the_domain_raises_after_its_rows():
+    # W(x0) = 1e300 is finite, but the first image (a + 1e300 + 1) / 1e-300
+    # overflows, so F^2 never reaches a second state
+    p, x0 = Params(3, 1.0), (1e-300, 1.0, 1e300)
+    rows = replay(p, x0, 5)
+    assert next(rows) == ((1e-300, 1e300), 0.0)
+    with pytest.raises(DomainError, match="after 0 of 5 double-steps"):
+        next(rows)
+    with pytest.raises(DomainError):
+        semiconjugacy_residual(p, x0, 5)
+    assert semiconjugacy_residual(p, x0, 0) == 0.0  # no double-step asked, none missing
