@@ -9,7 +9,11 @@ reduce   replay the double-step in reduced coordinates, check the projection
 figures  canned orbit/flow datasets (three presets)
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
-Rational inputs are accepted as `p/q` text so exact runs stay exact.
+Rational inputs are accepted as `p/q` text so exact runs stay exact. A
+command parses its text and leaves the check of every value the library
+takes (k, a, x0, dt, t_max) to the library; `main` reports any ValueError,
+argparse's usage errors and the library's DomainError and DimensionError
+included, as one `error:` line with exit code 2.
 The environment variable LYNESS_SEED supplies the default seed.
 """
 
@@ -24,7 +28,6 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import DimensionError, DomainError
 from .flow import METHODS, integrate_flow, invariant_drift
 from .invariants import eval_w, level_signatures
 from .lyness import Params, float_point, orbit, require_point
@@ -35,8 +38,16 @@ from .verify import FAIL, run_suites
 _METHOD_ALIASES = {"rk4": METHODS[0], "rk45": METHODS[1]}
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Usage or validation problem; reported on stderr with exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are CliErrors, so `main` reports
+    them like every other input error."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _default_seed() -> int:
@@ -49,27 +60,8 @@ def _default_seed() -> int:
         raise CliError(f"LYNESS_SEED must be an integer, got {raw!r}") from None
 
 
-def _parse_a(text: str) -> Fraction:
-    try:
-        a = parse_rational(text)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    if a < 0:
-        raise CliError(f"parameter a must be >= 0, got {a}")
-    return a
-
-
-def _parse_x0(text: str, k: int) -> tuple:
-    parts = [s.strip() for s in text.split(",")]
-    if len(parts) != k:
-        raise CliError(f"--x0 needs {k} comma-separated values, got {len(parts)}")
-    try:
-        coords = tuple(parse_rational(s) for s in parts)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    if any(c <= 0 for c in coords):
-        raise CliError("--x0 coordinates must be positive")
-    return coords
+def _parse_x0(text: str) -> tuple:
+    return tuple(map(parse_rational, text.split(",")))
 
 
 def _parse_proj(text, k: int):
@@ -139,7 +131,7 @@ def _resolve_ks(args) -> list:
 
 def cmd_verify(args) -> int:
     ks = _resolve_ks(args)
-    a = _parse_a(args.a)
+    a = parse_rational(args.a)
     seed = args.seed if args.seed is not None else _default_seed()
     if args.trials < 1:
         raise CliError(f"--trials must be >= 1, got {args.trials}")
@@ -198,8 +190,8 @@ def _write_orbit(p: Params, x0, steps: int, proj, fmt: str, fh) -> None:
 
 
 def cmd_orbit(args) -> int:
-    p = Params(args.k, _parse_a(args.a))
-    x0 = _parse_x0(args.x0, p.k)
+    p = Params(args.k, parse_rational(args.a))
+    x0 = _parse_x0(args.x0)
     proj = _parse_proj(args.proj, p.k)
     if args.steps < 0:
         raise CliError(f"--steps must be >= 0, got {args.steps}")
@@ -222,14 +214,11 @@ def _write_flow_csv(trace, proj, fh) -> None:
 
 
 def cmd_flow(args) -> int:
-    p = Params(args.k, _parse_a(args.a))
-    x0 = _parse_x0(args.x0, p.k)
+    p = Params(args.k, parse_rational(args.a))
     proj = _parse_proj(args.proj, p.k)
     method = _METHOD_ALIASES[args.method]
-    try:  # the float run computes with a in float64; the report prints p.a as given
-        trace = integrate_flow(p, x0, args.dt, args.t_max, method=method)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    # the float run computes with a in float64; the report prints p.a as given
+    trace = integrate_flow(p, _parse_x0(args.x0), args.dt, args.t_max, method=method)
 
     if args.out is not None:
         with _output(args.out) as fh:
@@ -257,16 +246,15 @@ def cmd_flow(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    p = Params(args.k, _parse_a(args.a))
-    x0 = _parse_x0(args.x0, p.k)
-    if args.steps < 0:
-        raise CliError(f"--steps must be >= 0, got {args.steps}")
+    p = Params(args.k, parse_rational(args.a))
+    x0 = _parse_x0(args.x0)
+    rows = replay(p, x0, args.steps)  # checks k, steps and x0 before any output
 
     names = ["y1", "y2"] if p.k == 3 else ["y1", "y2", "y3", "y4"]
     residual = 0
     with _full_digits(), _output(args.out) as fh:
         fh.write(",".join(["n"] + names) + "\n")
-        for n, (y, gap) in enumerate(replay(p, x0, args.steps)):
+        for n, (y, gap) in enumerate(rows):
             fh.write(",".join([str(n)] + [str(c) for c in y]) + "\n")
             residual = max(residual, gap)
         print(f"kappa = {1 / eval_w.kernel(p, x0)}")  # x0 passed replay's check
@@ -312,7 +300,7 @@ def cmd_figures(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lyness-lab",
         description="Verification and simulation laboratory for the k-dimensional Lyness map.",
     )
@@ -328,10 +316,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--json", default=None, metavar="PATH", help="also write a JSON report")
     pv.set_defaults(func=cmd_verify, k=3)
 
-    po = sub.add_parser("orbit", help="iterate the map and export the orbit")
-    po.add_argument("--k", type=int, required=True)
-    po.add_argument("--a", default="1", help="parameter a as p/q text (default 1)")
-    po.add_argument("--x0", required=True, help="initial point, comma-separated rationals")
+    start = argparse.ArgumentParser(add_help=False)  # the map and start point of a run
+    start.add_argument("--k", type=int, required=True)
+    start.add_argument("--a", default="1", help="parameter a as p/q text (default 1)")
+    start.add_argument("--x0", required=True, help="initial point, comma-separated rationals")
+
+    po = sub.add_parser("orbit", parents=[start], help="iterate the map and export the orbit")
     po.add_argument("--steps", type=int, default=1000)
     po.add_argument("--exact", action="store_true", help="exact rational arithmetic")
     po.add_argument("--proj", default=None, help="emit only these coordinates, e.g. 1,2,3")
@@ -339,10 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     po.add_argument("--out", default=None, metavar="PATH", help="output file (default stdout)")
     po.set_defaults(func=cmd_orbit)
 
-    pf = sub.add_parser("flow", help="integrate the symmetry field")
-    pf.add_argument("--k", type=int, required=True)
-    pf.add_argument("--a", default="1", help="parameter a as p/q text (default 1)")
-    pf.add_argument("--x0", required=True, help="initial point, comma-separated rationals")
+    pf = sub.add_parser("flow", parents=[start], help="integrate the symmetry field")
     pf.add_argument("--dt", type=float, default=1e-3, help="step size / output spacing")
     pf.add_argument("--t-max", dest="t_max", type=float, default=10.0)
     pf.add_argument("--method", choices=tuple(_METHOD_ALIASES), default="rk4")
@@ -350,10 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--out", default=None, metavar="PATH", help="CSV output file")
     pf.set_defaults(func=cmd_flow)
 
-    pr = sub.add_parser("reduce", help="reduced-coordinate replay of the double-step")
-    pr.add_argument("--k", type=int, required=True, choices=(3, 5))
-    pr.add_argument("--a", default="1", help="parameter a as p/q text (default 1)")
-    pr.add_argument("--x0", required=True, help="initial point, comma-separated rationals")
+    pr = sub.add_parser("reduce", parents=[start], help="reduced-coordinate replay of the double-step")
     pr.add_argument("--steps", type=int, default=100)
     pr.add_argument("--out", default=None, metavar="PATH", help="output file (default stdout)")
     pr.set_defaults(func=cmd_reduce)
@@ -367,15 +351,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (CliError, DomainError, DimensionError) as exc:
+    except ValueError as exc:  # CliError, DomainError, DimensionError, a bad literal
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

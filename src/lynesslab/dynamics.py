@@ -12,8 +12,8 @@ from fractions import Fraction
 from .errors import DegenerateOrbitError, DimensionError, DomainError, NoRootError
 from .invariants import eval_pi, eval_v1, eval_v2, eval_v3, eval_z, level_signatures
 from .lyness import (
-    OrbitTrace, Params, float_params, float_point, iterate, jacobian_det, orbit, require_point,
-    step, two_periodic_point, validated,
+    OrbitTrace, Params, float_params, float_point, in_orthant, iterate, jacobian_det, orbit,
+    require_point, step, two_periodic_point, validated,
 )
 
 
@@ -89,9 +89,8 @@ def sample_g_point(p: Params, template) -> GPoint:
     holes = [i for i, v in enumerate(template) if v is None]
     if not holes:
         raise ValueError("template needs at least one None entry to solve for")
-    fixed = [Fraction(v) for v in template if v is not None]
-    if not all(v > 0 for v in fixed):
-        raise DomainError("fixed template coordinates must be positive")
+    if not in_orthant(v for v in template if v is not None):
+        raise DomainError("fixed template coordinates must be positive and finite")
 
     def filled(t):
         return tuple(t if v is None else v for v in template)

@@ -1,6 +1,7 @@
 """The order-k Lyness recurrence map on the open positive orthant.
 
-State x = (x1, ..., xk) with every coordinate > 0, parameter a >= 0:
+State x = (x1, ..., xk) with every coordinate positive and finite
+(`in_orthant`), parameter a >= 0:
 
     F(x1, ..., xk) = (x2, ..., xk, (a + x2 + ... + xk) / x1)
 
@@ -48,7 +49,15 @@ class Params:
         if not isinstance(self.k, int) or self.k < 2:
             raise DimensionError(f"k must be an integer >= 2, got {self.k!r}")
         if not self.a >= 0:
-            raise DomainError(f"parameter a must be >= 0, got {self.a!r}")
+            raise DomainError(f"parameter a must be >= 0, got {self.a}")
+
+
+def in_orthant(x) -> bool:
+    """The domain rule: every coordinate satisfies 0 < c < inf. Only a float
+    can be infinite, so an exact coordinate (int, Fraction, Cleared) is
+    compared with 0 alone: no comparison with a float, which `Cleared` does
+    not support and which costs a `Fraction` several times more."""
+    return all(0 < c < math.inf if isinstance(c, float) else 0 < c for c in x)
 
 
 def require_point(p: Params, x) -> tuple:
@@ -56,8 +65,8 @@ def require_point(p: Params, x) -> tuple:
     x = tuple(x)
     if len(x) != p.k:
         raise DimensionError(f"expected {p.k} coordinates, got {len(x)}")
-    if not all(c > 0 for c in x):
-        raise DomainError(f"point must have strictly positive coordinates: {x}")
+    if not in_orthant(x):
+        raise DomainError(f"point must have positive finite coordinates, got {', '.join(map(str, x))}")
     return x
 
 
@@ -72,7 +81,7 @@ def float_point(p: Params, x0) -> tuple:
         x = tuple(map(float, x))
     except OverflowError:
         raise DomainError("x0 must lie within the float64 range") from None
-    if not all(0 < c < math.inf for c in x):
+    if not in_orthant(x):
         raise DomainError("x0 must be finite in float64 and must not underflow to 0")
     return fp, x
 
@@ -115,13 +124,13 @@ def inverse_step(p: Params, y) -> tuple:
 @validated
 def orbit(p: Params, x, n: int):
     """Yield x and then each image under F (F^-1 for n < 0), |n| images in
-    all. Stops early at the first state outside 0 < c < inf: float overflow
-    or underflow. The comparison also holds for tall rationals."""
+    all. Stops early at the first state outside `in_orthant`: float overflow
+    or underflow."""
     advance = step.kernel if n >= 0 else inverse_step.kernel
     yield x
     for _ in range(abs(n)):
         x = advance(p, x)
-        if not all(0 < c < math.inf for c in x):
+        if not in_orthant(x):
             return
         yield x
 
@@ -194,12 +203,12 @@ def two_periodic_point(p: Params, x) -> tuple:
     """
     if p.k == 3:
         if not x > 1:
-            raise DomainError(f"k=3 curve needs x > 1, got {x!r}")
+            raise DomainError(f"k=3 curve needs x > 1, got {x}")
         y = (x + p.a) / (x - 1)
         return (x, y, x)
     if p.k == 5:
         if not x > 2:
-            raise DomainError(f"k=5 curve needs x > 2, got {x!r}")
+            raise DomainError(f"k=5 curve needs x > 2, got {x}")
         y = (2 * x + p.a) / (x - 2)
         return (x, y, x, y, x)
     raise DimensionError(f"2-periodic curve is parametrized for k in {{3, 5}}, got k={p.k}")

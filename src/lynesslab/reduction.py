@@ -19,7 +19,7 @@ In both cases the reduced step equals the projection of F^2 applied to the
 lifted point, exactly over the rationals; `replay` steps both sides in one
 pass, and `semiconjugacy_residual` returns the largest deviation (zero when
 the convention holds). The lifts and steps are `lyness.validated` kernels
-whose check is that the reduced state is strictly positive.
+whose check is that the reduced state lies in the orthant (`in_orthant`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionError, DomainError
 from .invariants import eval_w
-from .lyness import Params, orbit, require_point, validated
+from .lyness import Params, in_orthant, orbit, require_point, validated
 from .scalars import Cleared, exact_kinds
 
 
@@ -44,15 +44,15 @@ class ReducedParams:
 
     def __post_init__(self):
         if not self.a >= 0:
-            raise DomainError(f"parameter a must be >= 0, got {self.a!r}")
+            raise DomainError(f"parameter a must be >= 0, got {self.a}")
         if not self.kappa > 0:
-            raise DomainError(f"kappa must be > 0, got {self.kappa!r}")
+            raise DomainError(f"kappa must be > 0, got {self.kappa}")
 
 
 def _positive(_rp: ReducedParams, coords) -> tuple:
     coords = tuple(coords)
-    if not all(c > 0 for c in coords):
-        raise DomainError(f"reduced state must be strictly positive: {coords}")
+    if not in_orthant(coords):
+        raise DomainError(f"reduced state must be positive and finite, got {', '.join(map(str, coords))}")
     return coords
 
 
@@ -112,14 +112,18 @@ def replay(p: Params, x0, n: int):
     each reduced step runs on `Cleared` (no gcd) and each coordinate is
     confirmed against the projected F^2 state by one cross-multiplication;
     a match takes that state with gap zero, and only a mismatch is reduced
-    (gcd) and measured.
+    (gcd) and measured. k, n, x0 and kappa are checked when `replay` is
+    called, before the first row is asked for.
     """
     if p.k not in (3, 5):
         raise DimensionError(f"order reduction covers k in {{3, 5}}, got k={p.k}")
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise ValueError(f"the number of double-steps must be >= 0, got {n}")
     x0 = require_point(p, x0)
-    rp = ReducedParams(a=p.a, kappa=1 / eval_w.kernel(p, x0))
+    return _replay(p, ReducedParams(a=p.a, kappa=1 / eval_w.kernel(p, x0)), x0, n)
+
+
+def _replay(p: Params, rp: ReducedParams, x0: tuple, n: int):
     advance = (reduced_step_k3 if p.k == 3 else reduced_step_k5).kernel
     lift, settle = (Cleared.of, Cleared.fraction) if exact_kinds((p.a, *x0)) else (_same, _same)
     reduced = project(p, x0)

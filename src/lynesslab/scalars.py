@@ -175,6 +175,9 @@ class Cleared:
     def __init__(self, n: int, den: tuple = ()):
         self.n, self.den = n, den
 
+    def __repr__(self):
+        return f"Cleared({self.n}, {self.den})"
+
     @classmethod
     def of(cls, q):
         """q itself if Cleared; an int or Fraction q with no factor for a denominator 1."""

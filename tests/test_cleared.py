@@ -3,6 +3,7 @@ agrees with Fraction and never calls gcd, and `level_signatures` returns what
 `level_signature.kernel` returns, in value and in type, whatever the hints."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,10 @@ def test_validated_constructors_take_cleared_values():
     for bad in (lambda: Params(3, Cleared(-1, (2,))), lambda: ReducedParams(Cleared(1), Cleared(0))):
         with pytest.raises(DomainError):
             bad()
+    # the message shows the value, not an object address
+    assert repr(Cleared(5)) == "Cleared(5, ())"
+    with pytest.raises(DomainError, match=re.escape("got Cleared(-1, (2,))")):
+        Params(3, Cleared(-1, (2,)))
 
 
 @SETTINGS

@@ -247,21 +247,25 @@ def test_seeded_verify_output_is_reproducible(capsys):
         ["orbit", "--k", "3", "--x0", "1,1,1e999999", "--steps", "1", "--exact"],
         ["orbit", "--k", "3", "--x0", "1,1,3", "--proj", "1,x,3"],
         ["reduce", "--k", "5", "--x0", "1,2,3,4,5", "--steps", "-1"],
+        ["reduce", "--k", "4", "--x0", "1,2,3,4"],
+        ["reduce", "--k", "3", "--x0", "1,0,1"],
     ],
     ids=[
         "orbit-x0-overflow", "orbit-a-overflow", "orbit-x0-underflow", "flow-x0-overflow",
         "flow-a-overflow", "flow-tmax-inf", "flow-dt-nan", "flow-partial-step",
         "flow-dt-beyond-tmax", "flow-rk45-partial-step", "verify-a-exponent-5000",
         "orbit-x0-exponent-99999", "orbit-x0-exponent-999999", "orbit-proj-not-integer",
-        "reduce-negative-steps",
+        "reduce-negative-steps", "reduce-k4", "reduce-x0-zero",
     ],
 )
-def test_float_inputs_outside_the_run_exit_two(argv, capsys):
-    assert main(argv) == 2
+def test_float_inputs_outside_the_run_exit_two(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--json" if argv[0] == "verify" else "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 RK45_REACHED = ["flow", "--k", "3", "--a", "1", "--x0", "1,1,3", "--dt", "0.1", "--t-max", "0.3",

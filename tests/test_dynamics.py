@@ -95,6 +95,9 @@ def test_sample_g_point_validates_template():
         sample_g_point(P31, (Fraction(1), Fraction(1), Fraction(1)))  # no hole
     with pytest.raises(DimensionError):
         sample_g_point(Params(4, Fraction(1)), (Fraction(1), None, Fraction(1), Fraction(1)))
+    for bad in (0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            sample_g_point(P31, (Fraction(1), bad, None))
 
 
 def test_odd_period_guard_certifies_off_the_hypersurface():
@@ -151,6 +154,9 @@ def test_level_profile_rejects_a_curve_point_outside_the_domain():
     # x > 2 holds, but y = (2x + a)/(x - 2) is nan at x = inf
     with pytest.raises(DomainError):
         v_profile(Params(5, 1.0), math.inf)
+    # x is finite, but 2x overflows, so the point is (1e308, inf, ...)
+    with pytest.raises(DomainError):
+        v_profile(Params(5, 1.0), 1e308)
 
 
 def test_minimum_of_the_level_profile_sits_at_the_fixed_parameter():

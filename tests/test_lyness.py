@@ -9,15 +9,18 @@ from lynesslab.errors import DimensionError, DomainError
 from lynesslab.lyness import (
     Params,
     fixed_point,
+    in_orthant,
     inverse_step,
     iterate,
     jacobian,
     jacobian_det,
     orbit,
+    require_point,
     step,
     two_periodic_point,
 )
 from lynesslab.sampling import random_point, stream
+from lynesslab.scalars import Cleared
 
 
 def test_step_matches_hand_computation():
@@ -154,8 +157,8 @@ def test_two_periodic_point_validates_parameter_and_dimension():
 def test_params_and_point_validation():
     with pytest.raises(DimensionError):
         Params(1, Fraction(1))
-    with pytest.raises(DomainError):
-        Params(3, Fraction(-1))
+    with pytest.raises(DomainError, match="got -1/2$"):
+        Params(3, Fraction(-1, 2))
     p = Params(3, Fraction(1))
     with pytest.raises(DomainError):
         step(p, (Fraction(1), Fraction(0), Fraction(3)))
@@ -163,6 +166,16 @@ def test_params_and_point_validation():
         step(p, (Fraction(1), Fraction(-2), Fraction(3)))
     with pytest.raises(DimensionError):
         step(p, (Fraction(1), Fraction(2)))
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            require_point(p, (1.0, bad, 3.0))
+        assert not in_orthant((1.0, bad, 3.0))
+    # the message lists the coordinates as they print
+    with pytest.raises(DomainError, match=r"got 1/2, 0, 3$"):
+        require_point(p, (Fraction(1, 2), Fraction(0), Fraction(3)))
+    # tall rationals and Cleared values are tested without a float conversion
+    assert in_orthant((Fraction(10**400), Cleared(1, (3,)), 1e308))
+    assert not in_orthant((Cleared(-1, (3,)), Fraction(1), 1.0))
 
 
 def test_float_states_are_accepted():

@@ -1,6 +1,7 @@
 """Order reduction of the double-step: lifts, reduced maps, projections,
 and the exact semiconjugacy replay."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,8 @@ def test_reduced_states_must_be_positive():
         reduced_step_k5(rp, (Fraction(1), Fraction(2), Fraction(-2), Fraction(3)))
     with pytest.raises(DomainError):
         lift_k3(rp, (Fraction(0), Fraction(1)))
+    with pytest.raises(DomainError):
+        reduced_step_k5(rp, (1.0, 2.0, math.inf, 3.0))
 
 
 def test_projection_keeps_the_documented_coordinates():
@@ -244,3 +247,21 @@ def test_a_float_replay_whose_orbit_leaves_the_domain_raises_after_its_rows():
     with pytest.raises(DomainError):
         semiconjugacy_residual(p, x0, 5)
     assert semiconjugacy_residual(p, x0, 0) == 0.0  # no double-step asked, none missing
+
+
+@pytest.mark.parametrize(
+    "k, x0, n, error",
+    [
+        (4, (1, 2, 3, 4), 5, DimensionError),
+        (5, (1, 2, 3, 4), 5, DimensionError),
+        (3, (1, 0, 1), 5, DomainError),
+        (5, (1.0, 2.0, math.inf, 4.0, 5.0), 5, DomainError),
+        (3, (1, 1, 3), -1, ValueError),
+    ],
+    ids=["k4", "short-x0", "zero-coordinate", "inf-coordinate", "negative-n"],
+)
+def test_replay_checks_its_arguments_when_called(k, x0, n, error):
+    # a caller that writes a header before the first row learns of a bad
+    # argument before it writes anything
+    with pytest.raises(error):
+        replay(Params(k, Fraction(1)), x0, n)
