@@ -238,7 +238,10 @@ def cmd_flow(args) -> int:
     for name in ("v1", "v2", "v3"):
         if name in drift:
             print(f"relative drift {name.upper()} = {drift[name]:.3e}")
-    print(f"max relative drift = {max(drift.values()):.3e}")
+    if drift:
+        print(f"max relative drift = {max(drift.values()):.3e}")
+    else:
+        print("max relative drift = n/a (fewer than 2 samples)")
     return 0
 
 

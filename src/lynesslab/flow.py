@@ -41,8 +41,9 @@ class FlowTrace:
 
 
 def _in_domain(x):
-    """The truncation rule: every coordinate finite and > BOUNDARY_EPS."""
-    return all(math.isfinite(c) and c > BOUNDARY_EPS for c in x)
+    """The truncation rule: every coordinate finite and > BOUNDARY_EPS (a nan
+    fails both comparisons)."""
+    return all(BOUNDARY_EPS < c < math.inf for c in x)
 
 
 def _rk4_step(p: Params, x, h):
@@ -50,14 +51,13 @@ def _rk4_step(p: Params, x, h):
     new state leaves the domain; the field only sees points inside it."""
     ks = [symmetry_vector.kernel(p, x)]
     for frac in (0.5, 0.5, 1.0):
-        stage = tuple(xi + frac * h * ki for xi, ki in zip(x, ks[-1]))
+        fh = frac * h
+        stage = tuple(xi + fh * ki for xi, ki in zip(x, ks[-1]))
         if not _in_domain(stage):
             return None
         ks.append(symmetry_vector.kernel(p, stage))
-    nxt = tuple(
-        xi + h / 6.0 * (a + 2 * b + 2 * c + d)
-        for xi, a, b, c, d in zip(x, *ks)
-    )
+    h6 = h / 6.0
+    nxt = tuple(xi + h6 * (a + 2 * b + 2 * c + d) for xi, a, b, c, d in zip(x, *ks))
     return nxt if _in_domain(nxt) else None
 
 
@@ -134,8 +134,9 @@ def _integrate_rk45(p, x0, dt, t_max, trace):
 
 
 def invariant_drift(trace: FlowTrace) -> dict:
-    """Max relative drift of each conserved level along the trace."""
-    if not trace.signatures:
+    """Max relative drift of each conserved level along the trace; {} for a
+    trace of fewer than two samples, which shows no drift either way."""
+    if len(trace.signatures) < 2:
         return {}
     ref = trace.signatures[0]
     names = ["v1", "v2"] + (["v3"] if ref.v3 is not None else [])

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError
-from .lyness import Params, require_point, validated
-from .scalars import Cleared, RatMatrix, exact_kinds, exact_rank, gradient
+from .lyness import Params, require_point, traced, validated
+from .scalars import Cleared, RatMatrix, exact_kinds, exact_rank, fold, gradient
 
 
 # Each formula is written once, over the pieces the integrals share: S, the
@@ -45,7 +45,7 @@ from .scalars import Cleared, RatMatrix, exact_kinds, exact_rank, gradient
 
 def _total(p: Params, x):
     """S = a + x1 + ... + xk."""
-    return p.a + sum(x)
+    return p.a + fold(x)
 
 
 def _v1(x, total, pi):
@@ -136,6 +136,7 @@ class LevelSignature:
 
 
 @validated
+@traced
 def level_signature(p: Params, x) -> LevelSignature:
     """V1, V2 (and V3, sign Z for odd k) in one pass over the shared pieces."""
     total, pi = _total(p, x), math.prod(x)

@@ -23,19 +23,25 @@ All functions accept coordinates from any scalar backend (Fraction, float,
 Dual) and stay inside it. Formulas are pure ring arithmetic; the domain is
 checked once at the boundary: a `@validated` public function runs
 `require_point` and then its kernel, which stays reachable as `.kernel` for
-drivers that validated their start point already. Every float run enters
-float64 through `float_point`, the one place that converts a and x0.
+drivers that validated their start point already. `step`, `inverse_step`,
+the symmetry field and the level signatures are also `@traced`: their
+`.kernel` runs the body as straight-line code compiled once per k. Every
+float run enters float64 through `float_point`, the one place that converts
+a and x0.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import linecache
 import math
+import types
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DimensionError, DomainError
-from .scalars import RatMatrix
+from .scalars import RatMatrix, fold
 
 
 @dataclass(frozen=True)
@@ -111,26 +117,134 @@ def validated(kernel, check=None):
     return public
 
 
+def _operand(v) -> str:
+    if isinstance(v, Recording):
+        return v.name
+    if type(v) is int:
+        return repr(v)
+    raise TypeError(f"a traced kernel computes on its inputs and int literals, not on {v!r}")
+
+
+def _binary(symbol):
+    """The forward and reflected methods of one recorded binary operator."""
+    template = "{} %s {}" % symbol
+    return (lambda self, other: self.record(template, self, other),
+            lambda self, other: self.record(template, other, self))
+
+
+class Recording:
+    """A symbolic scalar of one trace. Each `+ - * /`, unary `-`, `<` or `>`
+    on it appends one line `t<n> = <operand> <op> <operand>` to the trace's
+    tape, with the operands in the order Python evaluated them, and returns
+    the result as a new recording. The other operand is a recording or an int
+    literal. Anything else (bool, ==, abs, **, float, ...) raises TypeError,
+    so a kernel that branches on a value fails when it is traced."""
+
+    __slots__ = ("tape", "name")
+
+    def __init__(self, tape: list, name: str):
+        self.tape, self.name = tape, name
+
+    def record(self, template: str, *operands):
+        line = template.format(*map(_operand, operands))
+        out = Recording(self.tape, f"t{len(self.tape)}")
+        self.tape.append(f"{out.name} = {line}")
+        return out
+
+    __add__, __radd__ = _binary("+")
+    __sub__, __rsub__ = _binary("-")
+    __mul__, __rmul__ = _binary("*")
+    __truediv__, __rtruediv__ = _binary("/")
+    __lt__ = _binary("<")[0]
+    __gt__ = _binary(">")[0]
+
+    def __neg__(self):
+        return self.record("-{}", self)
+
+    def __bool__(self):
+        raise TypeError("a traced kernel cannot branch on a value")
+
+    def __eq__(self, other):
+        raise TypeError("a traced kernel cannot compare values for equality")
+
+
+def _expression(out, names: dict) -> str:
+    """Source that rebuilds a kernel's result from the trace's variables; a
+    dataclass type it needs is added to names."""
+    if isinstance(out, Recording):
+        return out.name
+    if type(out) is tuple:
+        return "(" + "".join(_expression(v, names) + ", " for v in out) + ")"
+    if dataclasses.is_dataclass(out):
+        names[type(out).__name__] = type(out)
+        fields = (_expression(getattr(out, f.name), names) for f in dataclasses.fields(out))
+        return f"{type(out).__name__}({', '.join(fields)})"
+    if out is None:
+        return "None"
+    raise TypeError(f"a traced kernel returns tuples and dataclasses of scalars, not {out!r}")
+
+
+def _compile(kernel, k: int):
+    """kernel traced once at dimension k, on recordings a and x0..x{k-1}, and
+    written out as one straight-line function of (p, x) that performs the
+    recorded operations in order: no simplification, no shared subexpressions."""
+    tape = []
+    x = tuple(Recording(tape, f"x{i}") for i in range(k))
+    out = kernel(types.SimpleNamespace(k=k, a=Recording(tape, "a")), x)
+    names = {}
+    result = _expression(out, names)
+    lines = ["def kernel(p, x):", "a = p.a", "".join(v.name + ", " for v in x) + "= x", *tape]
+    source = "\n    ".join([*lines, f"return {result}"]) + "\n"
+    filename = f"<traced {kernel.__qualname__} k={k}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), names)
+    return names["kernel"]
+
+
+def traced(kernel):
+    """A pure kernel f(p, x) run as straight-line code compiled once per k:
+    the first call at dimension p.k traces f on `Recording` inputs and
+    compiles what it recorded; that call and every later one at p.k run the
+    compiled function, which performs the same operations on the same
+    operands in the same order as f, so its results are f's, bit for bit.
+    f stays the source, as `__wrapped__`; `compiled` maps k to its function."""
+    compiled = {}
+
+    @functools.wraps(kernel)
+    def run(p, x):
+        try:
+            fn = compiled[p.k]
+        except KeyError:
+            fn = compiled[p.k] = _compile(kernel, p.k)
+        return fn(p, x)
+
+    run.compiled = compiled
+    return run
+
+
 @validated
+@traced
 def step(p: Params, x) -> tuple:
-    return x[1:] + ((p.a + sum(x[1:])) / x[0],)
+    return x[1:] + ((p.a + fold(x[1:])) / x[0],)
 
 
 @validated
+@traced
 def inverse_step(p: Params, y) -> tuple:
-    return ((p.a + sum(y[:-1])) / y[-1],) + y[:-1]
+    return ((p.a + fold(y[:-1])) / y[-1],) + y[:-1]
 
 
 @validated
 def orbit(p: Params, x, n: int):
     """Yield x and then each image under F (F^-1 for n < 0), |n| images in
     all. Stops early at the first state outside `in_orthant`: float overflow
-    or underflow."""
-    advance = step.kernel if n >= 0 else inverse_step.kernel
+    or underflow. An image shifts the checked coordinates of the state
+    before it and adds one, so only the added one is checked."""
+    advance, added = (step.kernel, slice(-1, None)) if n >= 0 else (inverse_step.kernel, slice(1))
     yield x
     for _ in range(abs(n)):
         x = advance(p, x)
-        if not in_orthant(x):
+        if not in_orthant(x[added]):
             return
         yield x
 
@@ -170,7 +284,7 @@ def jacobian(p: Params, x) -> RatMatrix:
     rows = []
     for i in range(p.k - 1):
         rows.append([one if j == i + 1 else zero for j in range(p.k)])
-    last = [-(p.a + sum(x[1:])) / (x[0] * x[0])] + [one / x[0]] * (p.k - 1)
+    last = [-(p.a + fold(x[1:])) / (x[0] * x[0])] + [one / x[0]] * (p.k - 1)
     rows.append(last)
     return RatMatrix(rows)
 
@@ -178,7 +292,7 @@ def jacobian(p: Params, x) -> RatMatrix:
 @validated
 def jacobian_det(p: Params, x):
     """det DF(x) = (-1)^k (a + x2 + ... + xk) / x1^2 (cofactor closed form)."""
-    val = (p.a + sum(x[1:])) / (x[0] * x[0])
+    val = (p.a + fold(x[1:])) / (x[0] * x[0])
     return val if p.k % 2 == 0 else -val
 
 

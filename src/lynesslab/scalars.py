@@ -12,7 +12,9 @@ coordinate; ranks over the rationals use fraction-free integer elimination.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,6 +51,13 @@ def _literal_digits(literal: str) -> float:
         return math.inf  # |e| alone is past the bound, on either side
     shift = int(exp or 0) - len(head.partition(".")[2])
     return max(len(head.replace(".", "")) + max(shift, 0), 1 - min(shift, 0))
+
+
+def fold(xs):
+    """0 + x1 + x2 + ..., added left to right: the order of `sum` before
+    CPython 3.12, whose `sum` of floats compensates rounding. Kernels sum
+    with `fold`, so a float result has the same bits on every interpreter."""
+    return functools.reduce(operator.add, xs, 0)
 
 
 def _lift(v):

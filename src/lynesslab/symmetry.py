@@ -31,8 +31,8 @@ import math
 
 from .errors import DimensionError
 from .invariants import eval_v1, eval_v2, eval_v3
-from .lyness import Params, step, validated
-from .scalars import Dual, jvp
+from .lyness import Params, step, traced, validated
+from .scalars import Dual, fold, jvp
 
 
 def _links(x) -> list:
@@ -45,18 +45,20 @@ def _links(x) -> list:
 
 
 @validated
+@traced
 def symmetry_vector(p: Params, x) -> tuple:
     """X(x), exact over rational coordinates. Defined for k >= 3.
 
     At middle component i (0-based) the loop carries the left-to-right prefixes
     link_head = prod links[:i-1] and x_head = prod x[:i], one multiplication
     each per component; the last component takes the values they end with.
-    sum(x) is sum(x[:k-1]) + x[k-1], the same additions in the same order."""
+    x1 + ... + xk is fold(x[:k-1]) + x[k-1], the additions of fold(x) in
+    its order."""
     if p.k < 3:
         raise DimensionError(f"the symmetry field needs k >= 3, got k={p.k}")
     k, a = p.k, p.a
     links = _links(x)
-    head_sum = sum(x[: k - 1])
+    head_sum = fold(x[: k - 1])
     middle = a + (head_sum + x[k - 1]) + x[0] * x[k - 1]
     out = [
         (x[0] + 1)
@@ -77,7 +79,7 @@ def symmetry_vector(p: Params, x) -> tuple:
     last = (
         -(x[k - 1] + 1)
         * link_head
-        * (a + sum(x[1:]) - x[0] * x[k - 2])
+        * (a + fold(x[1:]) - x[0] * x[k - 2])
         / x_head
     )
     out.append(last)
@@ -108,8 +110,8 @@ def compatibility_residual(p: Params, x):
     image_last = symmetry_vector.kernel(p, step.kernel(p, x))[-1]
     return (
         image_last
-        + (p.a + sum(x[1:])) / (x[0] * x[0]) * here[0]
-        - sum(here[1:]) / x[0]
+        + (p.a + fold(x[1:])) / (x[0] * x[0]) * here[0]
+        - fold(here[1:]) / x[0]
     )
 
 

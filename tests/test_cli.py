@@ -109,6 +109,15 @@ def test_flow_prints_a_drift_summary(capsys):
     assert worst <= 1e-6
 
 
+def test_a_flow_truncated_at_its_first_step_reports_no_drift(capsys):
+    code = main(["flow", "--k", "5", "--a", "1", "--x0", "1/100,50,1,70,2", "--dt", "0.01",
+                 "--t-max", "0.05"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == "warning: trajectory truncated near the domain boundary at t=0.0\n"
+    assert captured.out.splitlines()[1:] == ["max relative drift = n/a (fewer than 2 samples)"]
+
+
 def test_flow_writes_the_sampled_trace(tmp_path, capsys):
     out_file = tmp_path / "trace.csv"
     code = main(

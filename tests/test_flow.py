@@ -17,6 +17,7 @@ from lynesslab.flow import (
     transport_diagnostic,
 )
 from lynesslab.lyness import Params
+from lynesslab.scalars import fold
 from lynesslab.symmetry import symmetry_vector
 
 P44 = Params(4, Fraction(4))
@@ -67,6 +68,21 @@ def test_boundary_approach_truncates_and_flags():
     assert trace.boundary_hit
     assert len(trace.times) < 1001
     assert trace.states  # the initial sample is always kept
+
+
+def test_a_trace_of_one_sample_reports_no_drift():
+    trace = integrate_flow(Params(5, 1), (0.01, 50, 1, 70, 2), dt=0.01, t_max=0.05)
+    assert trace.boundary_hit and len(trace.signatures) == 1
+    assert invariant_drift(trace) == {}
+
+
+@pytest.mark.parametrize(
+    "c, inside",
+    [(1.0, True), (2 * flow.BOUNDARY_EPS, True), (flow.BOUNDARY_EPS, False), (0.0, False),
+     (math.nan, False), (math.inf, False), (-math.inf, False)],
+)
+def test_the_truncation_rule_keeps_finite_coordinates_past_the_boundary(c, inside):
+    assert flow._in_domain((1.0, c, 2.0)) is inside
 
 
 def test_method_and_grid_validation():
@@ -153,13 +169,13 @@ def _accumulate_field(p, x):
     links = [1 + x[i] + x[i + 1] for i in range(k - 1)]
     link_heads = list(accumulate(links[:-1], mul, initial=1))
     x_heads = list(accumulate(x[:-1], mul, initial=1))
-    middle = a + sum(x) + x[0] * x[k - 1]
-    out = [(x[0] + 1) * math.prod(links[1:]) * (a + sum(x[: k - 1]) - x[1] * x[k - 1])
+    middle = a + fold(x) + x[0] * x[k - 1]
+    out = [(x[0] + 1) * math.prod(links[1:]) * (a + fold(x[: k - 1]) - x[1] * x[k - 1])
            / math.prod(x[1:])]
     for i in range(1, k - 1):
         out.append((x[i] + 1) * math.prod(links[i + 1 :], start=link_heads[i - 1]) * middle
                    * (x[i - 1] - x[i + 1]) / math.prod(x[i + 1 :], start=x_heads[i]))
-    out.append(-(x[k - 1] + 1) * link_heads[-1] * (a + sum(x[1:]) - x[0] * x[k - 2])
+    out.append(-(x[k - 1] + 1) * link_heads[-1] * (a + fold(x[1:]) - x[0] * x[k - 2])
                / x_heads[-1])
     return tuple(out)
 

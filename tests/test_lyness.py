@@ -37,6 +37,12 @@ def test_inverse_step_matches_hand_computation():
     assert inverse_step(p, (Fraction(3), Fraction(5), Fraction(9))) == (1, 3, 5)
 
 
+def test_kernels_sum_left_to_right_on_every_interpreter():
+    # sum() of floats compensates since CPython 3.12 and would give 1.0000000000000002e16
+    assert step.kernel(Params(4, 0.0), (1.0, 1e16, 1.0, 1.0))[-1] == 1e16
+    assert inverse_step.kernel(Params(4, 0.0), (1e16, 1.0, 1.0, 1.0))[0] == 1e16
+
+
 def test_step_and_inverse_are_mutually_inverse():
     rng = stream("round-trip", 0)
     for k in range(2, 9):
@@ -230,6 +236,9 @@ def test_orbit_stops_at_the_first_state_outside_the_float_range():
     assert all(0 < c < math.inf for s in states for c in s)
     trace = iterate(p, (1e-300, 1e300, 1e300), 10)
     assert trace.states == states and trace.truncated
+    backward = list(orbit(p, (1e300, 1e300, 1e-300), -10))
+    assert len(backward) < 11
+    assert all(0 < c < math.inf for s in backward for c in s)
     # tall rationals compare against inf without a float conversion
     tall = (Fraction(10**400), Fraction(1), Fraction(1))
     assert len(list(orbit(p, tall, 3))) == 4

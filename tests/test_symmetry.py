@@ -10,6 +10,7 @@ import pytest
 from lynesslab.errors import DimensionError
 from lynesslab.lyness import Params, fixed_point, step, two_periodic_point
 from lynesslab.sampling import random_point, stream
+from lynesslab.scalars import fold
 from lynesslab.symmetry import (
     annihilation_residual,
     compatibility_residual,
@@ -34,13 +35,13 @@ def _field_oracle(p, x):
     O(k^2) multiplications, in the left-to-right order the kernel must keep."""
     k, a = p.k, p.a
     links = [1 + x[i] + x[i + 1] for i in range(k - 1)]
-    middle = a + sum(x) + x[0] * x[k - 1]
-    out = [(x[0] + 1) * math.prod(links[1:]) * (a + sum(x[: k - 1]) - x[1] * x[k - 1])
+    middle = a + fold(x) + x[0] * x[k - 1]
+    out = [(x[0] + 1) * math.prod(links[1:]) * (a + fold(x[: k - 1]) - x[1] * x[k - 1])
            / math.prod(x[1:])]
     for i in range(1, k - 1):
         out.append((x[i] + 1) * math.prod(links[: i - 1] + links[i + 1 :]) * middle
                    * (x[i - 1] - x[i + 1]) / math.prod(x[j] for j in range(k) if j != i))
-    out.append(-(x[k - 1] + 1) * math.prod(links[:-1]) * (a + sum(x[1:]) - x[0] * x[k - 2])
+    out.append(-(x[k - 1] + 1) * math.prod(links[:-1]) * (a + fold(x[1:]) - x[0] * x[k - 2])
                / math.prod(x[: k - 1]))
     return tuple(out)
 

@@ -1,0 +1,145 @@
+"""Traced kernels: `step`, `inverse_step`, the symmetry field and the level
+signatures run as straight-line code compiled once per k. The compiled form
+must give its body's results (`__wrapped__`) in value and type, bit for bit
+over floats, and a body that branches on a value must fail when traced."""
+
+import linecache
+import math
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from lynesslab import lyness  # noqa: E402
+from lynesslab.invariants import LevelSignature, level_signature, level_signatures  # noqa: E402
+from lynesslab.lyness import Params, float_point, inverse_step, orbit, step, traced  # noqa: E402
+from lynesslab.scalars import Cleared, Dual  # noqa: E402
+from lynesslab.symmetry import symmetry_vector  # noqa: E402
+
+TRACED = (step, inverse_step, symmetry_vector, level_signature)
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+# moderate coordinates, and ones whose products overflow to inf (and inf/inf to nan)
+moderate = st.floats(min_value=1e-3, max_value=1e3)
+huge = st.floats(min_value=1e150, max_value=1.7e308)
+positive = st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=100)
+parameter = st.fractions(min_value=0, max_value=20, max_denominator=10)
+
+
+def _shape(v):
+    """v in a form that compares value and type: a float by its hex, a
+    Cleared by its numerator and denominator factors, a Dual by its parts."""
+    if isinstance(v, (tuple, list)):
+        return [_shape(c) for c in v]
+    if isinstance(v, LevelSignature):
+        return (LevelSignature, _shape([v.v1, v.v2, v.v3, v.z_sign]))
+    if isinstance(v, Dual):
+        return (Dual, _shape(v.value), _shape(v.deriv))
+    if isinstance(v, Cleared):
+        return (Cleared, v.n, v.den)
+    if isinstance(v, float):
+        return (float, v.hex())
+    return (type(v), v)
+
+
+def _outcome(kernel, p, x):
+    try:
+        return _shape(kernel(p, x))
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def _assert_traced_equals_body(p, x):
+    for fn in TRACED:
+        assert _outcome(fn.kernel, p, x) == _outcome(fn.kernel.__wrapped__, p, x), fn.__name__
+
+
+@SETTINGS
+@given(data=st.data(), k=st.integers(3, 8), a=st.floats(min_value=0, max_value=20))
+def test_float_kernels_give_the_bits_of_their_body(data, k, a):
+    x = data.draw(st.tuples(*[st.one_of(moderate, huge)] * k))
+    _assert_traced_equals_body(Params(k, a), x)
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_float_kernels_past_the_float64_range_give_the_bits_of_their_body(k):
+    p = Params(k, 1.0)
+    x = (1e300,) * k
+    assert not all(map(math.isfinite, symmetry_vector.kernel(p, x)))
+    _assert_traced_equals_body(p, x)
+
+
+@SETTINGS
+@given(data=st.data(), k=st.integers(3, 8), a=parameter)
+def test_exact_and_dual_kernels_give_the_values_and_types_of_their_body(data, k, a):
+    x = data.draw(st.tuples(*[positive] * k))
+    v = data.draw(st.tuples(*[st.integers(-3, 3)] * k))
+    p = Params(k, a)
+    for point in (x, tuple(map(Cleared.of, x)), Cleared.common(x), tuple(map(Dual, x, v))):
+        _assert_traced_equals_body(p, point)
+
+
+def _branches(p, x):
+    if x[0] > 1:
+        return (x[0],)
+    return (x[1],)
+
+
+def _equal(p, x):
+    return (x[0] == x[1],)
+
+
+def _absolute(p, x):
+    return (abs(x[0]),)
+
+
+def _power(p, x):
+    return (x[0] ** 2,)
+
+
+def _float_literal(p, x):
+    return (0.5 * x[0],)
+
+
+@pytest.mark.parametrize("body", [_branches, _equal, _absolute, _power, _float_literal])
+def test_a_kernel_that_is_not_ring_arithmetic_fails_when_traced(body):
+    run = traced(body)
+    with pytest.raises(TypeError):
+        run(Params(3, 1.0), (2.0, 1.0, 1.0))
+    assert run.compiled == {}
+
+
+def test_a_kernel_traced_inside_another_records_into_its_tape():
+    @traced
+    def twice(p, x):
+        return step.kernel(p, step.kernel(p, x))
+
+    p = Params(4, Fraction(1, 3))
+    x = (Fraction(1), Fraction(2), Fraction(3), Fraction(4))
+    assert twice(p, x) == step(p, step(p, x))
+    assert twice(Params(4, 0.5), (1.0, 2.0, 3.0, 4.0)) == step.kernel.__wrapped__(
+        Params(4, 0.5), step.kernel.__wrapped__(Params(4, 0.5), (1.0, 2.0, 3.0, 4.0))
+    )
+    # one straight-line function holding both steps' divisions, with no call to step
+    source = linecache.getlines(f"<traced {twice.__qualname__} k=4>")
+    assert sum(" / " in line for line in source) == 2
+    assert "step" not in twice.compiled[4].__code__.co_names
+
+
+def test_a_long_orbit_compiles_each_kernel_once_per_k(monkeypatch):
+    compiled = []
+    real = lyness._compile
+    monkeypatch.setattr(lyness, "_compile", lambda kernel, k: compiled.append((kernel.__name__, k)) or real(kernel, k))
+    for fn in (step, inverse_step, level_signature):
+        for k in list(fn.kernel.compiled):
+            monkeypatch.delitem(fn.kernel.compiled, k)
+    p, x0 = float_point(Params(5, 1), (1, 2, 3, 4, 5))
+    forward = list(orbit(p, x0, 1000))
+    assert len(forward) == len(list(orbit(p, forward[-1], -1000))) == 1001
+    assert len(list(level_signatures(p, forward))) == 1001
+    exact = Params(5, Fraction(1))  # the same k, so the same compiled kernels
+    assert len(list(level_signatures(exact, orbit(exact, (1, 2, 3, 4, 5), 30)))) == 31
+    assert compiled == [("step", 5), ("inverse_step", 5), ("level_signature", 5)]
