@@ -112,29 +112,22 @@ def _full_digits():
 
 
 def _resolve_ks(args) -> list:
-    if args.k_range is not None:
-        text = args.k_range
-        lo, sep, hi = text.partition("..")
-        if not sep or not lo.isdigit() or not hi.isdigit():
-            raise CliError(f"--k-range must look like 3..8, got {text!r}")
-        lo, hi = int(lo), int(hi)
-        if lo > hi:
-            raise CliError(f"--k-range is empty: {text!r}")
-        ks = list(range(lo, hi + 1))
-    else:
-        ks = [args.k]
-    for k in ks:
-        if k < 3:
-            raise CliError(f"verification suites need k >= 3, got k={k}")
-    return ks
+    if args.k_range is None:
+        return [args.k]
+    text = args.k_range
+    lo, sep, hi = text.partition("..")
+    if not sep or not lo.isdigit() or not hi.isdigit():
+        raise CliError(f"--k-range must look like 3..8, got {text!r}")
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise CliError(f"--k-range is empty: {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def cmd_verify(args) -> int:
     ks = _resolve_ks(args)
     a = parse_rational(args.a)
     seed = args.seed if args.seed is not None else _default_seed()
-    if args.trials < 1:
-        raise CliError(f"--trials must be >= 1, got {args.trials}")
 
     results = []
     for k in ks:

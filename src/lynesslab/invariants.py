@@ -23,24 +23,21 @@ transforms as Z o F = det DF * Z (and prod o F = -det DF * prod), so its
 zero set is invariant, its sign flips each step off the zero set, and
 1/prod and 1/(prod * (W - W o F)) are invariant densities of the second
 iterate. "odd"/"even" above refer to 1-based coordinate positions.
+
+Each `eval_*` kernel is its formula as written. `level_signature` calls the
+kernels of V1, V2, V3 and sign Z; the tracer (`lyness.traced`) runs the
+pieces they share (S, the coordinate product, each x_i + 1) once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DimensionError
 from .lyness import Params, require_point, traced, validated
 from .scalars import Cleared, RatMatrix, exact_kinds, exact_rank, fold, gradient
-
-
-# Each formula is written once, over the pieces the integrals share: S, the
-# coordinate product pi and, for odd k, the odd/even terms. The public
-# kernels build their own pieces; `level_signature` builds each piece once
-# and feeds all of them, so every value is the same expression, evaluated in
-# the same order, as its kernel (bit-identical over floats).
 
 
 def _total(p: Params, x):
@@ -48,42 +45,20 @@ def _total(p: Params, x):
     return p.a + fold(x)
 
 
-def _v1(x, total, pi):
-    return total * math.prod(c + 1 for c in x) / pi
-
-
-def _v2(x, total, pi):
-    chain = math.prod(1 + x[i] + x[i + 1] for i in range(len(x) - 1))
-    return (total + x[0] * x[-1]) * chain / pi
-
-
-def _odd_terms(x, total):
-    """(prod_odd x(x+1), S * prod_even x(x+1)), the two terms of V3 and Z."""
-    odd = math.prod(x[i] * (x[i] + 1) for i in range(0, len(x), 2))
-    even = math.prod(x[i] * (x[i] + 1) for i in range(1, len(x), 2))
-    return odd, total * even
-
-
-def _v3(odd, s_even, pi):
-    return (odd + s_even) / pi
-
-
-def _z(odd, s_even):
-    return odd - s_even
-
-
-def _sign(v) -> int:
-    return (v > 0) - (v < 0)
+def _alternating(x, start: int):
+    """prod x(x+1) over every second coordinate from 0-based index start."""
+    return math.prod(x[i] * (x[i] + 1) for i in range(start, len(x), 2))
 
 
 @validated
 def eval_v1(p: Params, x):
-    return _v1(x, _total(p, x), math.prod(x))
+    return _total(p, x) * math.prod(c + 1 for c in x) / math.prod(x)
 
 
 @validated
 def eval_v2(p: Params, x):
-    return _v2(x, _total(p, x), math.prod(x))
+    chain = math.prod(1 + x[i] + x[i + 1] for i in range(p.k - 1))
+    return (_total(p, x) + x[0] * x[-1]) * chain / math.prod(x)
 
 
 def _require_odd(p: Params, what: str):
@@ -104,14 +79,14 @@ def eval_w(p: Params, x):
 def eval_v3(p: Params, x):
     """Third first integral for odd k, evaluated in cleared polynomial form."""
     _require_odd(p, "the third integral")
-    return _v3(*_odd_terms(x, _total(p, x)), math.prod(x))
+    return (_alternating(x, 0) + _total(p, x) * _alternating(x, 1)) / math.prod(x)
 
 
 @validated
 def eval_z(p: Params, x):
     """Separating polynomial (odd k); {Z = 0} is an invariant hypersurface."""
     _require_odd(p, "the separating polynomial")
-    return _z(*_odd_terms(x, _total(p, x)))
+    return _alternating(x, 0) - _total(p, x) * _alternating(x, 1)
 
 
 @validated
@@ -122,11 +97,11 @@ def eval_pi(p: Params, x):
 
 @validated
 def z_sign(p: Params, x) -> int:
-    return _sign(eval_z.kernel(p, x))
+    z = eval_z.kernel(p, x)
+    return (z > 0) - (z < 0)
 
 
-@dataclass(frozen=True)
-class LevelSignature:
+class LevelSignature(NamedTuple):
     """Invariant levels attached to one state; v3/z_sign are None for even k."""
 
     v1: object
@@ -138,13 +113,11 @@ class LevelSignature:
 @validated
 @traced
 def level_signature(p: Params, x) -> LevelSignature:
-    """V1, V2 (and V3, sign Z for odd k) in one pass over the shared pieces."""
-    total, pi = _total(p, x), math.prod(x)
-    v1, v2 = _v1(x, total, pi), _v2(x, total, pi)
+    """V1, V2 (and V3, sign Z for odd k), each by its own kernel."""
+    v1, v2 = eval_v1.kernel(p, x), eval_v2.kernel(p, x)
     if p.k % 2 == 0:
-        return LevelSignature(v1=v1, v2=v2)
-    odd, s_even = _odd_terms(x, total)
-    return LevelSignature(v1=v1, v2=v2, v3=_v3(odd, s_even, pi), z_sign=_sign(_z(odd, s_even)))
+        return LevelSignature(v1, v2)
+    return LevelSignature(v1, v2, eval_v3.kernel(p, x), z_sign.kernel(p, x))
 
 
 def level_signatures(p: Params, states):

@@ -32,7 +32,6 @@ a and x0.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import linecache
 import math
@@ -134,22 +133,23 @@ def _binary(symbol):
 
 class Recording:
     """A symbolic scalar of one trace. Each `+ - * /`, unary `-`, `<` or `>`
-    on it appends one line `t<n> = <operand> <op> <operand>` to the trace's
-    tape, with the operands in the order Python evaluated them, and returns
-    the result as a new recording. The other operand is a recording or an int
-    literal. Anything else (bool, ==, abs, **, float, ...) raises TypeError,
-    so a kernel that branches on a value fails when it is traced."""
+    on it records the line `<operand> <op> <operand>`, with the operands in
+    the order Python evaluated them, and returns its result as a new
+    recording. The other operand is a recording or an int literal. Anything
+    else (bool, ==, abs, **, float, ...) raises TypeError, so a kernel that
+    branches on a value fails when it is traced. The tape maps each distinct
+    line to the name of its result, in the order first recorded: a line
+    recorded again (the same operator on the same operands in the same
+    order) names the first result, so it runs once."""
 
     __slots__ = ("tape", "name")
 
-    def __init__(self, tape: list, name: str):
+    def __init__(self, tape: dict, name: str):
         self.tape, self.name = tape, name
 
     def record(self, template: str, *operands):
         line = template.format(*map(_operand, operands))
-        out = Recording(self.tape, f"t{len(self.tape)}")
-        self.tape.append(f"{out.name} = {line}")
-        return out
+        return Recording(self.tape, self.tape.setdefault(line, f"t{len(self.tape)}"))
 
     __add__, __radd__ = _binary("+")
     __sub__, __rsub__ = _binary("-")
@@ -170,30 +170,33 @@ class Recording:
 
 def _expression(out, names: dict) -> str:
     """Source that rebuilds a kernel's result from the trace's variables; a
-    dataclass type it needs is added to names."""
+    tuple subclass is rebuilt by its constructor, whose type is added to names."""
     if isinstance(out, Recording):
         return out.name
-    if type(out) is tuple:
-        return "(" + "".join(_expression(v, names) + ", " for v in out) + ")"
-    if dataclasses.is_dataclass(out):
+    if isinstance(out, tuple):
+        items = "(" + "".join(_expression(v, names) + ", " for v in out) + ")"
+        if type(out) is tuple:
+            return items
         names[type(out).__name__] = type(out)
-        fields = (_expression(getattr(out, f.name), names) for f in dataclasses.fields(out))
-        return f"{type(out).__name__}({', '.join(fields)})"
+        return type(out).__name__ + items
     if out is None:
         return "None"
-    raise TypeError(f"a traced kernel returns tuples and dataclasses of scalars, not {out!r}")
+    raise TypeError(f"a traced kernel returns tuples of scalars, not {out!r}")
 
 
 def _compile(kernel, k: int):
     """kernel traced once at dimension k, on recordings a and x0..x{k-1}, and
-    written out as one straight-line function of (p, x) that performs the
-    recorded operations in order: no simplification, no shared subexpressions."""
-    tape = []
+    written out as one straight-line function of (p, x) that performs each
+    distinct recorded operation once, in the order first recorded. Nothing is
+    reordered, commuted or re-associated: `x0 + 1` and `1 + x0` stay two
+    operations, so every operation sees the operands it saw in the body."""
+    tape = {}
     x = tuple(Recording(tape, f"x{i}") for i in range(k))
     out = kernel(types.SimpleNamespace(k=k, a=Recording(tape, "a")), x)
     names = {}
     result = _expression(out, names)
-    lines = ["def kernel(p, x):", "a = p.a", "".join(v.name + ", " for v in x) + "= x", *tape]
+    lines = ["def kernel(p, x):", "a = p.a", "".join(v.name + ", " for v in x) + "= x",
+             *(f"{name} = {line}" for line, name in tape.items())]
     source = "\n    ".join([*lines, f"return {result}"]) + "\n"
     filename = f"<traced {kernel.__qualname__} k={k}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
@@ -205,9 +208,10 @@ def traced(kernel):
     """A pure kernel f(p, x) run as straight-line code compiled once per k:
     the first call at dimension p.k traces f on `Recording` inputs and
     compiles what it recorded; that call and every later one at p.k run the
-    compiled function, which performs the same operations on the same
-    operands in the same order as f, so its results are f's, bit for bit.
-    f stays the source, as `__wrapped__`; `compiled` maps k to its function."""
+    compiled function. It performs f's operations on the same operands in the
+    same order, each distinct one once (a repeat reuses the first result), so
+    its results are f's, bit for bit. f stays the source, as `__wrapped__`;
+    `compiled` maps k to its function."""
     compiled = {}
 
     @functools.wraps(kernel)

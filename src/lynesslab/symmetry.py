@@ -9,6 +9,11 @@ on the open positive orthant is
                                                           for 2 <= m <= k-1
     X_k = -(xk+1) [prod_{i=1..k-2} L_i] (a + x2+...+xk - x1 x_{k-1}) / prod_{i<k} x_i
 
+`symmetry_vector` writes each component as its formula: every product is
+`math.prod` over its own slice, left to right, and every sum is `fold`. A
+product or sum that several components share (S, a prefix of the L_i or of
+the x_i) is computed once by the tracer (`lyness.traced`), not by hand.
+
 It satisfies the symmetry condition X(F(x)) = DF(x) X(x) componentwise over
 the rationals, which is equivalent to the pair:
 
@@ -36,54 +41,33 @@ from .scalars import Dual, fold, jvp
 
 
 def _links(x) -> list:
-    """[L_1, ..., L_{k-1}] with L_i = 1 + x_i + x_{i+1}, built once per point.
-    Chains are products over slices of it, taken left to right from 1 or from
-    a prefix product carried through the loop over components (the same order
-    of multiplications); any other grouping, say prefix times suffix products,
-    changes float roundings."""
+    """[L_1, ..., L_{k-1}] with L_i = 1 + x_i + x_{i+1}."""
     return [1 + x[i] + x[i + 1] for i in range(len(x) - 1)]
 
 
 @validated
 @traced
 def symmetry_vector(p: Params, x) -> tuple:
-    """X(x), exact over rational coordinates. Defined for k >= 3.
-
-    At middle component i (0-based) the loop carries the left-to-right prefixes
-    link_head = prod links[:i-1] and x_head = prod x[:i], one multiplication
-    each per component; the last component takes the values they end with.
-    x1 + ... + xk is fold(x[:k-1]) + x[k-1], the additions of fold(x) in
-    its order."""
+    """X(x) by the formulas above, exact over rational coordinates. Defined for k >= 3."""
     if p.k < 3:
         raise DimensionError(f"the symmetry field needs k >= 3, got k={p.k}")
     k, a = p.k, p.a
     links = _links(x)
-    head_sum = fold(x[: k - 1])
-    middle = a + (head_sum + x[k - 1]) + x[0] * x[k - 1]
-    out = [
-        (x[0] + 1)
-        * math.prod(links[1:])
-        * (a + head_sum - x[1] * x[k - 1])
+    middle = a + fold(x) + x[0] * x[k - 1]
+    first = (
+        (x[0] + 1) * math.prod(links[1:]) * (a + fold(x[: k - 1]) - x[1] * x[k - 1])
         / math.prod(x[1:])
-    ]
-    link_head, x_head = 1, x[0]
-    for i in range(1, k - 1):  # 0-based middle components, chain M_{i+1}
-        out.append(
-            (x[i] + 1)
-            * math.prod(links[i + 1 :], start=link_head)
-            * middle
-            * (x[i - 1] - x[i + 1])
-            / math.prod(x[i + 1 :], start=x_head)
-        )
-        link_head, x_head = link_head * links[i - 1], x_head * x[i]
-    last = (
-        -(x[k - 1] + 1)
-        * link_head
-        * (a + fold(x[1:]) - x[0] * x[k - 2])
-        / x_head
     )
-    out.append(last)
-    return tuple(out)
+    middles = tuple(
+        (x[m] + 1) * math.prod(links[: m - 1] + links[m + 1 :]) * middle * (x[m - 1] - x[m + 1])
+        / math.prod(x[:m] + x[m + 1 :])
+        for m in range(1, k - 1)
+    )
+    last = (
+        -(x[k - 1] + 1) * math.prod(links[: k - 2]) * (a + fold(x[1:]) - x[0] * x[k - 2])
+        / math.prod(x[: k - 1])
+    )
+    return (first, *middles, last)
 
 
 @validated
@@ -162,8 +146,6 @@ def factorization_residual(p: Params, x):
 
 
 def equilibrium_residual(p: Params, x):
-    """Sup-norm of X at x; zero exactly at the fixed point (k=4) and along the
-    2-periodic curve (k=5)."""
-    if p.k not in (4, 5):
-        raise DimensionError(f"equilibrium check is registered for k in {{4, 5}}, got k={p.k}")
+    """Sup-norm of X at x (k >= 3); zero exactly where X vanishes, as at the
+    fixed point (k=4) and along the 2-periodic curves (k=3 and k=5)."""
     return max(abs(c) for c in symmetry_vector(p, x))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import measure_density_residual
+from .errors import DimensionError
 from .invariants import eval_pi, eval_v1, eval_v2, eval_v3, eval_w, eval_z
 from .lyness import Params, inverse_step, jacobian, jacobian_det, require_point, step
 from .sampling import random_point, stream
@@ -162,10 +163,15 @@ def _checks_for(p: Params):
 
 
 def run_suites(k: int, a, trials: int, seed: int) -> list:
-    """All applicable identity suites for one (k, a); exact arithmetic only: each
-    point is drawn as Fractions, validated, and checked on its common-denominator
-    Cleared image (`Cleared.common`)."""
+    """All applicable identity suites for one (k, a), k >= 3, with trials >= 1
+    points each (both checked before any suite runs); exact arithmetic only:
+    each point is drawn as Fractions, validated, and checked on its
+    common-denominator Cleared image (`Cleared.common`)."""
     p = Params(k, Fraction(a))
+    if k < 3:
+        raise DimensionError(f"verification suites need k >= 3, got k={k}")
+    if trials < 1:
+        raise ValueError(f"the number of trials must be >= 1, got {trials}")
     results = []
     for name, na_note, check in _checks_for(p):
         if na_note is not None:

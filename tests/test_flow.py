@@ -163,8 +163,8 @@ def test_adaptive_integrator_truncates_at_the_boundary_event():
 
 
 def _accumulate_field(p, x):
-    """The field as it was built from two `accumulate` prefix lists, kept as the
-    reference for the loop-carried prefixes of `symmetry_vector.kernel`."""
+    """The field as it was built from two `accumulate` prefix lists, kept as a
+    reference for the bits of `symmetry_vector.kernel`."""
     k, a = p.k, p.a
     links = [1 + x[i] + x[i + 1] for i in range(k - 1)]
     link_heads = list(accumulate(links[:-1], mul, initial=1))

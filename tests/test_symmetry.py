@@ -174,9 +174,14 @@ def test_field_vanishes_at_the_fixed_point_k5():
     assert equilibrium_residual(p, bar) == 0
 
 
-def test_equilibrium_residual_is_registered_for_k4_and_k5():
-    with pytest.raises(DimensionError):
-        equilibrium_residual(P31, (Fraction(1), Fraction(1), Fraction(1)))
+def test_equilibrium_residual_vanishes_on_the_k3_curve_and_needs_k3():
+    for a in (Fraction(0), Fraction(1), Fraction(7, 3)):
+        p = Params(3, a)
+        for x in (Fraction(3, 2), Fraction(2), Fraction(7, 2), Fraction(9)):
+            assert equilibrium_residual(p, two_periodic_point(p, x)) == 0
+    assert equilibrium_residual(P31, (Fraction(1), Fraction(1), Fraction(1))) == 12
+    with pytest.raises(DimensionError, match="the symmetry field needs k >= 3"):
+        equilibrium_residual(Params(2, Fraction(1)), (Fraction(1), Fraction(1)))
 
 
 def test_field_needs_dimension_three():

@@ -1,7 +1,8 @@
 """Traced kernels: `step`, `inverse_step`, the symmetry field and the level
 signatures run as straight-line code compiled once per k. The compiled form
 must give its body's results (`__wrapped__`) in value and type, bit for bit
-over floats, and a body that branches on a value must fail when traced."""
+over floats, and a body that branches on a value must fail when traced. A
+repeated operation is compiled once; nothing is commuted or re-associated."""
 
 import linecache
 import math
@@ -32,10 +33,10 @@ parameter = st.fractions(min_value=0, max_value=20, max_denominator=10)
 def _shape(v):
     """v in a form that compares value and type: a float by its hex, a
     Cleared by its numerator and denominator factors, a Dual by its parts."""
-    if isinstance(v, (tuple, list)):
-        return [_shape(c) for c in v]
     if isinstance(v, LevelSignature):
         return (LevelSignature, _shape([v.v1, v.v2, v.v3, v.z_sign]))
+    if isinstance(v, (tuple, list)):
+        return [_shape(c) for c in v]
     if isinstance(v, Dual):
         return (Dual, _shape(v.value), _shape(v.deriv))
     if isinstance(v, Cleared):
@@ -143,3 +144,61 @@ def test_a_long_orbit_compiles_each_kernel_once_per_k(monkeypatch):
     exact = Params(5, Fraction(1))  # the same k, so the same compiled kernels
     assert len(list(level_signatures(exact, orbit(exact, (1, 2, 3, 4, 5), 30)))) == 31
     assert compiled == [("step", 5), ("inverse_step", 5), ("level_signature", 5)]
+
+
+def _recorded(run, k: int) -> list:
+    """The right-hand sides of the operations compiled for run at k, in order."""
+    source = linecache.getlines(f"<traced {run.__qualname__} k={k}>")
+    return [line.split(" = ", 1)[1].strip() for line in source if line.lstrip().startswith("t")]
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_no_compiled_kernel_repeats_an_operation(k):
+    for fn in TRACED:
+        fn.kernel(Params(k, 1.0), (2.0,) * k)
+        lines = _recorded(fn.kernel, k)
+        assert lines and len(set(lines)) == len(lines), fn.__name__
+
+
+def test_a_repeated_operation_is_compiled_once():
+    @traced
+    def twice(p, x):
+        return (x[0] * x[1] + x[0] * x[1],)
+
+    assert twice(Params(3, 1.0), (2.0, 3.0, 5.0)) == (12.0,)
+    assert _recorded(twice, 3) == ["x0 * x1", "t0 + t0"]
+
+
+def test_operations_are_not_commuted_or_reassociated():
+    @traced
+    def variants(p, x):
+        return (x[0] + 1, 1 + x[0], (x[0] + x[1]) + x[2], x[0] + (x[1] + x[2]))
+
+    assert variants(Params(3, 1.0), (0.1, 0.2, 0.3)) == (1.1, 1.1, 0.6000000000000001, 0.6)
+    assert _recorded(variants, 3) == ["x0 + 1", "1 + x0", "x0 + x1", "t2 + x2", "x1 + x2", "x0 + t4"]
+
+
+# float bits of the field and the level signatures at a = 0.7, x_i = 0.3 + 0.41 i,
+# as computed by the kernels before the tracer shared any operation
+GOLDEN = {
+    6: (["0x1.092309c4afaafp+8", "-0x1.e311c32a401bcp+8", "-0x1.042001aa03828p+9",
+         "-0x1.0c7c04102f5f6p+9", "-0x1.10f4dc3663df8p+9", "-0x1.aa570d70f59b1p+11"],
+        ("0x1.3138c314e38fep+9", "0x1.5902f8cb8726cp+11", None, None)),
+    8: (["0x1.3d32044d4d54cp+11", "-0x1.e527e486e71d4p+11", "-0x1.053fa083cfa1ap+12",
+         "-0x1.0da4e11fe46aap+12", "-0x1.1222ab211f71dp+12", "-0x1.14d187f0d630ap+12",
+         "-0x1.168c927d77492p+12", "-0x1.1e3c89a77b4a1p+15"],
+        ("0x1.ccfaf8c7b37c3p+10", "0x1.5a807398c6071p+14", None, None)),
+    9: (["0x1.c33f5ba2c3b37p+12", "-0x1.452b7479e68e6p+13", "-0x1.5e327febf8b4fp+13",
+         "-0x1.697385118529cp+13", "-0x1.6f78c8ab2c401p+13", "-0x1.7311819a06a36p+13",
+         "-0x1.75636462a304bp+13", "-0x1.76f8c462d0fb1p+13", "-0x1.aff22c072b097p+16"],
+        ("0x1.6f46cbd137f0fp+11", "0x1.d07a2446c358dp+15", "0x1.774b26b413e06p+7", -1)),
+}
+
+
+@pytest.mark.parametrize("k", sorted(GOLDEN))
+def test_golden_float_bits_of_the_field_and_the_levels(k):
+    p, x = Params(k, 0.7), tuple(0.3 + 0.41 * i for i in range(k))
+    field, (v1, v2, v3, sign) = GOLDEN[k]
+    assert [c.hex() for c in symmetry_vector(p, x)] == field
+    sig = level_signature(p, x)
+    assert (sig.v1.hex(), sig.v2.hex(), sig.v3 and sig.v3.hex(), sig.z_sign) == (v1, v2, v3, sign)

@@ -1,9 +1,10 @@
-"""Identity suites: each drawn point is validated once per trial, the shift
-law and the symmetry condition evaluate the field once at x and once at F(x),
-integral annihilation evaluates it once, a wrong field fails every suite
-that uses it, every check gives the same verdict on both `Cleared` images of
-a point as on the `Fraction` point they were made from, the suites check
-the common-denominator image of each drawn point, and the determinant oracle
+"""Identity suites: k and the trial count are checked before any suite runs,
+each drawn point is validated once per trial, the shift law and the
+symmetry condition evaluate the field once at x and once at F(x), integral
+annihilation evaluates it once, a wrong field fails every suite that uses
+it, every check gives the same verdict on both `Cleared` images of a point
+as on the `Fraction` point they were made from, the suites check the
+common-denominator image of each drawn point, and the determinant oracle
 eliminates dense rational matrices exactly."""
 
 from fractions import Fraction
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from lynesslab import lyness, verify
+from lynesslab.errors import DimensionError
 from lynesslab.lyness import Params
 from lynesslab.sampling import random_point, stream
 from lynesslab.scalars import Cleared, RatMatrix
@@ -32,6 +34,20 @@ def test_suites_validate_each_drawn_point_once(k, monkeypatch):
     results = run_suites(k, 1, 2, 0)
     assert all(r.failures == 0 for r in results)
     assert len(calls) == sum(r.trials for r in results)
+
+
+@pytest.mark.parametrize(("k", "trials", "error", "message"), [
+    (2, 1, DimensionError, "verification suites need k >= 3, got k=2"),
+    (3, 0, ValueError, "the number of trials must be >= 1, got 0"),
+    (8, 0, ValueError, "the number of trials must be >= 1, got 0"),
+    (3, -1, ValueError, "the number of trials must be >= 1, got -1"),
+])
+def test_suites_check_k_and_trials_before_any_suite_runs(k, trials, error, message, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(verify, "random_point", lambda rng, k: drawn.append(k))
+    with pytest.raises(error, match=f"^{message}$"):
+        run_suites(k, 1, trials, 0)
+    assert drawn == []
 
 
 @pytest.mark.parametrize("k", [3, 8])
