@@ -132,29 +132,29 @@ def cmd_verify(args) -> int:
     results = []
     for k in ks:
         results.extend(run_suites(k, a, args.trials, seed))
-    for res in results:
-        print(res.line())
-
     ran = [r for r in results if r.trials]
     failed = [r for r in results if r.status == FAIL]
-    print(
-        f"summary: {len(ran) - len(failed)}/{len(ran)} suites ok"
-        f" (k={','.join(str(k) for k in ks)}, a={a},"
-        f" trials={args.trials}, seed={seed})"
-    )
-
-    if args.json is not None:
-        payload = {
-            "ks": ks,
-            "a": str(a),
-            "trials": args.trials,
-            "seed": seed,
-            "ok": not failed,
-            "suites": [{**vars(r), "a": str(r.a)} for r in results],
-        }
-        with _output(args.json) as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+    # the report is opened before the first line is printed, so a path that
+    # cannot be written is an input error with nothing on stdout
+    with contextlib.nullcontext() if args.json is None else _output(args.json) as report:
+        for res in results:
+            print(res.line())
+        print(
+            f"summary: {len(ran) - len(failed)}/{len(ran)} suites ok"
+            f" (k={','.join(str(k) for k in ks)}, a={a},"
+            f" trials={args.trials}, seed={seed})"
+        )
+        if report is not None:
+            payload = {
+                "ks": ks,
+                "a": str(a),
+                "trials": args.trials,
+                "seed": seed,
+                "ok": not failed,
+                "suites": [{**vars(r), "a": str(r.a)} for r in results],
+            }
+            json.dump(payload, report, indent=2)
+            report.write("\n")
     return 1 if failed else 0
 
 

@@ -116,14 +116,6 @@ def validated(kernel, check=None):
     return public
 
 
-def _operand(v) -> str:
-    if isinstance(v, Recording):
-        return v.name
-    if type(v) is int:
-        return repr(v)
-    raise TypeError(f"a traced kernel computes on its inputs and int literals, not on {v!r}")
-
-
 def _binary(symbol):
     """The forward and reflected methods of one recorded binary operator."""
     template = "{} %s {}" % symbol
@@ -135,12 +127,13 @@ class Recording:
     """A symbolic scalar of one trace. Each `+ - * /`, unary `-`, `<` or `>`
     on it records the line `<operand> <op> <operand>`, with the operands in
     the order Python evaluated them, and returns its result as a new
-    recording. The other operand is a recording or an int literal. Anything
-    else (bool, ==, abs, **, float, ...) raises TypeError, so a kernel that
-    branches on a value fails when it is traced. The tape maps each distinct
-    line to the name of its result, in the order first recorded: a line
-    recorded again (the same operator on the same operands in the same
-    order) names the first result, so it runs once."""
+    recording. The other operand is a recording or an int literal; a `Dual`
+    runs its own method on the recording, and anything else (bool, ==, abs,
+    **, float, ...) raises TypeError, so a kernel that branches on a value
+    fails when it is traced. The tape maps each distinct line to the name of
+    its result, in the order first recorded: a line recorded again (the same
+    operator on the same operands in the same order) names the first result,
+    so it runs once."""
 
     __slots__ = ("tape", "name")
 
@@ -148,7 +141,9 @@ class Recording:
         self.tape, self.name = tape, name
 
     def record(self, template: str, *operands):
-        line = template.format(*map(_operand, operands))
+        if not all(isinstance(v, Recording) or type(v) is int for v in operands):
+            return NotImplemented
+        line = template.format(*(v.name if isinstance(v, Recording) else repr(v) for v in operands))
         return Recording(self.tape, self.tape.setdefault(line, f"t{len(self.tape)}"))
 
     __add__, __radd__ = _binary("+")

@@ -1,20 +1,27 @@
 """Exact verification suites: every algebraic identity the package asserts,
 replayed over seeded random rational points and reported per suite.
 
-Each suite draws its own deterministic RNG stream (string-seeded, immune to
-hash randomization), so suites could shard across workers without changing
-results; they run sequentially here because the work is pure bigint math.
+`SUITES` is the one table of them: (name, n/a rule k -> None or note,
+residual (p, x) -> tuple); a trial passes when every value of its residual
+is 0. Fifteen are the difference of an identity's two sides, one expression
+traced once per k under the suite's name; it calls kernels by attribute, so
+it inlines them as they are when traced. `det closed form` (its
+oracle pivots on values) and `sign(Z) alternation` (it branches on a sign)
+are not ring identities and run as written. Each suite draws its own
+string-seeded RNG stream, so results do not depend on suite order.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import measure_density_residual
 from .errors import DimensionError
 from .invariants import eval_pi, eval_v1, eval_v2, eval_v3, eval_w, eval_z
-from .lyness import Params, inverse_step, jacobian, jacobian_det, require_point, step
+from .lyness import Params, inverse_step, jacobian, jacobian_det, require_point, step, traced
 from .sampling import random_point, stream
 from .scalars import Cleared, jvp
 from .symmetry import (
@@ -70,96 +77,85 @@ def _det_gauss(matrix):
     return det
 
 
-def _checks_for(p: Params):
-    """(name, n/a note, point-check) triples; each check returns True on pass,
-    and the note is None where the suite applies to k. Checks take a point
-    `run_suites` validated already, so they call kernels."""
-    odd_only = None if p.k % 2 else "(even k)"
-    F, F_inv, det = step.kernel, inverse_step.kernel, jacobian_det.kernel
-    v1, v2, v3 = eval_v1.kernel, eval_v2.kernel, eval_v3.kernel
-    w, z_of, pi = eval_w.kernel, eval_z.kernel, eval_pi.kernel
-    field = symmetry_vector.kernel
-    integrals = [fn.kernel for (k, _), fn in ANNIHILATED.items() if k == p.k]
+def _every(k):
+    return None
 
-    def v1_invariant(x):
-        return v1(p, F(p, x)) == v1(p, x)
 
-    def v2_invariant(x):
-        return v2(p, F(p, x)) == v2(p, x)
+def _odd(k):
+    return None if k % 2 else "(even k)"
 
-    def inverse_round_trip(x):
-        return F_inv(p, F(p, x)) == x and F(p, F_inv(p, x)) == x
 
-    def det_closed_form(x):
-        return _det_gauss(jacobian.kernel(p, x)) == det(p, x)
+def _suite(name, na, residual):
+    """A table entry whose residual, a lambda of its own, is traced under the suite's name."""
+    residual.__qualname__ = name
+    return name, na, traced(residual)
 
-    def w_two_integral(x):
-        return w(p, F(p, F(p, x))) == w(p, x)
 
-    def v3_invariant(x):
-        return v3(p, F(p, x)) == v3(p, x)
+def _annihilation(p, x):
+    """One `jvp` along X(x) of each integral registered for k, from one X(x)."""
+    field = symmetry_vector.kernel(p, x)
+    return tuple(jvp(functools.partial(fn.kernel, p), x, field)
+                 for (k, _), fn in ANNIHILATED.items() if k == p.k)
 
-    def v3_is_w_sum(x):
-        return v3(p, x) == w(p, x) + w(p, F(p, x))
 
-    def v1_is_w_product(x):
-        return v1(p, x) == w(p, x) * w(p, F(p, x))
+def _sign_alternation(p, x):
+    """Z and W - W o F change sign under F: 0 where each flips and 1 where it
+    does not; () where Z = 0 (nothing to flip)."""
+    z = eval_z.kernel(p, x)
+    if z == 0:
+        return ()
+    image = step.kernel(p, x)
+    return int((eval_z.kernel(p, image) > 0) == (z > 0)), int(eval_w.kernel(p, image) == eval_w.kernel(p, x))
 
-    def z_transform(x):
-        return z_of(p, F(p, x)) == det(p, x) * z_of(p, x)
 
-    def pi_transform(x):
-        return pi(p, F(p, x)) == -det(p, x) * pi(p, x)
+SUITES = (
+    _suite("V1 invariance", _every,
+           lambda p, x: (eval_v1.kernel(p, step.kernel(p, x)) - eval_v1.kernel(p, x),)),
+    _suite("V2 invariance", _every,
+           lambda p, x: (eval_v2.kernel(p, step.kernel(p, x)) - eval_v2.kernel(p, x),)),
+    _suite("inverse round-trip", _every, lambda p, x: tuple(map(
+        operator.sub,
+        inverse_step.kernel(p, step.kernel(p, x)) + step.kernel(p, inverse_step.kernel(p, x)),
+        x + x))),
+    ("det closed form", _every,
+     lambda p, x: (_det_gauss(jacobian.kernel(p, x)) - jacobian_det.kernel(p, x),)),
+    _suite("symmetry condition", _every, lambda p, x: lie_residual.kernel(p, x)),
+    _suite("shift law", _every, lambda p, x: tuple(map(
+        operator.sub,
+        symmetry_vector.kernel(p, x)[1:],
+        symmetry_vector.kernel(p, step.kernel(p, x))[:-1]))),
+    _suite("compatibility identity", _every, lambda p, x: (compatibility_residual.kernel(p, x),)),
+    _suite("integral annihilation",
+           lambda k: None if any(j == k for j, _ in ANNIHILATED) else "(registered for k in 3..5)",
+           lambda p, x: _annihilation(p, x)),
+    _suite("sum factorization", lambda k: None if k >= 6 else "(needs k >= 6)",
+           lambda p, x: (factorization_residual.kernel(p, x),)),
+    _suite("W 2-integral", _odd, lambda p, x: (
+        eval_w.kernel(p, step.kernel(p, step.kernel(p, x))) - eval_w.kernel(p, x),)),
+    _suite("V3 invariance", _odd,
+           lambda p, x: (eval_v3.kernel(p, step.kernel(p, x)) - eval_v3.kernel(p, x),)),
+    _suite("V3 = W + W o F", _odd, lambda p, x: (
+        eval_v3.kernel(p, x) - (eval_w.kernel(p, x) + eval_w.kernel(p, step.kernel(p, x))),)),
+    _suite("V1 = W * (W o F)", _odd, lambda p, x: (
+        eval_v1.kernel(p, x) - eval_w.kernel(p, x) * eval_w.kernel(p, step.kernel(p, x)),)),
+    _suite("Z transform law", _odd, lambda p, x: (
+        eval_z.kernel(p, step.kernel(p, x)) - jacobian_det.kernel(p, x) * eval_z.kernel(p, x),)),
+    _suite("product transform law", _odd, lambda p, x: (
+        eval_pi.kernel(p, step.kernel(p, x)) + jacobian_det.kernel(p, x) * eval_pi.kernel(p, x),)),
+    ("sign(Z) alternation", _odd, _sign_alternation),
+    _suite("density laws (F^2)", _odd, lambda p, x: measure_density_residual.kernel(p, x)),
+)
 
-    def sign_alternation(x):
-        z = z_of(p, x)
-        if z == 0:
-            return True  # measure-zero template; nothing to flip
-        zf = z_of(p, F(p, x))
-        return (z > 0) != (zf > 0) and w(p, x) != w(p, F(p, x))
 
-    def density_laws(x):
-        r1, r2 = measure_density_residual.kernel(p, x)
-        return r1 == 0 and r2 == 0
+def _passes(residual, p, x) -> bool:
+    return all(r == 0 for r in residual(p, x))
 
-    def lie(x):
-        return all(r == 0 for r in lie_residual.kernel(p, x))
 
-    def shifts(x):
-        # X_{i+1}(x) == X_i(F(x)) for all i, from one X(x) and one X(F(x))
-        here, there = field(p, x), field(p, F(p, x))
-        return here[1:] == there[:-1]
-
-    def compatibility(x):
-        return compatibility_residual.kernel(p, x) == 0
-
-    def annihilations(x):
-        here = field(p, x)
-        return all(jvp(lambda pt: v(p, pt), x, here) == 0 for v in integrals)
-
-    def factorization(x):
-        return factorization_residual.kernel(p, x) == 0
-
-    return [
-        ("V1 invariance", None, v1_invariant),
-        ("V2 invariance", None, v2_invariant),
-        ("inverse round-trip", None, inverse_round_trip),
-        ("det closed form", None, det_closed_form),
-        ("symmetry condition", None, lie),
-        ("shift law", None, shifts),
-        ("compatibility identity", None, compatibility),
-        ("integral annihilation", None if integrals else "(registered for k in 3..5)",
-         annihilations),
-        ("sum factorization", None if p.k >= 6 else "(needs k >= 6)", factorization),
-        ("W 2-integral", odd_only, w_two_integral),
-        ("V3 invariance", odd_only, v3_invariant),
-        ("V3 = W + W o F", odd_only, v3_is_w_sum),
-        ("V1 = W * (W o F)", odd_only, v1_is_w_product),
-        ("Z transform law", odd_only, z_transform),
-        ("product transform law", odd_only, pi_transform),
-        ("sign(Z) alternation", odd_only, sign_alternation),
-        ("density laws (F^2)", odd_only, density_laws),
-    ]
+def _checks_for(p: Params) -> list:
+    """(name, n/a note, check) for each entry of `SUITES`: the note is None
+    where the suite applies to p.k, and check(x) is True where every value of
+    the residual at x, a point `run_suites` validated already, is 0."""
+    return [(name, na(p.k), functools.partial(_passes, residual, p)) for name, na, residual in SUITES]
 
 
 def run_suites(k: int, a, trials: int, seed: int) -> list:
@@ -167,9 +163,9 @@ def run_suites(k: int, a, trials: int, seed: int) -> list:
     points each (both checked before any suite runs); exact arithmetic only:
     each point is drawn as Fractions, validated, and checked on its
     common-denominator Cleared image (`Cleared.common`)."""
-    p = Params(k, Fraction(a))
     if k < 3:
         raise DimensionError(f"verification suites need k >= 3, got k={k}")
+    p = Params(k, Fraction(a))
     if trials < 1:
         raise ValueError(f"the number of trials must be >= 1, got {trials}")
     results = []

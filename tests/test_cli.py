@@ -63,6 +63,16 @@ def test_verify_json_report(tmp_path, capsys):
     assert any(s["name"] == "V1 invariance" and s["status"] == "ok" for s in data["suites"])
 
 
+def test_verify_json_to_an_unwritable_path_exits_two_before_printing(tmp_path, capsys):
+    report = tmp_path / "no" / "such" / "report.json"
+    assert main(["verify", "--k", "3", "--trials", "2", "--json", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write ")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_orbit_exact_csv_holds_levels_constant(capsys):
     code = main(["orbit", "--k", "3", "--a", "1", "--x0", "1,1,3", "--steps", "10", "--exact"])
     out = capsys.readouterr().out

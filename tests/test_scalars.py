@@ -206,3 +206,12 @@ def test_dual_with_a_plain_operand_equals_the_lifted_result():
             pairs = [(u + o, u + lifted), (u * o, u * lifted), (o + u, lifted + u), (o * u, lifted * u)]
             for got, want in pairs:
                 assert (got.value == want.value, got.deriv == want.deriv) == (True, True)
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), 0.0, Cleared(0, (3,))],
+                         ids=["int", "Fraction", "float", "Cleared"])
+def test_dual_division_by_a_zero_value_part_raises(zero):
+    one = zero + 1
+    for num in (Dual(one, one), one):
+        with pytest.raises(ZeroDivisionError):
+            num / Dual(zero, one)

@@ -1,5 +1,6 @@
-"""Traced kernels: `step`, `inverse_step`, the symmetry field and the level
-signatures run as straight-line code compiled once per k. The compiled form
+"""Traced kernels: `step`, `inverse_step`, the symmetry field, the level
+signatures and the residuals of the verify suites run as straight-line code
+compiled once per k, a kernel that takes a `jvp` among them. The compiled form
 must give its body's results (`__wrapped__`) in value and type, bit for bit
 over floats, and a body that branches on a value must fail when traced. A
 repeated operation is compiled once; nothing is commuted or re-associated."""
@@ -17,10 +18,12 @@ from hypothesis import strategies as st  # noqa: E402
 from lynesslab import lyness  # noqa: E402
 from lynesslab.invariants import LevelSignature, level_signature, level_signatures  # noqa: E402
 from lynesslab.lyness import Params, float_point, inverse_step, orbit, step, traced  # noqa: E402
-from lynesslab.scalars import Cleared, Dual  # noqa: E402
+from lynesslab.scalars import Cleared, Dual, jvp  # noqa: E402
 from lynesslab.symmetry import symmetry_vector  # noqa: E402
+from lynesslab.verify import SUITES  # noqa: E402
 
 TRACED = (step, inverse_step, symmetry_vector, level_signature)
+
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
 # moderate coordinates, and ones whose products overflow to inf (and inf/inf to nan)
@@ -58,6 +61,11 @@ def _assert_traced_equals_body(p, x):
         assert _outcome(fn.kernel, p, x) == _outcome(fn.kernel.__wrapped__, p, x), fn.__name__
 
 
+def _suite_residuals(k: int) -> list:
+    """The traced residuals of the verify suites that apply to k."""
+    return [residual for _, na, residual in SUITES if na(k) is None and hasattr(residual, "compiled")]
+
+
 @SETTINGS
 @given(data=st.data(), k=st.integers(3, 8), a=st.floats(min_value=0, max_value=20))
 def test_float_kernels_give_the_bits_of_their_body(data, k, a):
@@ -81,6 +89,19 @@ def test_exact_and_dual_kernels_give_the_values_and_types_of_their_body(data, k,
     p = Params(k, a)
     for point in (x, tuple(map(Cleared.of, x)), Cleared.common(x), tuple(map(Dual, x, v))):
         _assert_traced_equals_body(p, point)
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_suite_residuals_give_the_values_and_types_of_their_body(k):
+    exact = tuple(Fraction(2 * i + 3, i + 2) for i in range(k))
+    points = {Params(k, Fraction(7, 3)): (exact, tuple(map(Cleared.of, exact)), Cleared.common(exact)),
+              Params(k, 0.7): (tuple(0.3 + 0.41 * i for i in range(k)),)}
+    residuals = _suite_residuals(k)
+    assert len(residuals) == (14 if k % 2 else 7)  # of 15: 1 n/a at odd k, 8 at even k
+    for p, xs in points.items():
+        for x in xs:
+            for residual in residuals:
+                assert _outcome(residual, p, x) == _outcome(residual.__wrapped__, p, x), residual.__name__
 
 
 def _branches(p, x):
@@ -130,6 +151,18 @@ def test_a_kernel_traced_inside_another_records_into_its_tape():
     assert "step" not in twice.compiled[4].__code__.co_names
 
 
+def test_a_kernel_that_takes_a_jvp_traces():
+    @traced
+    def slope(p, x):
+        return (jvp(lambda pt: pt[0] * pt[1] / (p.a + pt[2]), x, x[::-1]),)
+
+    for p, x in ((Params(3, Fraction(1, 3)), (Fraction(1, 2), Fraction(2), Fraction(3, 5))),
+                 (Params(3, 0.7), (0.5, 2.0, 0.6))):
+        assert _outcome(slope, p, x) == _outcome(slope.__wrapped__, p, x)
+    # the dual pass ran once, when traced: the compiled code is plain arithmetic
+    assert slope.compiled[3].__code__.co_names == ("a",)
+
+
 def test_a_long_orbit_compiles_each_kernel_once_per_k(monkeypatch):
     compiled = []
     real = lyness._compile
@@ -154,10 +187,10 @@ def _recorded(run, k: int) -> list:
 
 @pytest.mark.parametrize("k", range(3, 10))
 def test_no_compiled_kernel_repeats_an_operation(k):
-    for fn in TRACED:
-        fn.kernel(Params(k, 1.0), (2.0,) * k)
-        lines = _recorded(fn.kernel, k)
-        assert lines and len(set(lines)) == len(lines), fn.__name__
+    for run in [fn.kernel for fn in TRACED] + _suite_residuals(k):
+        run(Params(k, 1.0), (2.0,) * k)
+        lines = _recorded(run, k)
+        assert lines and len(set(lines)) == len(lines), run.__qualname__
 
 
 def test_a_repeated_operation_is_compiled_once():

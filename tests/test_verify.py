@@ -1,9 +1,10 @@
 """Identity suites: k and the trial count are checked before any suite runs,
 each drawn point is validated once per trial, the shift law and the
-symmetry condition evaluate the field once at x and once at F(x), integral
-annihilation evaluates it once, a wrong field fails every suite that uses
-it, every check gives the same verdict on both `Cleared` images of a point
-as on the `Fraction` point they were made from, the suites check the
+symmetry condition evaluate the field once at x and once at F(x) and
+integral annihilation evaluates it once (each inlined into a residual
+traced once per k), a wrong field fails every suite that uses it, every
+check gives the same verdict on both `Cleared` images of a point as on the
+`Fraction` point they were made from, the suites check the
 common-denominator image of each drawn point, and the determinant oracle
 eliminates dense rational matrices exactly."""
 
@@ -38,6 +39,8 @@ def test_suites_validate_each_drawn_point_once(k, monkeypatch):
 
 @pytest.mark.parametrize(("k", "trials", "error", "message"), [
     (2, 1, DimensionError, "verification suites need k >= 3, got k=2"),
+    (1, 1, DimensionError, "verification suites need k >= 3, got k=1"),
+    (0, 1, DimensionError, "verification suites need k >= 3, got k=0"),
     (3, 0, ValueError, "the number of trials must be >= 1, got 0"),
     (8, 0, ValueError, "the number of trials must be >= 1, got 0"),
     (3, -1, ValueError, "the number of trials must be >= 1, got -1"),
@@ -50,39 +53,57 @@ def test_suites_check_k_and_trials_before_any_suite_runs(k, trials, error, messa
     assert drawn == []
 
 
-@pytest.mark.parametrize("k", [3, 8])
-def test_shift_law_evaluates_the_field_twice_per_trial(k, monkeypatch):
-    calls = []
-    real = symmetry_vector.kernel
-
-    def counting(p, x):
-        calls.append(x)
-        return real(p, x)
-
-    monkeypatch.setattr(symmetry_vector, "kernel", counting)
-    checks = verify._checks_for
-    monkeypatch.setattr(verify, "_checks_for", lambda p: [c for c in checks(p) if c[0] == "shift law"])
-    trials = 3
-    [result] = run_suites(k, 1, trials, 0)
-    assert (result.name, result.trials, result.failures) == ("shift law", trials, 0)
-    assert len(calls) == 2 * trials
-
-
-FIELD_SUITES = ("symmetry condition", "shift law", "compatibility identity", "integral annihilation")
-
-
 def _only(monkeypatch, name):
     checks = verify._checks_for
     monkeypatch.setattr(verify, "_checks_for", lambda p: [c for c in checks(p) if c[0] == name])
 
 
+@pytest.fixture
+def fresh_suites():
+    """Empty the compiled cache of every traced suite residual for the test,
+    so a patched kernel reaches each suite traced while it is patched, then
+    restore every cache, so no patched compilation outlives the test."""
+    caches = [residual.compiled for _, _, residual in verify.SUITES if hasattr(residual, "compiled")]
+    saved = [dict(cache) for cache in caches]
+    for cache in caches:
+        cache.clear()
+    yield
+    for cache, entries in zip(caches, saved):
+        cache.clear()
+        cache.update(entries)
+
+
+def _field_calls(monkeypatch, name, k):
+    """Field calls in two runs of the one suite `name` at k, of 3 and then 5
+    trials; the suite's compiled residual calls no function at all."""
+    calls = []
+    real = symmetry_vector.kernel
+    monkeypatch.setattr(symmetry_vector, "kernel", lambda p, x: calls.append(x) or real(p, x))
+    _only(monkeypatch, name)
+    for trials in (3, 5):
+        [result] = run_suites(k, 1, trials, 0)
+        assert (result.name, result.trials, result.failures) == (name, trials, 0)
+    [compiled] = [r.compiled[k] for n, _, r in verify.SUITES if n == name]
+    assert compiled.__code__.co_names == ("a",)  # p.a, and no call to the field
+    return len(calls)
+
+
+@pytest.mark.parametrize("k", [3, 8])
+def test_shift_law_evaluates_the_field_twice_per_trial(k, monkeypatch, fresh_suites):
+    # traced once per k with one X(x) and one X(F(x)), both inlined into every trial
+    assert _field_calls(monkeypatch, "shift law", k) == 2
+
+
+FIELD_SUITES = ("symmetry condition", "shift law", "compatibility identity", "integral annihilation")
+
+
 @pytest.mark.parametrize("k", [3, 4, 5, 8])
-def test_a_perturbed_field_fails_every_field_suite(k, monkeypatch):
+def test_a_perturbed_field_fails_every_field_suite(k, monkeypatch, fresh_suites):
     real = symmetry_vector.kernel
 
-    def perturbed(p, x):
+    def perturbed(p, x):  # ring arithmetic, so the suites trace it
         out = list(real(p, x))
-        out[1] += Fraction(1, 10**9)
+        out[1] = out[1] * (10**9 + 1) / 10**9
         return tuple(out)
 
     monkeypatch.setattr(symmetry_vector, "kernel", perturbed)
@@ -96,41 +117,19 @@ def test_a_perturbed_field_fails_every_field_suite(k, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
-def test_integral_annihilation_evaluates_the_field_once_per_trial(k, monkeypatch):
-    calls = []
-    real = symmetry_vector.kernel
-
-    def counting(p, x):
-        calls.append(x)
-        return real(p, x)
-
-    monkeypatch.setattr(symmetry_vector, "kernel", counting)
-    _only(monkeypatch, "integral annihilation")
-    trials = 3
-    [result] = run_suites(k, 1, trials, 0)
-    assert (result.name, result.trials, result.failures) == ("integral annihilation", trials, 0)
-    assert len(calls) == trials
+def test_integral_annihilation_evaluates_the_field_once_per_trial(k, monkeypatch, fresh_suites):
+    # traced once per k with one X(x), along which every integral is differentiated
+    assert _field_calls(monkeypatch, "integral annihilation", k) == 1
 
 
 @pytest.mark.parametrize("k", [3, 8])
-def test_symmetry_condition_evaluates_the_field_twice_and_builds_no_jacobian(k, monkeypatch):
-    calls = []
-    real = symmetry_vector.kernel
-
-    def counting(p, x):
-        calls.append(x)
-        return real(p, x)
-
+def test_symmetry_condition_evaluates_the_field_twice_and_builds_no_jacobian(
+        k, monkeypatch, fresh_suites):
     def no_jacobian(p, x):
         raise AssertionError("the symmetry condition built DF(x)")
 
-    monkeypatch.setattr(symmetry_vector, "kernel", counting)
     monkeypatch.setattr(lyness.jacobian, "kernel", no_jacobian)
-    _only(monkeypatch, "symmetry condition")
-    trials = 3
-    [result] = run_suites(k, 1, trials, 0)
-    assert (result.name, result.trials, result.failures) == ("symmetry condition", trials, 0)
-    assert len(calls) == 2 * trials
+    assert _field_calls(monkeypatch, "symmetry condition", k) == 2
 
 
 def _cleared_verdict(check, x):
@@ -161,12 +160,12 @@ def test_every_check_gives_the_same_verdict_on_cleared_and_fraction_points(k):
 
 
 @pytest.mark.parametrize("k", [3, 5, 6])
-def test_a_broken_field_fails_on_both_backends(k, monkeypatch):
+def test_a_broken_field_fails_on_both_backends(k, monkeypatch, fresh_suites):
     real = symmetry_vector.kernel
 
-    def broken(p, x):
+    def broken(p, x):  # ring arithmetic, so the suites trace it
         out = list(real(p, x))
-        out[0] += Fraction(1, 10**6)
+        out[0] = out[0] * (10**6 + 1) / 10**6
         return tuple(out)
 
     monkeypatch.setattr(symmetry_vector, "kernel", broken)
