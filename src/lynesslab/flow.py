@@ -6,7 +6,8 @@ available for cross-checks. Trajectories that approach the orthant boundary
 are truncated and flagged rather than continued, by one rule, `_in_domain`
 (every coordinate finite and > 1e-12): RK4 applies it to each stage point,
 before the field is evaluated there, and to each new state; RK45 stops at
-its terminal `near_boundary` event. The start point is validated and put
+its terminal `near_boundary` event, or where it cannot take a step, and
+keeps the samples it reached. The start point is validated and put
 in float64, a with it, once at entry by `lyness.float_point`; the solvers,
 the signature pass and the transport probe then call the pure kernels.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import FlowError
 from .invariants import level_signatures
 from .lyness import Params, float_point, step
 from .symmetry import symmetry_vector
@@ -124,13 +124,11 @@ def _integrate_rk45(p, x0, dt, t_max, trace):
         dense_output=True,
         events=near_boundary,
     )
-    if sol.status == -1:
-        raise FlowError(f"adaptive integration failed: {sol.message}")
     reached = float(sol.t[-1])
     n_steps = int(math.floor(reached / dt + 1e-9))
     trace.times = [min(j * dt, reached) for j in range(n_steps + 1)]
     trace.states = [tuple(float(v) for v in sol.sol(t)) for t in trace.times]
-    trace.boundary_hit = sol.status == 1
+    trace.boundary_hit = sol.status != 0
 
 
 def invariant_drift(trace: FlowTrace) -> dict:

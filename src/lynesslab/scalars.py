@@ -111,17 +111,6 @@ class Dual:
     def __neg__(self):
         return Dual(-self.value, -self.deriv)
 
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise TypeError("dual powers support integer exponents only")
-        if n < 0:
-            return 1 / self.__pow__(-n)
-        out = Dual(self.value * 0 + 1, self.value * 0)
-        base = self
-        for _ in range(n):
-            out = out * base
-        return out
-
     # ordering on the value part, so positivity checks stay generic
     def __lt__(self, other):
         return self.value < _lift(other).value

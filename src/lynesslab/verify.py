@@ -2,18 +2,21 @@
 replayed over seeded random rational points and reported per suite.
 
 `SUITES` is the one table of them: (name, n/a rule k -> None or note,
-residual (p, x) -> tuple); a trial passes when every value of its residual
-is 0. Fifteen are the difference of an identity's two sides, one expression
-traced once per k under the suite's name; it calls kernels by attribute, so
-it inlines them as they are when traced. `det closed form` (its
-oracle pivots on values) and `sign(Z) alternation` (it branches on a sign)
-are not ring identities and run as written. Each suite draws its own
-string-seeded RNG stream, so results do not depend on suite order.
+residual (p, x) -> tuple), and `run_suites` is its one reader: a trial
+passes when every value of its residual is 0. Fifteen are the difference of
+an identity's two sides, one expression traced once per k under the suite's
+name; it calls kernels by attribute, so it inlines them as they are when
+traced. Each calls the package's one implementation of its identity where
+there is one: integral annihilation is `annihilation_residual` for every
+integral registered for k, and the tracer merges their repeated X(x) into
+one. `det closed form` (its oracle pivots on values) and `sign(Z)
+alternation` (it branches on a sign) are not ring identities and run as
+written. Each suite draws its own string-seeded RNG stream, so results do
+not depend on suite order.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,9 +26,10 @@ from .errors import DimensionError
 from .invariants import eval_pi, eval_v1, eval_v2, eval_v3, eval_w, eval_z
 from .lyness import Params, inverse_step, jacobian, jacobian_det, require_point, step, traced
 from .sampling import random_point, stream
-from .scalars import Cleared, jvp
+from .scalars import Cleared
 from .symmetry import (
     ANNIHILATED,
+    annihilation_residual,
     compatibility_residual,
     factorization_residual,
     lie_residual,
@@ -91,13 +95,6 @@ def _suite(name, na, residual):
     return name, na, traced(residual)
 
 
-def _annihilation(p, x):
-    """One `jvp` along X(x) of each integral registered for k, from one X(x)."""
-    field = symmetry_vector.kernel(p, x)
-    return tuple(jvp(functools.partial(fn.kernel, p), x, field)
-                 for (k, _), fn in ANNIHILATED.items() if k == p.k)
-
-
 def _sign_alternation(p, x):
     """Z and W - W o F change sign under F: 0 where each flips and 1 where it
     does not; () where Z = 0 (nothing to flip)."""
@@ -127,7 +124,8 @@ SUITES = (
     _suite("compatibility identity", _every, lambda p, x: (compatibility_residual.kernel(p, x),)),
     _suite("integral annihilation",
            lambda k: None if any(j == k for j, _ in ANNIHILATED) else "(registered for k in 3..5)",
-           lambda p, x: _annihilation(p, x)),
+           lambda p, x: tuple(annihilation_residual.kernel(p, x, name)
+                              for k, name in ANNIHILATED if k == p.k)),
     _suite("sum factorization", lambda k: None if k >= 6 else "(needs k >= 6)",
            lambda p, x: (factorization_residual.kernel(p, x),)),
     _suite("W 2-integral", _odd, lambda p, x: (
@@ -147,17 +145,6 @@ SUITES = (
 )
 
 
-def _passes(residual, p, x) -> bool:
-    return all(r == 0 for r in residual(p, x))
-
-
-def _checks_for(p: Params) -> list:
-    """(name, n/a note, check) for each entry of `SUITES`: the note is None
-    where the suite applies to p.k, and check(x) is True where every value of
-    the residual at x, a point `run_suites` validated already, is 0."""
-    return [(name, na(p.k), functools.partial(_passes, residual, p)) for name, na, residual in SUITES]
-
-
 def run_suites(k: int, a, trials: int, seed: int) -> list:
     """All applicable identity suites for one (k, a), k >= 3, with trials >= 1
     points each (both checked before any suite runs); exact arithmetic only:
@@ -169,27 +156,16 @@ def run_suites(k: int, a, trials: int, seed: int) -> list:
     if trials < 1:
         raise ValueError(f"the number of trials must be >= 1, got {trials}")
     results = []
-    for name, na_note, check in _checks_for(p):
-        if na_note is not None:
-            results.append(
-                SuiteResult(name=name, k=k, a=p.a, trials=0, failures=0, status=NA, note=na_note)
-            )
+    for name, na, residual in SUITES:
+        note = na(k)
+        if note is not None:
+            results.append(SuiteResult(name, k, p.a, 0, 0, NA, note))
             continue
         rng = stream(f"{seed}|k={k}|a={p.a}|{name}", seed)
         failures = 0
         for _ in range(trials):
             x = Cleared.common(require_point(p, random_point(rng, k)))
-            if not check(x):
+            if not all(r == 0 for r in residual(p, x)):
                 failures += 1
-        results.append(
-            SuiteResult(
-                name=name,
-                k=k,
-                a=p.a,
-                trials=trials,
-                failures=failures,
-                status=OK if failures == 0 else FAIL,
-            )
-        )
+        results.append(SuiteResult(name, k, p.a, trials, failures, FAIL if failures else OK))
     return results
-

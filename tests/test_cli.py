@@ -4,6 +4,7 @@ environment seeding, and byte-level determinism."""
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -147,6 +148,18 @@ def test_rk45_flow_from_near_the_boundary_is_truncated_not_an_error(capsys):
     err = capsys.readouterr().err
     assert code == 0
     assert [line.split(" ", 1)[0] for line in err.splitlines()] == ["warning:"]
+
+
+@pytest.mark.parametrize("x0", ["1e-300,1,1", "1,1e-300,1"])
+def test_rk45_flow_where_the_solver_cannot_take_a_step_is_truncated_not_an_error(x0, tmp_path, capsys):
+    out_file = tmp_path / "rk45.csv"
+    code = main(["flow", "--k", "3", "--x0", x0, "--method", "rk45", "--dt", "0.1", "--t-max", "1",
+                 "--out", str(out_file)])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert "warning: trajectory truncated near the domain boundary at t=0.0" in err.splitlines()
+    [row] = _lines(out_file)[1:]
+    assert all(math.isfinite(float(c)) for c in row.split(","))
 
 
 def test_reduce_replays_the_double_step(capsys):

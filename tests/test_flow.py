@@ -162,6 +162,17 @@ def test_adaptive_integrator_truncates_at_the_boundary_event():
     assert all(c > 0 for s in trace.states for c in s)
 
 
+@pytest.mark.parametrize("x0", [(1e-300, 1, 1), (1, 1e-300, 1)])
+def test_adaptive_integrator_truncates_where_it_cannot_take_a_step(x0):
+    # The field overflows at x0, so the solver's first step is too small to
+    # take; the trace keeps the one sample it reached instead of failing.
+    trace = integrate_flow(Params(3, 1), x0, 0.1, 1.0, method="rk45-adaptive")
+    assert trace.boundary_hit
+    assert trace.times == [0.0]
+    [state] = trace.states
+    assert all(math.isfinite(c) for c in state)
+
+
 def _accumulate_field(p, x):
     """The field as it was built from two `accumulate` prefix lists, kept as a
     reference for the bits of `symmetry_vector.kernel`."""

@@ -8,6 +8,7 @@ check gives the same verdict on both `Cleared` images of a point as on the
 common-denominator image of each drawn point, and the determinant oracle
 eliminates dense rational matrices exactly."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -54,8 +55,7 @@ def test_suites_check_k_and_trials_before_any_suite_runs(k, trials, error, messa
 
 
 def _only(monkeypatch, name):
-    checks = verify._checks_for
-    monkeypatch.setattr(verify, "_checks_for", lambda p: [c for c in checks(p) if c[0] == name])
+    monkeypatch.setattr(verify, "SUITES", tuple(s for s in verify.SUITES if s[0] == name))
 
 
 @pytest.fixture
@@ -74,18 +74,21 @@ def fresh_suites():
 
 
 def _field_calls(monkeypatch, name, k):
-    """Field calls in two runs of the one suite `name` at k, of 3 and then 5
-    trials; the suite's compiled residual calls no function at all."""
-    calls = []
+    """Distinct points the field is evaluated at in two runs of the one suite
+    `name` at k, of 3 and then 5 trials: each is a traced point, named by its
+    recordings, because the suite's compiled residual calls no function at all
+    and the tracer merges a repeated call at one point into one."""
+    points = set()
     real = symmetry_vector.kernel
-    monkeypatch.setattr(symmetry_vector, "kernel", lambda p, x: calls.append(x) or real(p, x))
+    monkeypatch.setattr(symmetry_vector, "kernel",
+                        lambda p, x: points.add(tuple(c.name for c in x)) or real(p, x))
     _only(monkeypatch, name)
     for trials in (3, 5):
         [result] = run_suites(k, 1, trials, 0)
         assert (result.name, result.trials, result.failures) == (name, trials, 0)
     [compiled] = [r.compiled[k] for n, _, r in verify.SUITES if n == name]
     assert compiled.__code__.co_names == ("a",)  # p.a, and no call to the field
-    return len(calls)
+    return len(points)
 
 
 @pytest.mark.parametrize("k", [3, 8])
@@ -139,14 +142,19 @@ def _cleared_verdict(check, x):
     return own if own == common else None
 
 
+def _passes(residual, p, x) -> bool:
+    return all(r == 0 for r in residual(p, x))
+
+
 def _verdicts(k, points=5):
     """{(a, suite): [(verdict on the Fraction point, on its Cleared images)]} over
     seeded points, for every suite that applies to k."""
     out = {}
     for a in (Fraction(0), Fraction(1), Fraction(7, 3)):
         p = Params(k, a)
-        for name, na_note, check in verify._checks_for(p):
-            if na_note is None:
+        for name, na, residual in verify.SUITES:
+            if na(k) is None:
+                check = functools.partial(_passes, residual, p)
                 rng = stream(f"backends|k={k}|a={a}|{name}", 0)
                 xs = [lyness.require_point(p, random_point(rng, k)) for _ in range(points)]
                 out[a, name] = [(check(x), _cleared_verdict(check, x)) for x in xs]
@@ -184,10 +192,9 @@ def test_suites_check_the_common_denominator_image_of_each_drawn_point(k, monkey
         return drawn[-1]
 
     monkeypatch.setattr(verify, "require_point", recording)
-    checks = verify._checks_for
-    monkeypatch.setattr(verify, "_checks_for", lambda p: [
-        (name, note, lambda x, check=check: checked.append(x) or check(x))
-        for name, note, check in checks(p)])
+    monkeypatch.setattr(verify, "SUITES", tuple(
+        (name, na, lambda p, x, residual=residual: checked.append(x) or residual(p, x))
+        for name, na, residual in verify.SUITES))
     assert all(r.failures == 0 for r in run_suites(k, Fraction(7, 3), 2, 0))
     assert len(checked) == len(drawn) > 0
     for x, image in zip(drawn, checked):
