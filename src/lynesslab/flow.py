@@ -4,12 +4,14 @@ The field is stiff-free and smooth on compact invariant sets, so classic
 fixed-step RK4 (bit-deterministic) is the default; an adaptive RK45 mode is
 available for cross-checks. Trajectories that approach the orthant boundary
 are truncated and flagged rather than continued, by one rule, `_in_domain`
-(every coordinate finite and > 1e-12): RK4 applies it to each stage point,
-before the field is evaluated there, and to each new state; RK45 stops at
-its terminal `near_boundary` event, or where it cannot take a step, and
-keeps the samples it reached. The start point is validated and put
-in float64, a with it, once at entry by `lyness.float_point`; the solvers,
-the signature pass and the transport probe then call the pure kernels.
+(every coordinate finite and > 1e-12). RK4 computes each step whole, as one
+compiled kernel, and truncates if a stage point or the new state fails the
+rule or if the step divides by zero (the field may be evaluated at a stage
+point outside the domain; that result is dropped). RK45 truncates at an x0
+that fails it, at its terminal `near_boundary` event and where it cannot
+take a step, and keeps the samples it reached. The start point is validated
+and put in float64, a with it, once at entry by `lyness.float_point`; the
+solvers, the signature pass and the transport probe then call the kernels.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .invariants import level_signatures
-from .lyness import Params, float_point, step
+from .lyness import Params, float_point, step, traced
 from .symmetry import symmetry_vector
 
 BOUNDARY_EPS = 1e-12
@@ -46,19 +48,15 @@ def _in_domain(x):
     return all(BOUNDARY_EPS < c < math.inf for c in x)
 
 
-def _rk4_step(p: Params, x, h):
-    """One RK4 step of signed size h from x, or None if a stage point or the
-    new state leaves the domain; the field only sees points inside it."""
-    ks = [symmetry_vector.kernel(p, x)]
-    for frac in (0.5, 0.5, 1.0):
-        fh = frac * h
-        stage = tuple(xi + fh * ki for xi, ki in zip(x, ks[-1]))
-        if not _in_domain(stage):
-            return None
-        ks.append(symmetry_vector.kernel(p, stage))
-    h6 = h / 6.0
-    nxt = tuple(xi + h6 * (a + 2 * b + 2 * c + d) for xi, a, b, c, d in zip(x, *ks))
-    return nxt if _in_domain(nxt) else None
+@traced
+def _rk4_stages(p: Params, x, half, h, h6) -> tuple:
+    """The three stage points and the new state of one RK4 step of size h
+    from x, as one tuple of 4k coordinates; half = 0.5 * h and h6 = h / 6.0."""
+    ks, stages = [symmetry_vector.kernel(p, x)], ()
+    for fh in (half, half, h):
+        stages += tuple(xi + fh * ki for xi, ki in zip(x, ks[-1]))
+        ks.append(symmetry_vector.kernel(p, stages[-p.k :]))
+    return stages + tuple(xi + h6 * (a + 2 * b + 2 * c + d) for xi, a, b, c, d in zip(x, *ks))
 
 
 def _grid_steps(dt: float, t_max: float) -> int:
@@ -73,13 +71,18 @@ def _grid_steps(dt: float, t_max: float) -> int:
 
 
 def _rk4(p: Params, x0, h: float, n_steps: int):
-    """(states, boundary_hit) of up to n_steps RK4 steps of signed size h."""
+    """(states, boundary_hit) of up to n_steps RK4 steps of signed size h,
+    ending before a step that leaves the domain or divides by zero."""
+    half, h6 = 0.5 * h, h / 6.0
     states = [x0]
     for _ in range(n_steps):
-        nxt = _rk4_step(p, states[-1], h)
-        if nxt is None:
+        try:
+            out = _rk4_stages(p, states[-1], half, h, h6)
+        except ZeroDivisionError:
             return states, True
-        states.append(nxt)
+        if not _in_domain(out):
+            return states, True
+        states.append(out[3 * p.k :])
     return states, False
 
 
@@ -103,6 +106,9 @@ def integrate_flow(
 
 
 def _integrate_rk45(p, x0, dt, t_max, trace):
+    trace.times, trace.states, trace.boundary_hit = [0.0], [x0], True  # until a step is taken
+    if not _in_domain(x0):
+        return
     from scipy.integrate import solve_ivp
 
     def rhs(_t, y):
@@ -124,6 +130,8 @@ def _integrate_rk45(p, x0, dt, t_max, trace):
         dense_output=True,
         events=near_boundary,
     )
+    if len(sol.t) == 1:  # no step taken, so no interpolant
+        return
     reached = float(sol.t[-1])
     n_steps = int(math.floor(reached / dt + 1e-9))
     trace.times = [min(j * dt, reached) for j in range(n_steps + 1)]

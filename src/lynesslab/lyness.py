@@ -33,8 +33,10 @@ a and x0.
 from __future__ import annotations
 
 import functools
+import inspect
 import linecache
 import math
+import re
 import types
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -180,17 +182,21 @@ def _expression(out, names: dict) -> str:
 
 
 def _compile(kernel, k: int):
-    """kernel traced once at dimension k, on recordings a and x0..x{k-1}, and
-    written out as one straight-line function of (p, x) that performs each
-    distinct recorded operation once, in the order first recorded. Nothing is
-    reordered, commuted or re-associated: `x0 + 1` and `1 + x0` stay two
-    operations, so every operation sees the operands it saw in the body."""
+    """kernel traced once at dimension k, on recordings a, x0..x{k-1} and the
+    extra inputs its signature names, and written out as one straight-line
+    function of (p, x, *extra) that performs each distinct recorded operation
+    once, in the order first recorded. Nothing is reordered, commuted or
+    re-associated (`x0 + 1` and `1 + x0` stay two operations)."""
     tape = {}
     x = tuple(Recording(tape, f"x{i}") for i in range(k))
-    out = kernel(types.SimpleNamespace(k=k, a=Recording(tape, "a")), x)
+    extra = list(inspect.signature(kernel).parameters)[2:]
+    if any(re.fullmatch(r"[apx]|[xt]\d+", name) for name in extra):
+        raise ValueError(f"{kernel.__qualname__}: no extra input may be named p, a, x, x<n> or t<n>")
+    out = kernel(types.SimpleNamespace(k=k, a=Recording(tape, "a")), x, *(Recording(tape, n) for n in extra))
     names = {}
     result = _expression(out, names)
-    lines = ["def kernel(p, x):", "a = p.a", "".join(v.name + ", " for v in x) + "= x",
+    lines = [f"def kernel({', '.join(['p', 'x', *extra])}):", "a = p.a",
+             "".join(v.name + ", " for v in x) + "= x",
              *(f"{name} = {line}" for line, name in tape.items())]
     source = "\n    ".join([*lines, f"return {result}"]) + "\n"
     filename = f"<traced {kernel.__qualname__} k={k}>"
@@ -200,22 +206,23 @@ def _compile(kernel, k: int):
 
 
 def traced(kernel):
-    """A pure kernel f(p, x) run as straight-line code compiled once per k:
-    the first call at dimension p.k traces f on `Recording` inputs and
-    compiles what it recorded; that call and every later one at p.k run the
-    compiled function. It performs f's operations on the same operands in the
-    same order, each distinct one once (a repeat reuses the first result), so
-    its results are f's, bit for bit. f stays the source, as `__wrapped__`;
-    `compiled` maps k to its function."""
+    """A pure kernel f(p, x, *extra) run as straight-line code compiled once
+    per k; extra are scalars past the point, such as a step size (the tracer
+    records no float literal). The first call at dimension p.k traces f on
+    `Recording` inputs and compiles what it recorded; that call and every
+    later one at p.k run the compiled function. It performs f's operations on
+    the same operands in the same order, each distinct one once (a repeat
+    reuses the first result), so its results are f's, bit for bit. f stays
+    the source, as `__wrapped__`; `compiled` maps k to its function."""
     compiled = {}
 
     @functools.wraps(kernel)
-    def run(p, x):
+    def run(p, x, *extra):
         try:
             fn = compiled[p.k]
         except KeyError:
             fn = compiled[p.k] = _compile(kernel, p.k)
-        return fn(p, x)
+        return fn(p, x, *extra) if extra else fn(p, x)  # a call with *() costs more
 
     run.compiled = compiled
     return run

@@ -162,6 +162,17 @@ def test_rk45_flow_where_the_solver_cannot_take_a_step_is_truncated_not_an_error
     assert all(math.isfinite(float(c)) for c in row.split(","))
 
 
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_a_flow_whose_field_divides_by_an_underflowed_product_is_truncated(method, capsys):
+    # x2 x3 underflows to 0.0 at this start, and the field divides by it
+    code = main(["flow", "--k", "3", "--x0", "1e300,1e-200,1e-200", "--dt", "0.1", "--t-max", "0.2",
+                 "--method", method])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == "warning: trajectory truncated near the domain boundary at t=0.0\n"
+    assert captured.out.splitlines()[1:] == ["max relative drift = n/a (fewer than 2 samples)"]
+
+
 def test_reduce_replays_the_double_step(capsys):
     code = main(["reduce", "--k", "3", "--a", "1", "--x0", "1,1,3", "--steps", "4"])
     out = capsys.readouterr().out

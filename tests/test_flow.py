@@ -3,6 +3,7 @@ truncation, the adaptive integrator, the orbit-transport probe, and RK4
 states bit for bit those of the field built from `accumulate` prefix lists."""
 
 import math
+import warnings
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
@@ -173,6 +174,31 @@ def test_adaptive_integrator_truncates_where_it_cannot_take_a_step(x0):
     assert all(math.isfinite(c) for c in state)
 
 
+def test_adaptive_integrator_truncates_where_it_takes_no_step():
+    # x0 is inside the domain, but the field overflows to inf there, so the
+    # solver ends at t=0 without a step and without an interpolant
+    x0 = (1e300, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        trace = integrate_flow(Params(3, 1), x0, 0.1, 1.0, method="rk45-adaptive")
+    assert (trace.times, trace.states, trace.boundary_hit) == ([0.0], [x0], True)
+
+
+@pytest.mark.parametrize("x0", [(1e-300, 1.0, 1.0), (1e300, 1e-200, 1e-200)])
+def test_adaptive_integrator_evaluates_no_field_at_a_start_outside_the_domain(x0, monkeypatch):
+    calls = []
+    monkeypatch.setattr(symmetry_vector, "kernel", lambda p, x: calls.append(x) or (1.0,) * p.k)
+    trace = integrate_flow(Params(3, 1), x0, 0.1, 1.0, method="rk45-adaptive")
+    assert (trace.times, trace.states, trace.boundary_hit, calls) == ([0.0], [x0], True, [])
+
+
+@pytest.mark.parametrize("h", [0.1, -0.1])
+def test_an_rk4_step_that_divides_by_zero_truncates(h):
+    # x2 x3 underflows to 0.0, and the field divides by it at x0
+    x0 = (1e300, 1e-200, 1e-200)
+    assert flow._rk4(Params(3, 1.0), x0, h, 5) == ([x0], True)
+
+
 def _accumulate_field(p, x):
     """The field as it was built from two `accumulate` prefix lists, kept as a
     reference for the bits of `symmetry_vector.kernel`."""
@@ -197,6 +223,8 @@ def test_rk4_states_are_those_of_the_accumulate_field(k, monkeypatch):
     x0 = tuple(1.0 + 0.37 * i for i in range(k))
     got, hit = flow._rk4(p, x0, 1e-4, 40)
     monkeypatch.setattr(symmetry_vector, "kernel", _accumulate_field)
+    # the compiled step holds the field as traced; drop it so it re-traces
+    monkeypatch.delitem(flow._rk4_stages.compiled, k)
     want, want_hit = flow._rk4(p, x0, 1e-4, 40)
     assert (len(got), hit) == (len(want), want_hit) == (41, False)
     assert [[c.hex() for c in x] for x in got] == [[c.hex() for c in x] for x in want]

@@ -16,6 +16,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from lynesslab import lyness  # noqa: E402
+from lynesslab.flow import _rk4_stages  # noqa: E402
 from lynesslab.invariants import LevelSignature, level_signature, level_signatures  # noqa: E402
 from lynesslab.lyness import Params, float_point, inverse_step, orbit, step, traced  # noqa: E402
 from lynesslab.scalars import Cleared, Dual, jvp  # noqa: E402
@@ -49,9 +50,9 @@ def _shape(v):
     return (type(v), v)
 
 
-def _outcome(kernel, p, x):
+def _outcome(kernel, p, x, *extra):
     try:
-        return _shape(kernel(p, x))
+        return _shape(kernel(p, x, *extra))
     except ArithmeticError as exc:
         return type(exc)
 
@@ -102,6 +103,45 @@ def test_suite_residuals_give_the_values_and_types_of_their_body(k):
         for x in xs:
             for residual in residuals:
                 assert _outcome(residual, p, x) == _outcome(residual.__wrapped__, p, x), residual.__name__
+
+
+def _rk4_inputs(h: float) -> tuple:
+    """The extra inputs of one RK4 step of size h: half, h and h6."""
+    return 0.5 * h, h, h / 6.0
+
+
+@SETTINGS
+@given(data=st.data(), k=st.integers(3, 8), a=st.floats(min_value=0, max_value=20),
+       h=st.floats(min_value=1e-4, max_value=1.0), sign=st.sampled_from((1.0, -1.0)))
+def test_the_rk4_step_gives_the_bits_of_its_body(data, k, a, h, sign):
+    x = data.draw(st.tuples(*[st.one_of(moderate, huge)] * k))
+    p, extra = Params(k, a), _rk4_inputs(sign * h)
+    assert _outcome(_rk4_stages, p, x, *extra) == _outcome(_rk4_stages.__wrapped__, p, x, *extra)
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+@pytest.mark.parametrize("h", [0.1, -0.1])
+def test_the_rk4_step_past_the_float64_range_gives_the_bits_of_its_body(k, h):
+    p, extra = Params(k, 1.0), _rk4_inputs(h)
+    for x in ((1e300,) * k, (1e300,) + (1e-200,) * (k - 1)):
+        assert _outcome(_rk4_stages, p, x, *extra) == _outcome(_rk4_stages.__wrapped__, p, x, *extra)
+    # the product of the small coordinates underflows to 0.0, and both divide by it
+    assert _outcome(_rk4_stages, p, x, *extra) is ZeroDivisionError
+    assert linecache.getlines(f"<traced _rk4_stages k={k}>")[0] == "def kernel(p, x, half, h, h6):\n"
+
+
+@pytest.mark.parametrize("name", ["a", "x0", "x2", "t0", "t17"])
+def test_an_extra_input_may_not_take_a_name_of_the_compiled_code(name):
+    run = traced(eval(f"lambda p, x, {name}: (x[0] * {name},)"))
+    with pytest.raises(ValueError):
+        run(Params(3, 1.0), (2.0, 1.0, 1.0), 3.0)
+    assert run.compiled == {}
+
+
+def test_an_extra_input_is_an_input_of_the_compiled_code():
+    run = traced(lambda p, x, t, x_: (x[0] * t + x_,))
+    assert run(Params(3, 1.0), (2.0, 1.0, 1.0), 3.0, 0.5) == (6.5,)
+    assert _recorded(run, 3) == ["x0 * t", "t0 + x_"]
 
 
 def _branches(p, x):
