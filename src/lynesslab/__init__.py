@@ -32,7 +32,6 @@ from .errors import (
     DegenerateOrbitError,
     DimensionError,
     DomainError,
-    FlowError,
     NoRootError,
 )
 from .flow import (

@@ -15,7 +15,3 @@ class NoRootError(RuntimeError):
 
 class DegenerateOrbitError(RuntimeError):
     """Orbit too degenerate (collapsed spread) for the requested estimate."""
-
-
-class FlowError(RuntimeError):
-    """Numerical flow integration could not proceed."""

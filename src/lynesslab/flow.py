@@ -3,21 +3,25 @@
 The field is stiff-free and smooth on compact invariant sets, so classic
 fixed-step RK4 (bit-deterministic) is the default; an adaptive RK45 mode is
 available for cross-checks. Trajectories that approach the orthant boundary
-are truncated and flagged rather than continued, by one rule, `_in_domain`
-(every coordinate finite and > 1e-12). RK4 computes each step whole, as one
-compiled kernel, and truncates if a stage point or the new state fails the
-rule or if the step divides by zero (the field may be evaluated at a stage
-point outside the domain; that result is dropped). RK45 truncates at an x0
-that fails it, at its terminal `near_boundary` event and where it cannot
-take a step, and keeps the samples it reached. The start point is validated
-and put in float64, a with it, once at entry by `lyness.float_point`; the
-solvers, the signature pass and the transport probe then call the kernels.
+are truncated and flagged rather than continued, by one rule for both: a
+run ends before a step whose new state or a sample fails `_in_domain`
+(every coordinate finite and > 1e-12) or whose arithmetic raises
+ArithmeticError, and keeps the samples before it. RK4 computes each step
+whole, as one compiled kernel, and checks its three stage points too (the
+field may be evaluated at a stage point outside the domain; that result is
+dropped). RK45 steps SciPy's solver and samples each grid time from the
+interpolant of the step that reaches it; it also ends where the solver
+fails, where the field is not finite, and at t=0 where x0 fails the rule.
+The start point is validated and put in float64, a with it, once at entry
+by `lyness.float_point`; the solvers, the signature pass and the transport
+probe then call the kernels.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .invariants import level_signatures
 from .lyness import Params, float_point, step, traced
@@ -36,10 +40,10 @@ class FlowTrace:
     method: str
     dt: float
     t_max: float
-    times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-    signatures: list = field(default_factory=list)
-    boundary_hit: bool = False
+    times: list
+    states: list
+    signatures: list
+    boundary_hit: bool
 
 
 def _in_domain(x):
@@ -72,13 +76,13 @@ def _grid_steps(dt: float, t_max: float) -> int:
 
 def _rk4(p: Params, x0, h: float, n_steps: int):
     """(states, boundary_hit) of up to n_steps RK4 steps of signed size h,
-    ending before a step that leaves the domain or divides by zero."""
+    ending before a step that leaves the domain or raises ArithmeticError."""
     half, h6 = 0.5 * h, h / 6.0
     states = [x0]
     for _ in range(n_steps):
         try:
             out = _rk4_stages(p, states[-1], half, h, h6)
-        except ZeroDivisionError:
+        except ArithmeticError:
             return states, True
         if not _in_domain(out):
             return states, True
@@ -95,48 +99,48 @@ def integrate_flow(
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     n_steps = _grid_steps(dt, t_max)
     fp, x0 = float_point(p, x0)
-    trace = FlowTrace(params=p, method=method, dt=dt, t_max=t_max)
     if method == "rk4-fixed":
-        trace.states, trace.boundary_hit = _rk4(fp, x0, dt, n_steps)
-        trace.times = [j * dt for j in range(len(trace.states))]
+        states, hit = _rk4(fp, x0, dt, n_steps)
+        times = [j * dt for j in range(len(states))]
     else:
-        _integrate_rk45(fp, x0, dt, t_max, trace)
-    trace.signatures = list(level_signatures(fp, trace.states))
-    return trace
+        states, hit = _rk45(fp, x0, dt, t_max, n_steps)
+        times = [min(j * dt, t_max) for j in range(len(states))]
+    return FlowTrace(p, method, dt, t_max, times, states, list(level_signatures(fp, states)), hit)
 
 
-def _integrate_rk45(p, x0, dt, t_max, trace):
-    trace.times, trace.states, trace.boundary_hit = [0.0], [x0], True  # until a step is taken
-    if not _in_domain(x0):
-        return
-    from scipy.integrate import solve_ivp
+def _rk45(p: Params, x0, dt: float, t_max: float, n_steps: int):
+    """(states, boundary_hit) of SciPy's RK45 at the grid times min(j * dt,
+    t_max), each sampled from the interpolant of the solver step that reaches
+    it, ending as `_rk4` does and where the solver fails. The field runs on
+    Python floats, and a value that is not finite raises ArithmeticError."""
+    from scipy.integrate import RK45
 
     def rhs(_t, y):
-        return symmetry_vector.kernel(p, tuple(y))
+        out = symmetry_vector.kernel(p, y.tolist())
+        if not all(map(math.isfinite, out)):
+            raise ArithmeticError("the field is not finite")
+        return out
 
-    def near_boundary(_t, y):
-        return float(min(y) - BOUNDARY_EPS)
-
-    near_boundary.terminal = True
-    near_boundary.direction = -1
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_max),
-        x0,
-        method="RK45",
-        rtol=RK45_TOL,
-        atol=RK45_TOL,
-        dense_output=True,
-        events=near_boundary,
-    )
-    if len(sol.t) == 1:  # no step taken, so no interpolant
-        return
-    reached = float(sol.t[-1])
-    n_steps = int(math.floor(reached / dt + 1e-9))
-    trace.times = [min(j * dt, reached) for j in range(n_steps + 1)]
-    trace.states = [tuple(float(v) for v in sol.sol(t)) for t in trace.times]
-    trace.boundary_hit = sol.status != 0
+    grid = [min(j * dt, t_max) for j in range(n_steps + 1)]
+    states = [x0]
+    if not _in_domain(x0):
+        return states, True
+    try:
+        solver = RK45(rhs, 0.0, x0, t_max, rtol=RK45_TOL, atol=RK45_TOL)
+        while len(states) <= n_steps:
+            solver.step()
+            if solver.status == "failed" or not _in_domain(solver.y.tolist()):
+                return states, True
+            reached = bisect.bisect_right(grid, solver.t, lo=len(states))
+            if reached > len(states):
+                dense = solver.dense_output()
+                samples = [tuple(dense(t).tolist()) for t in grid[len(states) : reached]]
+                if not all(map(_in_domain, samples)):
+                    return states, True
+                states += samples
+    except ArithmeticError:
+        return states, True
+    return states, False
 
 
 def invariant_drift(trace: FlowTrace) -> dict:

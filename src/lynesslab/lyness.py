@@ -81,15 +81,16 @@ def float_point(p: Params, x0) -> tuple:
     """(params, x0) with a and x0 in float64, the one entry of every float run:
     x0 is validated once with `require_point`, then a and x0 are converted
     once, so no kernel falls back from Fraction to float per operation. A value
-    past the float64 range, or a coordinate that underflows to 0, is a DomainError."""
+    past the float64 range, or a coordinate or the coordinate product (which
+    every level divides by) that underflows to 0, is a DomainError."""
     x = require_point(p, x0)
     fp = float_params(p)
     try:
         x = tuple(map(float, x))
     except OverflowError:
         raise DomainError("x0 must lie within the float64 range") from None
-    if not in_orthant(x):
-        raise DomainError("x0 must be finite in float64 and must not underflow to 0")
+    if not (in_orthant(x) and math.prod(x)):
+        raise DomainError("x0 must be finite in float64, and neither a coordinate nor their product may underflow to 0")
     return fp, x
 
 

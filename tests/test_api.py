@@ -5,7 +5,7 @@ import lynesslab
 
 PUBLIC = """
     BOUNDARY_EPS Cleared DegenerateOrbitError DimensionError DomainError Dual FixedPoint
-    FlowError FlowTrace GPoint LevelSignature METHODS NoRootError OddPeriodVerdict
+    FlowTrace GPoint LevelSignature METHODS NoRootError OddPeriodVerdict
     OrbitTrace Params RatMatrix ReducedParams SuiteResult TransportReport
     annihilation_residual compatibility_residual equilibrium_residual eval_pi eval_v1
     eval_v2 eval_v3 eval_w eval_z exact_rank factorization_residual fixed_point

@@ -292,6 +292,10 @@ def test_seeded_verify_output_is_reproducible(capsys):
         ["reduce", "--k", "5", "--x0", "1,2,3,4,5", "--steps", "-1"],
         ["reduce", "--k", "4", "--x0", "1,2,3,4"],
         ["reduce", "--k", "3", "--x0", "1,0,1"],
+        # every coordinate is in float64, but their product, which the levels divide by, is 0
+        ["orbit", "--k", "30", "--x0", ",".join(["1e-11"] * 30), "--steps", "2"],
+        ["orbit", "--k", "17", "--x0", ",".join(["1e-20"] * 17), "--steps", "2"],
+        ["flow", "--k", "30", "--x0", ",".join(["1e-11"] * 30), "--dt", "0.1", "--t-max", "0.2"],
     ],
     ids=[
         "orbit-x0-overflow", "orbit-a-overflow", "orbit-x0-underflow", "flow-x0-overflow",
@@ -299,6 +303,7 @@ def test_seeded_verify_output_is_reproducible(capsys):
         "flow-dt-beyond-tmax", "flow-rk45-partial-step", "verify-a-exponent-5000",
         "orbit-x0-exponent-99999", "orbit-x0-exponent-999999", "orbit-proj-not-integer",
         "reduce-negative-steps", "reduce-k4", "reduce-x0-zero",
+        "orbit-k30-product-underflow", "orbit-k17-product-underflow", "flow-k30-product-underflow",
     ],
 )
 def test_float_inputs_outside_the_run_exit_two(argv, tmp_path, capsys):

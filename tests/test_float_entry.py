@@ -96,8 +96,10 @@ def test_float_point_converts_once_and_keeps_k():
         (1, (Fraction(1, 10**400), 1, 1), DomainError),
         (math.inf, (1, 1, 1), DomainError),
         (1, (1, math.inf, 1), DomainError),
+        (1, (1e-200, 1, 1e-200), DomainError),
     ],
-    ids=["short", "zero", "a-overflow", "x0-overflow", "x0-underflow", "a-inf", "x0-inf"],
+    ids=["short", "zero", "a-overflow", "x0-overflow", "x0-underflow", "a-inf", "x0-inf",
+         "x0-product-underflow"],
 )
 def test_float_point_refuses_points_outside_float64(a, x0, error):
     with pytest.raises(error):

@@ -17,7 +17,7 @@ from lynesslab.flow import (
     invariant_drift,
     transport_diagnostic,
 )
-from lynesslab.lyness import Params
+from lynesslab.lyness import Params, float_point
 from lynesslab.scalars import fold
 from lynesslab.symmetry import symmetry_vector
 
@@ -154,8 +154,8 @@ def test_grid_accepts_rounding_noise_in_the_step_count():
 
 
 def test_adaptive_integrator_truncates_at_the_boundary_event():
-    # The solver's stage points leave the orthant here; the terminal event,
-    # not a domain check on the field, ends the trace.
+    # x3 falls below 1e-12 within the solver's first few steps, long before
+    # the first grid time, so the trace ends with its in-domain start.
     p = Params(3, Fraction(1))
     trace = integrate_flow(p, (1e-11,) * 3, dt=1e-3, t_max=1.0, method=METHODS[1])
     assert trace.boundary_hit
@@ -176,12 +176,59 @@ def test_adaptive_integrator_truncates_where_it_cannot_take_a_step(x0):
 
 def test_adaptive_integrator_truncates_where_it_takes_no_step():
     # x0 is inside the domain, but the field overflows to inf there, so the
-    # solver ends at t=0 without a step and without an interpolant
+    # run ends at t=0 before a step, and no arithmetic warns on the way
     x0 = (1e300, 1.0, 1.0)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         trace = integrate_flow(Params(3, 1), x0, 0.1, 1.0, method="rk45-adaptive")
     assert (trace.times, trace.states, trace.boundary_hit) == ([0.0], [x0], True)
+
+
+def test_adaptive_integrator_truncates_where_the_field_is_nan():
+    # the field is inf / inf = nan at this in-domain start, so the run ends at t=0
+    x0 = (1e200, 1e200, 1e200)
+    trace = integrate_flow(Params(3, 1), x0, 0.1, 0.2, method="rk45-adaptive")
+    assert (trace.times, trace.states, trace.boundary_hit) == ([0.0], [x0], True)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_truncated_run_keeps_only_in_domain_samples(method):
+    # the field is as large as 6e23 here, and x1 falls to 1e-12 before t = 1e-17
+    trace = integrate_flow(Params(4, 0), (1e-11, 1.0, 1.0, 1e6), 1e-19, 2e-17, method=method)
+    assert trace.boundary_hit
+    assert 1 < len(trace.states) == len(trace.times) < 201
+    assert all(map(flow._in_domain, trace.states))
+
+
+def _solve_ivp_samples(p, x0, dt, t_max):
+    """(times, states) of `solve_ivp` run once over [0, t_max] with one dense
+    output for the whole run, sampled at min(j * dt, t_max): the construction
+    the stepped RK45 loop replaced, kept as a reference for its bits."""
+    from scipy.integrate import solve_ivp
+
+    p, x0 = float_point(p, x0)
+    sol = solve_ivp(lambda _t, y: symmetry_vector.kernel(p, tuple(y)), (0.0, t_max), x0,
+                    method="RK45", rtol=flow.RK45_TOL, atol=flow.RK45_TOL, dense_output=True)
+    times = [min(j * dt, t_max) for j in range(flow._grid_steps(dt, t_max) + 1)]
+    return times, [tuple(float(v) for v in sol.sol(t)) for t in times]
+
+
+@pytest.mark.parametrize(
+    "p, x0, dt, t_max",
+    [
+        (Params(3, 1), (1, 1, 3), 0.1, 0.3),  # 3 * 0.1 passes t_max, so the last time is t_max
+        (Params(4, 4), (1, 2, 3, 4), 0.05, 0.5),
+        (Params(5, Fraction(7, 10)), (1, 2, 3, 4, 5), 0.05, 0.5),
+        (Params(6, 1), (1, 2, 3, 4, 5, 6), 0.05, 0.25),
+    ],
+    ids=["k3", "k4", "k5", "k6"],
+)
+def test_adaptive_integrator_gives_the_bits_of_one_dense_output(p, x0, dt, t_max):
+    trace = integrate_flow(p, x0, dt, t_max, method="rk45-adaptive")
+    times, states = _solve_ivp_samples(p, x0, dt, t_max)
+    assert not trace.boundary_hit
+    assert [t.hex() for t in trace.times] == [t.hex() for t in times]
+    assert [[c.hex() for c in x] for x in trace.states] == [[c.hex() for c in x] for x in states]
 
 
 @pytest.mark.parametrize("x0", [(1e-300, 1.0, 1.0), (1e300, 1e-200, 1e-200)])
