@@ -20,6 +20,7 @@ The environment variable LYNESS_SEED supplies the default seed.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import itertools
 import json
@@ -27,6 +28,7 @@ import operator
 import os
 import sys
 from fractions import Fraction
+from math import isfinite
 
 from .flow import METHODS, integrate_flow, invariant_drift
 from .invariants import eval_w, level_signatures
@@ -163,8 +165,12 @@ def cmd_verify(args) -> int:
 
 def _write_orbit(p: Params, x0, steps: int, proj, fmt: str, fh) -> None:
     """Rows of the orbit of x0, exact or float as x0 is, from a start that
-    `float_point` or `require_point` has checked; a float orbit that leaves
-    the domain ends early with a warning."""
+    `float_point` or `require_point` has checked. F shifts a state and adds
+    one coordinate (the contract by which `orbit` checks only the added one),
+    so each row formats only its added coordinate x[-1] and takes the text
+    of the other k-1 from a window of the last k. A float orbit ends early,
+    with one warning, before the first state that leaves the domain or whose
+    levels are not finite or raise (a division by an underflowed product)."""
     header = ["n"] + [f"x{i}" for i in proj] + ["V1", "V2"] + ["V3", "signZ"] * (p.k % 2)
     if fmt == "csv":
         fh.write(",".join(header) + "\n")
@@ -174,12 +180,19 @@ def _write_orbit(p: Params, x0, steps: int, proj, fmt: str, fh) -> None:
         template = json.dumps(dict.fromkeys(header, "%s")) + "\n"
     pick = operator.itemgetter(*(i - 1 for i in proj))
     odd = p.k % 2 == 1
+    floats = isinstance(p.a, float)
+    cells = collections.deque(map(str, x0[:-1]), maxlen=p.k)  # row 0 appends str(x0[-1])
     states, levels = itertools.tee(orbit.kernel(p, x0, steps))
-    for n, (x, sig) in enumerate(zip(states, level_signatures(p, levels))):
-        row = (n, *pick(x), sig.v1, sig.v2, sig.v3, sig.z_sign) if odd else (n, *pick(x), sig.v1, sig.v2)
-        fh.write(template % row)
-    if n < steps:
-        print(f"warning: float orbit left the domain at step {n + 1}", file=sys.stderr)
+    n = 0  # rows written
+    with contextlib.suppress(ArithmeticError) if floats else contextlib.nullcontext():
+        for x, (v1, v2, v3, z) in zip(states, level_signatures(p, levels)):
+            if floats and not (isfinite(v1) and isfinite(v2) and (v3 is None or isfinite(v3))):
+                break
+            cells.append(str(x[-1]))
+            fh.write(template % ((n, *pick(cells), v1, v2, v3, z) if odd else (n, *pick(cells), v1, v2)))
+            n += 1
+    if n <= steps:
+        print(f"warning: float orbit left the domain at step {n}", file=sys.stderr)
 
 
 def cmd_orbit(args) -> int:
@@ -200,10 +213,12 @@ def cmd_orbit(args) -> int:
 
 def _write_flow_csv(trace, proj, fh) -> None:
     odd = trace.params.k % 2 == 1
-    fh.write(",".join(["t"] + [f"x{i}" for i in proj] + ["V1", "V2"] + ["V3"] * odd) + "\n")
-    for t, x, sig in zip(trace.times, trace.states, trace.signatures):
-        row = [t, *(x[i - 1] for i in proj), sig.v1, sig.v2] + [sig.v3] * odd
-        fh.write(",".join(map(repr, row)) + "\n")
+    header = ["t"] + [f"x{i}" for i in proj] + ["V1", "V2"] + ["V3"] * odd
+    fh.write(",".join(header) + "\n")
+    template = ",".join(["%r"] * len(header)) + "\n"
+    pick = operator.itemgetter(*(i - 1 for i in proj))
+    for t, x, (v1, v2, v3, _) in zip(trace.times, trace.states, trace.signatures):
+        fh.write(template % ((t, *pick(x), v1, v2, v3) if odd else (t, *pick(x), v1, v2)))
 
 
 def cmd_flow(args) -> int:

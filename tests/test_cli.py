@@ -14,7 +14,7 @@ import pytest
 from lynesslab import cli, flow
 from lynesslab.cli import main
 from lynesslab.invariants import level_signature
-from lynesslab.lyness import Params, float_point, orbit
+from lynesslab.lyness import Params, float_point, orbit, require_point
 
 
 def _lines(path):
@@ -408,24 +408,60 @@ def test_flow_time_cells_are_plain_floats(tmp_path, capsys):
 
 
 def _reference_rows(p, x0, steps, proj, fmt):
-    """The orbit rows cell by cell: str of each value, json.dumps per JSONL row."""
+    """The orbit rows cell by cell: str of each value, json.dumps per JSONL row,
+    up to the first float row whose levels are not finite or raise; with the
+    number of rows written."""
     header = ["n"] + [f"x{i}" for i in proj] + ["V1", "V2"] + ["V3", "signZ"] * (p.k % 2)
     lines = [",".join(header)] if fmt == "csv" else []
+    rows = 0
     for n, x in enumerate(orbit(p, x0, steps)):
-        sig = level_signature.kernel(p, x)
-        row = [n] + [x[i - 1] for i in proj] + [sig.v1, sig.v2]
-        row = [str(c) for c in row + ([sig.v3, sig.z_sign] if p.k % 2 else [])]
+        try:
+            sig = level_signature.kernel(p, x)
+        except ArithmeticError:
+            break
+        levels = [sig.v1, sig.v2] + ([sig.v3, sig.z_sign] if p.k % 2 else [])
+        if isinstance(p.a, float) and not all(map(math.isfinite, levels)):
+            break
+        row = [str(c) for c in [n] + [x[i - 1] for i in proj] + levels]
         lines.append(",".join(row) if fmt == "csv" else json.dumps(dict(zip(header, row))))
-    return "".join(line + "\n" for line in lines)
+        rows += 1
+    return "".join(line + "\n" for line in lines), rows
+
+
+_SMALL = None  # stands for x0 = (1e-4 * 3**i for i < k)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-@pytest.mark.parametrize("k, a, proj", [(5, 0, (1, 2, 3, 4, 5)), (6, 1e-3, (6, 1, 2)), (3, 1e6, (2, 3, 1))])
-def test_orbit_rows_equal_str_cells_and_json_dumps(k, a, proj, fmt):
-    p, x0 = float_point(Params(k, a), [1e-4 * 3**i for i in range(k)])
+@pytest.mark.parametrize("k, a, x0, steps, proj", [
+    pytest.param(5, 0, _SMALL, 200, (1, 2, 3, 4, 5), id="5-0-proj0"),
+    pytest.param(6, 1e-3, _SMALL, 200, (6, 1, 2), id="6-0.001-proj1"),
+    pytest.param(3, 1e6, _SMALL, 200, (2, 3, 1), id="3-1000000.0-proj2"),
+    pytest.param(3, Fraction(1), (Fraction(1, 2), 2, Fraction(7, 3)), 40, (1, 2, 3), id="exact-k3"),
+    pytest.param(5, Fraction(4, 3), (1, Fraction(2, 5), 3, 4, 5), 30, (5, 1, 3), id="exact-k5"),
+    pytest.param(2, 1e-2, _SMALL, 50, (1, 2), id="k2"),
+    pytest.param(4, 2.0, _SMALL, 0, (1, 2, 3), id="steps-0"),
+    # the first image overflows: x0's levels are inf already
+    pytest.param(3, 1.0, (1e-300, 1e300, 1e300), 10, (1, 2, 3), id="float-overflow"),
+    # levels overflow at row 4 of an orbit whose coordinates stay finite
+    pytest.param(3, 1.0, (1.0, 1e-100, 1.0), 20, (1, 2, 3), id="levels-overflow"),
+    # nan and inf levels in rows 0 and 1, then a division by an underflowed product
+    pytest.param(3, 1.0, (1e200, 1e200, 1e-300), 3, (1, 2, 3), id="nonfinite-then-zero-division"),
+    pytest.param(3, 1.0, (1e300, 1e300, 1e300), 2, (1, 2, 3), id="nonfinite-x0"),
+    # rows 0 and 1 finite; row 2's coordinate product underflows and V1 divides by it
+    pytest.param(3, 0.0, (1e100, 1e-20, 1e-160), 5, (1, 2, 3), id="zero-division-row-2"),
+    # row 0 finite, row 1 nan; later rows are finite again but are not written
+    pytest.param(3, 1.0, (1e-150, 1.0, 1e150), 10, (3, 1, 2), id="nonfinite-row-1"),
+])
+def test_orbit_rows_equal_str_cells_and_json_dumps(k, a, x0, steps, proj, fmt, capsys):
+    x0 = [1e-4 * 3**i for i in range(k)] if x0 is _SMALL else x0
+    p = Params(k, a)
+    p, x0 = (p, require_point(p, x0)) if isinstance(a, Fraction) else float_point(p, x0)
     fh = io.StringIO()
-    cli._write_orbit(p, x0, 200, proj, fmt, fh)
-    assert fh.getvalue() == _reference_rows(p, x0, 200, proj, fmt)
+    cli._write_orbit(p, x0, steps, proj, fmt, fh)
+    text, rows = _reference_rows(p, x0, steps, proj, fmt)
+    assert fh.getvalue() == text
+    warning = f"warning: float orbit left the domain at step {rows}\n" if rows <= steps else ""
+    assert capsys.readouterr().err == warning
 
 
 def test_float_runs_compute_with_a_in_float64_and_print_it_as_given(monkeypatch, capsys):

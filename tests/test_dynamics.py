@@ -201,17 +201,26 @@ def test_rotation_number_rejects_degenerate_orbits():
         rotation_number(P31, (1.0, 1.0, 3.0), 5)
 
 
-def test_orbit_signature_and_cli_orbit_truncate_alike(capsys):
-    # The first image underflows to 0.0: the API trace and the CLI writer
-    # stop at the same state.
-    p = Params(3, Fraction(0))
-    x0 = (1e300, 1e-300, 1e-300)
-    trace = orbit_signature(p, x0, 5)
+def test_cli_orbit_ends_before_the_api_traces_first_nonfinite_level(capsys):
+    # Both walk the same orbit; the API trace keeps levels that overflow, and
+    # the CLI writer ends before the first row that has one. At the first x0
+    # the first image underflows to 0.0 and x0's own levels are inf; at the
+    # second the orbit stays in the domain and row 1's levels are nan.
+    for a, x0, steps, written in (("0", (1e300, 1e-300, 1e-300), 5, 0),
+                                  ("1", (1e-150, 1.0, 1e150), 10, 1)):
+        trace = orbit_signature(Params(3, Fraction(a)), x0, steps)
+        finite = [all(map(math.isfinite, sig[:3])) for sig in trace.signatures]
+        assert finite.index(False) == written
+        argv = ["orbit", "--k", "3", "--a", a, "--x0", ",".join(map(repr, x0)), "--steps", str(steps)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+        assert rows == [[str(n)] + [repr(c) for c in trace.states[n]] + [str(v) for v in trace.signatures[n]]
+                        for n in range(written)]
+        assert captured.err == f"warning: float orbit left the domain at step {written}\n"
+    # the API trace of the first x0 stops where the orbit leaves the domain
+    trace = orbit_signature(Params(3, Fraction(0)), (1e300, 1e-300, 1e-300), 5)
     assert trace.truncated and trace.note == "float overflow"
-    assert trace.states == [x0]
+    assert trace.states == [(1e300, 1e-300, 1e-300)]
     assert trace.indices == [0]
     assert len(trace.signatures) == 1
-    assert main(["orbit", "--k", "3", "--a", "0", "--x0", "1e300,1e-300,1e-300", "--steps", "5"]) == 0
-    captured = capsys.readouterr()
-    assert len(captured.out.splitlines()) == 1 + len(trace.states)
-    assert "left the domain at step 1" in captured.err
