@@ -85,6 +85,7 @@ from .symmetry import (
     factorization_residual,
     lie_residual,
     shift_residual,
+    shift_residuals,
     symmetry_vector,
 )
 from .verify import SuiteResult, run_suites

@@ -13,13 +13,14 @@ from .errors import DegenerateOrbitError, DimensionError, DomainError, NoRootErr
 from .invariants import eval_pi, eval_v1, eval_v2, eval_v3, eval_z, level_signatures
 from .lyness import (
     OrbitTrace, Params, float_params, float_point, in_orthant, iterate, jacobian_det, orbit,
-    require_point, step, two_periodic_point, validated,
+    require_point, step, traced, two_periodic_point, validated,
 )
 
 
 def orbit_signature(p: Params, x0, n: int) -> OrbitTrace:
-    """Orbit trace with per-state invariant levels. Float orbits that overflow
-    are truncated and flagged instead of propagating inf/nan."""
+    """Orbit trace with per-state invariant levels. A float orbit ends, flagged
+    `truncated`, before its first state outside the orthant; the levels of a
+    state it keeps are not checked: they may be inf or nan, or raise ZeroDivisionError."""
     trace = iterate(p, x0, n)
     trace.signatures = list(level_signatures(p, trace.states))
     return trace
@@ -219,6 +220,7 @@ def odd_period_guard(p: Params, x, max_odd_period: int) -> OddPeriodVerdict:
 
 
 @validated
+@traced
 def measure_density_residual(p: Params, x):
     """Residual pair of the invariance laws of the second iterate's densities:
     (pi o F^2 - det DF^2 * pi, Z o F^2 - det DF^2 * Z); both exactly zero."""

@@ -24,10 +24,10 @@ Dual) and stay inside it. Formulas are pure ring arithmetic; the domain is
 checked once at the boundary: a `@validated` public function runs
 `require_point` and then its kernel, which stays reachable as `.kernel` for
 drivers that validated their start point already. `step`, `inverse_step`,
-the symmetry field and the level signatures are also `@traced`: their
-`.kernel` runs the body as straight-line code compiled once per k. Every
-float run enters float64 through `float_point`, the one place that converts
-a and x0.
+the symmetry field, the level signatures and the five residuals `verify`
+holds are also `@traced`: their `.kernel` runs the body as straight-line code
+compiled once per k. Every float run enters float64 through `float_point`,
+the one place that converts a and x0.
 """
 
 from __future__ import annotations

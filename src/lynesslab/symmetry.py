@@ -71,6 +71,7 @@ def symmetry_vector(p: Params, x) -> tuple:
 
 
 @validated
+@traced
 def lie_residual(p: Params, x) -> tuple:
     """Componentwise X(F(x)) - DF(x) X(x); the zero tuple iff the symmetry holds.
     DF(x) X(x) is the derivative part of F on the duals x + X(x) eps."""
@@ -80,23 +81,28 @@ def lie_residual(p: Params, x) -> tuple:
 
 
 @validated
-def shift_residual(p: Params, x, i: int):
-    """X_{i+1}(x) - X_i(F(x)) for 1-based 1 <= i <= k-1."""
-    if not 1 <= i <= p.k - 1:
-        raise DimensionError(f"shift index must satisfy 1 <= i <= k-1, got {i}")
-    return symmetry_vector.kernel(p, x)[i] - symmetry_vector.kernel(p, step.kernel(p, x))[i - 1]
+@traced
+def shift_residuals(p: Params, x) -> tuple:
+    """The shift law's k-1 differences X_{i+1}(x) - X_i(F(x)), X(x) evaluated first."""
+    here, image = symmetry_vector.kernel(p, x), symmetry_vector.kernel(p, step.kernel(p, x))
+    return tuple(u - v for u, v in zip(here[1:], image[:-1]))
 
 
 @validated
+def shift_residual(p: Params, x, i: int):
+    """X_{i+1}(x) - X_i(F(x)) for 1-based 1 <= i <= k-1: entry i-1 of `shift_residuals`."""
+    if not 1 <= i <= p.k - 1:
+        raise DimensionError(f"shift index must satisfy 1 <= i <= k-1, got {i}")
+    return shift_residuals.kernel(p, x)[i - 1]
+
+
+@validated
+@traced
 def compatibility_residual(p: Params, x):
     """X_k(F(x)) + ((a + x2+...+xk)/x1^2) X_1(x) - (1/x1) sum_{i>=2} X_i(x)."""
     here = symmetry_vector.kernel(p, x)
     image_last = symmetry_vector.kernel(p, step.kernel(p, x))[-1]
-    return (
-        image_last
-        + (p.a + fold(x[1:])) / (x[0] * x[0]) * here[0]
-        - fold(here[1:]) / x[0]
-    )
+    return image_last + (p.a + fold(x[1:])) / (x[0] * x[0]) * here[0] - fold(here[1:]) / x[0]
 
 
 ANNIHILATED = {
@@ -125,6 +131,7 @@ def annihilation_residual(p: Params, x, which: str):
 
 
 @validated
+@traced
 def factorization_residual(p: Params, x):
     """Residual of the product factorization of the weighted shift-difference
     sum (k >= 6); exactly zero over the rationals."""

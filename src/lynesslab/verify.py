@@ -2,17 +2,17 @@
 replayed over seeded random rational points and reported per suite.
 
 `SUITES` is the one table of them: (name, n/a rule k -> None or note,
-residual (p, x) -> tuple), and `run_suites` is its one reader: a trial
-passes when every value of its residual is 0. Fifteen are the difference of
-an identity's two sides, one expression traced once per k under the suite's
-name; it calls kernels by attribute, so it inlines them as they are when
-traced. Each calls the package's one implementation of its identity where
-there is one: integral annihilation is `annihilation_residual` for every
-integral registered for k, and the tracer merges their repeated X(x) into
-one. `det closed form` (its oracle pivots on values) and `sign(Z)
-alternation` (it branches on a sign) are not ring identities and run as
-written. Each suite draws its own string-seeded RNG stream, so results do
-not depend on suite order.
+residual (p, x) -> tuple, or a scalar as its one value), and `run_suites` is
+its one reader: a trial passes when every value is 0. Five suites hold a
+public residual's traced `.kernel` itself, so the API and `verify` share one
+compiled form per k; ten more are the difference of an identity's two
+sides, traced once per k under the suite's name. Each inlines the kernels it
+calls by attribute as they are when traced; integral annihilation is
+`annihilation_residual` for every integral registered for k, and the tracer
+merges their repeated X(x) into one. `det closed form` (its oracle pivots on
+values) and `sign(Z) alternation` (it branches on a sign) are not ring
+identities and run as written. Each suite draws its own string-seeded RNG
+stream, so results do not depend on suite order.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .symmetry import (
     compatibility_residual,
     factorization_residual,
     lie_residual,
-    symmetry_vector,
+    shift_residuals,
 )
 
 OK = "ok"
@@ -107,41 +107,38 @@ def _sign_alternation(p, x):
 
 SUITES = (
     _suite("V1 invariance", _every,
-           lambda p, x: (eval_v1.kernel(p, step.kernel(p, x)) - eval_v1.kernel(p, x),)),
+           lambda p, x: eval_v1.kernel(p, step.kernel(p, x)) - eval_v1.kernel(p, x)),
     _suite("V2 invariance", _every,
-           lambda p, x: (eval_v2.kernel(p, step.kernel(p, x)) - eval_v2.kernel(p, x),)),
+           lambda p, x: eval_v2.kernel(p, step.kernel(p, x)) - eval_v2.kernel(p, x)),
     _suite("inverse round-trip", _every, lambda p, x: tuple(map(
         operator.sub,
         inverse_step.kernel(p, step.kernel(p, x)) + step.kernel(p, inverse_step.kernel(p, x)),
         x + x))),
     ("det closed form", _every,
-     lambda p, x: (_det_gauss(jacobian.kernel(p, x)) - jacobian_det.kernel(p, x),)),
-    _suite("symmetry condition", _every, lambda p, x: lie_residual.kernel(p, x)),
-    _suite("shift law", _every, lambda p, x: tuple(map(
-        operator.sub,
-        symmetry_vector.kernel(p, x)[1:],
-        symmetry_vector.kernel(p, step.kernel(p, x))[:-1]))),
-    _suite("compatibility identity", _every, lambda p, x: (compatibility_residual.kernel(p, x),)),
+     lambda p, x: _det_gauss(jacobian.kernel(p, x)) - jacobian_det.kernel(p, x)),
+    ("symmetry condition", _every, lie_residual.kernel),
+    ("shift law", _every, shift_residuals.kernel),
+    ("compatibility identity", _every, compatibility_residual.kernel),
     _suite("integral annihilation",
            lambda k: None if any(j == k for j, _ in ANNIHILATED) else "(registered for k in 3..5)",
            lambda p, x: tuple(annihilation_residual.kernel(p, x, name)
                               for k, name in ANNIHILATED if k == p.k)),
-    _suite("sum factorization", lambda k: None if k >= 6 else "(needs k >= 6)",
-           lambda p, x: (factorization_residual.kernel(p, x),)),
-    _suite("W 2-integral", _odd, lambda p, x: (
-        eval_w.kernel(p, step.kernel(p, step.kernel(p, x))) - eval_w.kernel(p, x),)),
+    ("sum factorization", lambda k: None if k >= 6 else "(needs k >= 6)",
+     factorization_residual.kernel),
+    _suite("W 2-integral", _odd,
+           lambda p, x: eval_w.kernel(p, step.kernel(p, step.kernel(p, x))) - eval_w.kernel(p, x)),
     _suite("V3 invariance", _odd,
-           lambda p, x: (eval_v3.kernel(p, step.kernel(p, x)) - eval_v3.kernel(p, x),)),
+           lambda p, x: eval_v3.kernel(p, step.kernel(p, x)) - eval_v3.kernel(p, x)),
     _suite("V3 = W + W o F", _odd, lambda p, x: (
-        eval_v3.kernel(p, x) - (eval_w.kernel(p, x) + eval_w.kernel(p, step.kernel(p, x))),)),
+        eval_v3.kernel(p, x) - (eval_w.kernel(p, x) + eval_w.kernel(p, step.kernel(p, x))))),
     _suite("V1 = W * (W o F)", _odd, lambda p, x: (
-        eval_v1.kernel(p, x) - eval_w.kernel(p, x) * eval_w.kernel(p, step.kernel(p, x)),)),
+        eval_v1.kernel(p, x) - eval_w.kernel(p, x) * eval_w.kernel(p, step.kernel(p, x)))),
     _suite("Z transform law", _odd, lambda p, x: (
-        eval_z.kernel(p, step.kernel(p, x)) - jacobian_det.kernel(p, x) * eval_z.kernel(p, x),)),
+        eval_z.kernel(p, step.kernel(p, x)) - jacobian_det.kernel(p, x) * eval_z.kernel(p, x))),
     _suite("product transform law", _odd, lambda p, x: (
-        eval_pi.kernel(p, step.kernel(p, x)) + jacobian_det.kernel(p, x) * eval_pi.kernel(p, x),)),
+        eval_pi.kernel(p, step.kernel(p, x)) + jacobian_det.kernel(p, x) * eval_pi.kernel(p, x))),
     ("sign(Z) alternation", _odd, _sign_alternation),
-    _suite("density laws (F^2)", _odd, lambda p, x: measure_density_residual.kernel(p, x)),
+    ("density laws (F^2)", _odd, measure_density_residual.kernel),
 )
 
 
@@ -165,7 +162,8 @@ def run_suites(k: int, a, trials: int, seed: int) -> list:
         failures = 0
         for _ in range(trials):
             x = Cleared.common(require_point(p, random_point(rng, k)))
-            if not all(r == 0 for r in residual(p, x)):
+            r = residual(p, x)
+            if not all(v == 0 for v in (r if isinstance(r, tuple) else (r,))):
                 failures += 1
         results.append(SuiteResult(name, k, p.a, trials, failures, FAIL if failures else OK))
     return results

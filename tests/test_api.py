@@ -14,7 +14,7 @@ PUBLIC = """
     lie_residual lift_k3 lift_k5 measure_density_residual odd_period_guard
     orbit_signature parse_rational project reduced_step_k3 reduced_step_k5
     rotation_number run_suites sample_g_point semiconjugacy_residual shift_residual
-    solve_v1_level step symmetry_vector transport_diagnostic two_periodic_point
+    shift_residuals solve_v1_level step symmetry_vector transport_diagnostic two_periodic_point
     v1_minimum v_profile z_sign
 """.split()
 

@@ -1,10 +1,13 @@
 """Traced kernels: `step`, `inverse_step`, the symmetry field, the level
-signatures and the residuals of the verify suites run as straight-line code
-compiled once per k, a kernel that takes a `jvp` among them. The compiled form
-must give its body's results (`__wrapped__`) in value and type, bit for bit
-over floats, and a body that branches on a value must fail when traced. A
-repeated operation is compiled once; nothing is commuted or re-associated."""
+signatures and the residuals of the verify suites (five of them the public
+residuals' own kernels) run as straight-line code compiled once per k, a
+kernel that takes a `jvp` among them. The compiled form must give its body's
+results (`__wrapped__`) in value and type, bit for bit over floats, and a
+body that branches on a value must fail when traced. A repeated operation is
+compiled once; nothing is commuted or re-associated, and the compiled
+sources of the float kernels are pinned by digest."""
 
+import hashlib
 import linecache
 import math
 from fractions import Fraction
@@ -275,3 +278,24 @@ def test_golden_float_bits_of_the_field_and_the_levels(k):
     assert [c.hex() for c in symmetry_vector(p, x)] == field
     sig = level_signature(p, x)
     assert (sig.v1.hex(), sig.v2.hex(), sig.v3 and sig.v3.hex(), sig.z_sign) == (v1, v2, v3, sign)
+
+
+# sha256 of each float kernel's compiled sources at k = 3..9, in order. Float
+# bits under every interpreter follow the operation order these sources fix.
+SOURCE_DIGESTS = {
+    "step": "e3c9ecd45f79daf3443f55a284374d5dc46e8396225ca7d7cc470aaf3a5acf71",
+    "inverse_step": "23e2248eca0e3bb9d8db7095d1c2df7dab6b1be80cc4af8d5a088feea60397c7",
+    "symmetry_vector": "c129e39053428f9a7c7d9a3718303a1a1a69757381d1f8964c5e3a1f7d90c759",
+    "level_signature": "4ef2c99d5b4e4fb0a5d4c7ebc02ba06b371e4cacd51a69afdca948168e3925ab",
+    "_rk4_stages": "1b6c263c6f715b7cbc3eaa0f8d6d7e9a4a065a98f92ee2c9d2ce5b38e3f3dc97",
+}
+
+
+@pytest.mark.parametrize("body", [fn.kernel.__wrapped__ for fn in TRACED] + [_rk4_stages.__wrapped__],
+                         ids=lambda body: body.__name__)
+def test_the_float_kernels_keep_their_compiled_operation_order(body):
+    digest = hashlib.sha256()
+    for k in range(3, 10):
+        lyness._compile(body, k)  # afresh: a test may have traced a patched body under this name
+        digest.update("".join(linecache.getlines(f"<traced {body.__qualname__} k={k}>")).encode())
+    assert digest.hexdigest() == SOURCE_DIGESTS[body.__name__]

@@ -1,10 +1,11 @@
 """Identity suites: k and the trial count are checked before any suite runs,
-each drawn point is validated once per trial, the shift law and the
-symmetry condition evaluate the field once at x and once at F(x) and
-integral annihilation evaluates it once (each inlined into a residual
-traced once per k), a wrong field fails every suite that uses it, every
-check gives the same verdict on both `Cleared` images of a point as on the
-`Fraction` point they were made from, the suites check the
+each drawn point is validated once per trial, five suites hold their public
+residual's compiled kernel (so a public call after `verify` compiles
+nothing), the shift law and the symmetry condition evaluate the field once
+at x and once at F(x) and integral annihilation evaluates it once (each
+inlined into a residual traced once per k), a wrong field fails every suite
+that uses it, every check gives the same verdict on both `Cleared` images of
+a point as on the `Fraction` point they were made from, the suites check the
 common-denominator image of each drawn point, and the determinant oracle
 eliminates dense rational matrices exactly."""
 
@@ -14,11 +15,15 @@ from fractions import Fraction
 import pytest
 
 from lynesslab import lyness, verify
+from lynesslab.dynamics import measure_density_residual
 from lynesslab.errors import DimensionError
 from lynesslab.lyness import Params
 from lynesslab.sampling import random_point, stream
 from lynesslab.scalars import Cleared, RatMatrix
-from lynesslab.symmetry import symmetry_vector
+from lynesslab.symmetry import (
+    compatibility_residual, factorization_residual, lie_residual, shift_residual, shift_residuals,
+    symmetry_vector,
+)
 from lynesslab.verify import run_suites
 
 
@@ -71,6 +76,40 @@ def fresh_suites():
     for cache, entries in zip(caches, saved):
         cache.clear()
         cache.update(entries)
+
+
+PUBLIC_RESIDUALS = {
+    "symmetry condition": lie_residual,
+    "shift law": shift_residuals,
+    "compatibility identity": compatibility_residual,
+    "sum factorization": factorization_residual,
+    "density laws (F^2)": measure_density_residual,
+}
+
+
+def test_five_suites_hold_their_public_residuals_kernel():
+    held = {name: residual for name, _, residual in verify.SUITES}
+    for name, public in PUBLIC_RESIDUALS.items():
+        assert held[name] is public.kernel, name
+
+
+@pytest.mark.parametrize("k", [3, 6, 7])
+def test_a_public_residual_runs_what_its_suite_compiled(k, monkeypatch, fresh_suites):
+    compiled = []
+    real = lyness._compile
+    monkeypatch.setattr(lyness, "_compile", lambda kernel, n: compiled.append(kernel.__name__) or real(kernel, n))
+    applicable = [PUBLIC_RESIDUALS[name] for name, na, _ in verify.SUITES
+                  if name in PUBLIC_RESIDUALS and na(k) is None]
+    assert len(applicable) == {3: 4, 6: 4, 7: 5}[k]
+    assert all(r.failures == 0 for r in run_suites(k, 1, 1, 0))
+    assert {public.__name__ for public in applicable} <= set(compiled)
+    compiled.clear()
+    p = Params(k, Fraction(1))
+    x = tuple(Fraction(i + 2, i + 1) for i in range(k))
+    for public in applicable:
+        assert _passes(public, p, x), public.__name__
+    assert [shift_residual(p, x, i) for i in range(1, k)] == [0] * (k - 1)
+    assert compiled == []
 
 
 def _field_calls(monkeypatch, name, k):
@@ -143,7 +182,8 @@ def _cleared_verdict(check, x):
 
 
 def _passes(residual, p, x) -> bool:
-    return all(r == 0 for r in residual(p, x))
+    r = residual(p, x)
+    return all(v == 0 for v in (r if isinstance(r, tuple) else (r,)))
 
 
 def _verdicts(k, points=5):
