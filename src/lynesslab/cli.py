@@ -28,7 +28,6 @@ import operator
 import os
 import sys
 from fractions import Fraction
-from math import isfinite
 
 from .flow import METHODS, integrate_flow, invariant_drift
 from .invariants import eval_w, level_signatures
@@ -169,8 +168,8 @@ def _write_orbit(p: Params, x0, steps: int, proj, fmt: str, fh) -> None:
     one coordinate (the contract by which `orbit` checks only the added one),
     so each row formats only its added coordinate x[-1] and takes the text
     of the other k-1 from a window of the last k. A float orbit ends early,
-    with one warning, before the first state that leaves the domain or whose
-    levels are not finite or raise (a division by an underflowed product)."""
+    with one warning, where `orbit` or `level_signatures` ends: before the
+    first state that leaves the domain or whose levels overflow float64."""
     header = ["n"] + [f"x{i}" for i in proj] + ["V1", "V2"] + ["V3", "signZ"] * (p.k % 2)
     if fmt == "csv":
         fh.write(",".join(header) + "\n")
@@ -180,17 +179,13 @@ def _write_orbit(p: Params, x0, steps: int, proj, fmt: str, fh) -> None:
         template = json.dumps(dict.fromkeys(header, "%s")) + "\n"
     pick = operator.itemgetter(*(i - 1 for i in proj))
     odd = p.k % 2 == 1
-    floats = isinstance(p.a, float)
     cells = collections.deque(map(str, x0[:-1]), maxlen=p.k)  # row 0 appends str(x0[-1])
     states, levels = itertools.tee(orbit.kernel(p, x0, steps))
     n = 0  # rows written
-    with contextlib.suppress(ArithmeticError) if floats else contextlib.nullcontext():
-        for x, (v1, v2, v3, z) in zip(states, level_signatures(p, levels)):
-            if floats and not (isfinite(v1) and isfinite(v2) and (v3 is None or isfinite(v3))):
-                break
-            cells.append(str(x[-1]))
-            fh.write(template % ((n, *pick(cells), v1, v2, v3, z) if odd else (n, *pick(cells), v1, v2)))
-            n += 1
+    for x, (v1, v2, v3, z) in zip(states, level_signatures(p, levels)):
+        cells.append(str(x[-1]))
+        fh.write(template % ((n, *pick(cells), v1, v2, v3, z) if odd else (n, *pick(cells), v1, v2)))
+        n += 1
     if n <= steps:
         print(f"warning: float orbit left the domain at step {n}", file=sys.stderr)
 
@@ -235,7 +230,7 @@ def cmd_flow(args) -> int:
     if trace.boundary_hit:
         print(
             f"warning: trajectory truncated near the domain boundary"
-            f" at t={trace.times[-1]!r}",
+            f" at t={(trace.times or [0.0])[-1]!r}",
             file=sys.stderr,
         )
     drift = invariant_drift(trace)

@@ -18,11 +18,15 @@ from .lyness import (
 
 
 def orbit_signature(p: Params, x0, n: int) -> OrbitTrace:
-    """Orbit trace with per-state invariant levels. A float orbit ends, flagged
-    `truncated`, before its first state outside the orthant; the levels of a
-    state it keeps are not checked: they may be inf or nan, or raise ZeroDivisionError."""
+    """Orbit trace with per-state invariant levels by `level_signatures`. A
+    float orbit ends, flagged `truncated`, before its first state outside the
+    orthant or whose levels overflow float64 (a start whose own levels
+    overflow keeps no state)."""
     trace = iterate(p, x0, n)
     trace.signatures = list(level_signatures(p, trace.states))
+    if len(trace.signatures) < len(trace.states):  # the levels ended first
+        del trace.states[len(trace.signatures) :], trace.indices[len(trace.signatures) :]
+        trace.truncated, trace.note = True, "float overflow"
     return trace
 
 

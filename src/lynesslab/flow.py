@@ -14,7 +14,8 @@ interpolant of the step that reaches it; it also ends where the solver
 fails, where the field is not finite, and at t=0 where x0 fails the rule.
 The start point is validated and put in float64, a with it, once at entry
 by `lyness.float_point`; the solvers, the signature pass and the transport
-probe then call the kernels.
+probe then call the kernels. A trace also ends, flagged, before a sample
+whose levels overflow float64 (`level_signatures`): at x0, with no sample.
 """
 
 from __future__ import annotations
@@ -99,13 +100,13 @@ def integrate_flow(
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     n_steps = _grid_steps(dt, t_max)
     fp, x0 = float_point(p, x0)
-    if method == "rk4-fixed":
-        states, hit = _rk4(fp, x0, dt, n_steps)
-        times = [j * dt for j in range(len(states))]
-    else:
-        states, hit = _rk45(fp, x0, dt, t_max, n_steps)
-        times = [min(j * dt, t_max) for j in range(len(states))]
-    return FlowTrace(p, method, dt, t_max, times, states, list(level_signatures(fp, states)), hit)
+    rk4 = method == "rk4-fixed"
+    states, hit = _rk4(fp, x0, dt, n_steps) if rk4 else _rk45(fp, x0, dt, t_max, n_steps)
+    signatures = list(level_signatures(fp, states))
+    hit = hit or len(signatures) < len(states)  # the levels ended first
+    del states[len(signatures) :]
+    times = [j * dt if rk4 else min(j * dt, t_max) for j in range(len(states))]
+    return FlowTrace(p, method, dt, t_max, times, states, signatures, hit)
 
 
 def _rk45(p: Params, x0, dt: float, t_max: float, n_steps: int):

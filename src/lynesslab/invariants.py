@@ -125,19 +125,31 @@ def level_signatures(p: Params, states):
     Where those levels are Fractions, the kernel runs over `Cleared` coordinates
     and each level is confirmed against the previous row's by one exact
     cross-multiplication; only row 0 and a changed level are reduced (gcd).
-    Other states, floats among them, go straight to the kernel."""
-    if type(p.a) not in (int, Fraction):
-        yield from (level_signature.kernel(p, x) for x in states)
-        return
-    prev = LevelSignature(None, None)
+    Where they are floats, a state whose float kernel raises ArithmeticError or
+    gives a level that is not finite (a product overflows or underflows) gets
+    the kernel over `Fraction` of a and x, each level rounded once with `float`
+    and sign Z exact; the levels end before a state whose rounded level overflows."""
+    n = 2 + p.k % 2  # V1, V2 and, for odd k, V3
+    exact_a, prev = type(p.a) in (int, Fraction), LevelSignature(None, None)
     for x in states:
-        if not exact_kinds((p.a, *x)):
-            yield level_signature.kernel(p, x)
+        if exact_a and exact_kinds((p.a, *x)):
+            sig = level_signature.kernel(p, tuple(map(Cleared.of, x)))
+            v3 = None if sig.v3 is None else sig.v3.fraction(prev.v3)
+            prev = LevelSignature(sig.v1.fraction(prev.v1), sig.v2.fraction(prev.v2), v3, sig.z_sign)
+            yield prev
             continue
-        sig = level_signature.kernel(p, tuple(map(Cleared.of, x)))
-        v3 = None if sig.v3 is None else sig.v3.fraction(prev.v3)
-        prev = LevelSignature(sig.v1.fraction(prev.v1), sig.v2.fraction(prev.v2), v3, sig.z_sign)
-        yield prev
+        try:
+            sig = level_signature.kernel(p, x)
+            finite = math.isfinite(sig.v1) and math.isfinite(sig.v2) and (n == 2 or math.isfinite(sig.v3))
+        except ArithmeticError:
+            finite = False
+        if not finite:
+            exact = level_signature.kernel(Params(p.k, Fraction(p.a)), tuple(map(Fraction, x)))
+            try:
+                sig = LevelSignature(*map(float, exact[:n]), *exact[n:])
+            except OverflowError:
+                return
+        yield sig
 
 
 _EVALUATORS = {"V1": eval_v1, "V2": eval_v2, "V3": eval_v3}

@@ -173,6 +173,24 @@ def test_a_flow_whose_field_divides_by_an_underflowed_product_is_truncated(metho
     assert captured.out.splitlines()[1:] == ["max relative drift = n/a (fewer than 2 samples)"]
 
 
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+@pytest.mark.parametrize("x0, rows", [
+    # the float levels are nan; rounded from the exact ones they are finite
+    ("1e200,1e200,1e200", ["0.0,1e+200,1e+200,1e+200,3e+200,4e+200,1e+200"]),
+    # x0's V1 is about 1e700, past float64: the trace keeps no sample
+    ("1e300,1e-200,1e-200", []),
+], ids=["levels-rounded", "levels-overflow"])
+def test_a_flow_writes_finite_levels_and_ends_before_a_sample_whose_levels_overflow(x0, rows, method, tmp_path,
+                                                                                     capsys):
+    out_file = tmp_path / "flow.csv"
+    code = main(["flow", "--k", "3", "--x0", x0, "--dt", "0.1", "--t-max", "0.2", "--method", method,
+                 "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert _lines(out_file) == ["t,x1,x2,x3,V1,V2,V3"] + rows
+    assert captured.err == "warning: trajectory truncated near the domain boundary at t=0.0\n"
+
+
 def test_reduce_replays_the_double_step(capsys):
     code = main(["reduce", "--k", "3", "--a", "1", "--x0", "1,1,3", "--steps", "4"])
     out = capsys.readouterr().out
@@ -407,21 +425,42 @@ def test_flow_time_cells_are_plain_floats(tmp_path, capsys):
     assert [float(t) for t in times] == [0.0, 0.1, 0.2, 0.3]
 
 
+def _exact_levels(p, x) -> list:
+    """V1, V2 and, for odd k, V3 and sign Z at x over Fraction, written out
+    from the formulas of the paper (S = a + x1 + ... + xk, "odd" and "even"
+    the 1-based coordinate positions)."""
+    a, x = Fraction(p.a), [Fraction(c) for c in x]
+    total, prod = a + sum(x), math.prod(x)
+    v1 = total * math.prod(c + 1 for c in x) / prod
+    v2 = (total + x[0] * x[-1]) * math.prod(1 + u + v for u, v in zip(x, x[1:])) / prod
+    if p.k % 2 == 0:
+        return [v1, v2]
+    odd, even = (math.prod(c * (c + 1) for c in x[start::2]) for start in (0, 1))
+    z = odd - total * even
+    return [v1, v2, (odd + total * even) / prod, (z > 0) - (z < 0)]
+
+
 def _reference_rows(p, x0, steps, proj, fmt):
-    """The orbit rows cell by cell: str of each value, json.dumps per JSONL row,
-    up to the first float row whose levels are not finite or raise; with the
-    number of rows written."""
+    """The orbit rows cell by cell: str of each value, json.dumps per JSONL row;
+    with the number of rows written. A float row whose float levels are not
+    finite or raise takes its exact levels, each rounded once, and the rows
+    end before one whose rounded level overflows."""
     header = ["n"] + [f"x{i}" for i in proj] + ["V1", "V2"] + ["V3", "signZ"] * (p.k % 2)
     lines = [",".join(header)] if fmt == "csv" else []
     rows = 0
+    count = 2 + p.k % 2  # the levels among the cells
     for n, x in enumerate(orbit(p, x0, steps)):
         try:
             sig = level_signature.kernel(p, x)
-        except ArithmeticError:
-            break
-        levels = [sig.v1, sig.v2] + ([sig.v3, sig.z_sign] if p.k % 2 else [])
-        if isinstance(p.a, float) and not all(map(math.isfinite, levels)):
-            break
+            levels = [sig.v1, sig.v2] + ([sig.v3, sig.z_sign] if p.k % 2 else [])
+        except ArithmeticError:  # a float row's product underflows; exact rows never raise
+            levels = [math.nan]
+        if isinstance(p.a, float) and not all(map(math.isfinite, levels[:count])):
+            exact = _exact_levels(p, x)
+            try:
+                levels = [float(v) for v in exact[:count]] + exact[count:]
+            except OverflowError:
+                break
         row = [str(c) for c in [n] + [x[i - 1] for i in proj] + levels]
         lines.append(",".join(row) if fmt == "csv" else json.dumps(dict(zip(header, row))))
         rows += 1
@@ -442,14 +481,21 @@ _SMALL = None  # stands for x0 = (1e-4 * 3**i for i < k)
     pytest.param(4, 2.0, _SMALL, 0, (1, 2, 3), id="steps-0"),
     # the first image overflows: x0's levels are inf already
     pytest.param(3, 1.0, (1e-300, 1e300, 1e300), 10, (1, 2, 3), id="float-overflow"),
-    # levels overflow at row 4 of an orbit whose coordinates stay finite
+    # the float levels overflow in an intermediate product at rows 4, 12 and 20
+    # of an orbit whose coordinates stay finite: those rows take the exact
+    # levels, rounded, and all 21 rows are written
     pytest.param(3, 1.0, (1.0, 1e-100, 1.0), 20, (1, 2, 3), id="levels-overflow"),
-    # nan and inf levels in rows 0 and 1, then a division by an underflowed product
+    # the float levels are nan and inf, and x0's exact V1 is about 2e500: no row
     pytest.param(3, 1.0, (1e200, 1e200, 1e-300), 3, (1, 2, 3), id="nonfinite-then-zero-division"),
+    # the float levels are nan in rows 0 and 1 and inf in row 2; the rounded
+    # exact levels 3e300, 4e300, 1e300 are finite, and all 3 rows are written
     pytest.param(3, 1.0, (1e300, 1e300, 1e300), 2, (1, 2, 3), id="nonfinite-x0"),
-    # rows 0 and 1 finite; row 2's coordinate product underflows and V1 divides by it
+    # rows 0 and 1 finite; row 2's float levels divide by a coordinate product
+    # that underflows, and rows 4 and 5 overflow: those take the exact levels,
+    # and all 6 rows are written
     pytest.param(3, 0.0, (1e100, 1e-20, 1e-160), 5, (1, 2, 3), id="zero-division-row-2"),
-    # row 0 finite, row 1 nan; later rows are finite again but are not written
+    # the float levels of rows 1 to 4, 9 and 10 are nan; rounded from the exact
+    # ones they are finite, and all 11 rows are written
     pytest.param(3, 1.0, (1e-150, 1.0, 1e150), 10, (3, 1, 2), id="nonfinite-row-1"),
 ])
 def test_orbit_rows_equal_str_cells_and_json_dumps(k, a, x0, steps, proj, fmt, capsys):
@@ -460,6 +506,7 @@ def test_orbit_rows_equal_str_cells_and_json_dumps(k, a, x0, steps, proj, fmt, c
     cli._write_orbit(p, x0, steps, proj, fmt, fh)
     text, rows = _reference_rows(p, x0, steps, proj, fmt)
     assert fh.getvalue() == text
+    assert "nan" not in text and "inf" not in text
     warning = f"warning: float orbit left the domain at step {rows}\n" if rows <= steps else ""
     assert capsys.readouterr().err == warning
 

@@ -20,7 +20,7 @@ from lynesslab.dynamics import (
 )
 from lynesslab.errors import DegenerateOrbitError, DimensionError, DomainError, NoRootError
 from lynesslab.invariants import eval_v1, eval_z
-from lynesslab.lyness import Params, step, two_periodic_point
+from lynesslab.lyness import Params, float_point, step, two_periodic_point
 from lynesslab.sampling import random_point, stream
 
 P31 = Params(3, Fraction(1))
@@ -201,26 +201,58 @@ def test_rotation_number_rejects_degenerate_orbits():
         rotation_number(P31, (1.0, 1.0, 3.0), 5)
 
 
-def test_cli_orbit_ends_before_the_api_traces_first_nonfinite_level(capsys):
-    # Both walk the same orbit; the API trace keeps levels that overflow, and
-    # the CLI writer ends before the first row that has one. At the first x0
-    # the first image underflows to 0.0 and x0's own levels are inf; at the
-    # second the orbit stays in the domain and row 1's levels are nan.
-    for a, x0, steps, written in (("0", (1e300, 1e-300, 1e-300), 5, 0),
-                                  ("1", (1e-150, 1.0, 1e150), 10, 1)):
-        trace = orbit_signature(Params(3, Fraction(a)), x0, steps)
-        finite = [all(map(math.isfinite, sig[:3])) for sig in trace.signatures]
-        assert finite.index(False) == written
-        argv = ["orbit", "--k", "3", "--a", a, "--x0", ",".join(map(repr, x0)), "--steps", str(steps)]
-        assert main(argv) == 0
-        captured = capsys.readouterr()
-        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
-        assert rows == [[str(n)] + [repr(c) for c in trace.states[n]] + [str(v) for v in trace.signatures[n]]
-                        for n in range(written)]
-        assert captured.err == f"warning: float orbit left the domain at step {written}\n"
-    # the API trace of the first x0 stops where the orbit leaves the domain
-    trace = orbit_signature(Params(3, Fraction(0)), (1e300, 1e-300, 1e-300), 5)
-    assert trace.truncated and trace.note == "float overflow"
-    assert trace.states == [(1e300, 1e-300, 1e-300)]
-    assert trace.indices == [0]
-    assert len(trace.signatures) == 1
+def _api_and_cli_rows(k, a, x0, steps, capsys) -> int:
+    """The number of rows the `orbit` command writes for a float start, after
+    checking that `orbit_signature`, with a as a Fraction and as a float, keeps
+    the same states with the same level cells and ends at the same state, and
+    that every cell is finite."""
+    argv = ["orbit", "--k", str(k), "--a", str(a), "--x0", ",".join(map(repr, x0)), "--steps", str(steps)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    for pa in (Fraction(a), float(a)):
+        trace = orbit_signature(Params(k, pa), x0, steps)
+        assert len(trace.indices) == len(trace.states) == len(trace.signatures) == len(rows)
+        assert rows == [[str(n)] + [repr(c) for c in x] + [str(v) for v in sig if v is not None]
+                        for n, x, sig in zip(trace.indices, trace.states, trace.signatures)]
+        assert trace.truncated == (len(rows) <= steps)
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+    warning = f"warning: float orbit left the domain at step {len(rows)}\n" if len(rows) <= steps else ""
+    assert captured.err == warning
+    return len(rows)
+
+
+@pytest.mark.parametrize("a, x0, steps, rows", [
+    # the float kernel overflows at rows 4, 12 and 20, where the levels are finite
+    pytest.param(1, (1.0, 1e-100, 1.0), 20, 21, id="levels-overflow"),
+    # the float levels are nan or inf at every state; the rounded exact ones are finite
+    pytest.param(1, (1e300, 1e300, 1e300), 2, 3, id="nonfinite-x0"),
+    # row 2's float levels divide by its coordinate product, which underflows
+    pytest.param(0, (1e100, 1e-20, 1e-160), 5, 6, id="zero-division-row-2"),
+    # the float levels are nan in rows 1 to 4, 9 and 10
+    pytest.param(1, (1e-150, 1.0, 1e150), 10, 11, id="nonfinite-row-1"),
+    # x0's exact V1 is about 2e500: no state gets levels
+    pytest.param(1, (1e200, 1e200, 1e-300), 3, 0, id="nonfinite-then-zero-division"),
+    # x0's exact V1 is about 1e900, and its first image underflows to 0.0
+    pytest.param(0, (1e300, 1e-300, 1e-300), 5, 0, id="first-image-underflows"),
+])
+def test_api_and_cli_end_a_float_orbit_at_the_same_state_with_finite_levels(a, x0, steps, rows, capsys):
+    assert _api_and_cli_rows(3, a, x0, steps, capsys) == rows
+
+
+def test_api_and_cli_agree_on_log_uniform_float_starts(capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @hypothesis.given(data=st.data(), k=st.integers(3, 6),
+                      a=st.sampled_from([Fraction(0), Fraction(1), Fraction(7, 3), Fraction(10**6)]))
+    def check(data, k, a):
+        x0 = tuple(10.0**e for e in data.draw(st.lists(st.floats(-300, 300), min_size=k, max_size=k)))
+        try:
+            float_point(Params(k, a), x0)
+        except DomainError:  # the coordinate product underflows
+            hypothesis.assume(False)
+        _api_and_cli_rows(k, a, x0, 30, capsys)
+
+    check()
