@@ -8,7 +8,8 @@ flow     integrate the symmetry field and report conservation drift
 reduce   replay the double-step in reduced coordinates, check the projection
 figures  canned orbit/flow datasets (three presets)
 
-Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
+Exit codes: 0 success, 1 verification failure, 2 usage or validation error
+or an output that cannot be written, stdout included.
 Rational inputs are accepted as `p/q` text so exact runs stay exact. A
 command parses its text and leaves the check of every value the library
 takes (k, a, x0, dt, t_max) to the library; `main` reports any ValueError,
@@ -81,14 +82,18 @@ def _parse_proj(text, k: int):
 
 
 @contextlib.contextmanager
-def _output(path):
-    """Text handle for path, closed on exit; stdout when no path was given."""
+def _output(path, *opened):
+    """Text handle for path, closed on exit; stdout when no path was given.
+    If path cannot be opened, the files `opened` for the same run are
+    removed, so an input error leaves no file."""
     if path is None:
         yield sys.stdout
         return
     try:
         fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
+        for done in opened:
+            os.remove(done)
         raise CliError(f"cannot write {path!r}: {exc}") from None
     with fh:
         yield fh
@@ -286,19 +291,18 @@ def cmd_figures(args) -> int:
     preset = _FIGURE_PRESETS[args.which]
     p, x0 = float_point(Params(preset["k"], preset["a"]), preset["x0"])
     proj = preset["proj"] or tuple(range(1, p.k + 1))
+    flow_path = _flow_sibling(args.out) if args.out else None
+    written = [args.out] + [flow_path] * (args.which == 1)
 
-    with _output(args.out) as fh:
+    # the flow output is open before the orbit is written, and the orbit file
+    # goes if it cannot be opened
+    flow_out = _output(flow_path, args.out) if args.which == 1 else contextlib.nullcontext()
+    with _output(args.out) as fh, flow_out as flow_fh:
         _write_orbit(p, x0, preset["steps"], proj, "csv", fh)
-    written = [args.out or "<stdout>"]
+        if args.which == 1:
+            _write_flow_csv(integrate_flow(p, x0, 1e-3, 10.0, method=METHODS[0]), proj, flow_fh)
 
-    if args.which == 1:
-        flow_path = _flow_sibling(args.out) if args.out else None
-        trace = integrate_flow(p, x0, 1e-3, 10.0, method=METHODS[0])
-        with _output(flow_path) as fh:
-            _write_flow_csv(trace, proj, fh)
-        written.append(flow_path or "<stdout>")
-
-    print(f"figure {args.which}: wrote {', '.join(written)}", file=sys.stderr)
+    print(f"figure {args.which}: wrote {', '.join(path or '<stdout>' for path in written)}", file=sys.stderr)
     return 0
 
 
@@ -362,6 +366,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:  # CliError, DomainError, DimensionError, a bad literal
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:  # the reader closed stdout; the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write <stdout>: {exc}", file=sys.stderr)
         return 2
 
 

@@ -13,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from cli_cases import Case, Run, check  # noqa: E402
 from lynesslab.cli import main  # noqa: E402
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150, database=None)
@@ -48,14 +49,10 @@ def argvs(draw):
 @given(argv=argvs())
 def test_every_argv_exits_zero_one_or_two(argv, tmp_path_factory):
     # a fresh directory per example: a function-scoped tmp_path is shared by all of them
-    out = tmp_path_factory.mktemp("argv") / "out"
-    argv = argv + ["--json" if argv[0] == "verify" else "--out", str(out)]
+    tmpdir = tmp_path_factory.mktemp("argv")
+    argv = argv + ["--json" if argv[0] == "verify" else "--out", str(tmpdir / "out")]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
     assert code in (0, 1, 2)
-    if code == 2:
-        assert stdout.getvalue() == ""
-        assert stderr.getvalue().startswith("error: ")
-        assert stderr.getvalue().count("\n") == 1
-        assert not out.exists()
+    check(Case(" ".join(argv), stderr=None, code=code), Run(code, stdout.getvalue(), stderr.getvalue()), tmpdir)
