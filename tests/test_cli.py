@@ -119,6 +119,13 @@ def test_reduce_replays_the_double_step(capsys):
     assert rows[2] == "1,3,9"
 
 
+def test_reduce_rejects_unsupported_dimension(capsys):
+    assert main(["reduce", "--k", "4", "--a", "1", "--x0", "1,2,3,4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: order reduction covers k in {3, 5}, got k=4\n"
+
+
 def test_figures_preset_two_schema(tmp_path, capsys):
     out_file = tmp_path / "fig2.csv"
     code = main(["figures", "--which", "2", "--out", str(out_file)])
