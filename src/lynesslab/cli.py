@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import functools
 import itertools
 import json
 import operator
@@ -85,7 +86,9 @@ def _parse_proj(text, k: int):
 def _output(path, *opened):
     """Text handle for path, closed on exit; stdout when no path was given.
     If path cannot be opened, the files `opened` for the same run are
-    removed, so an input error leaves no file."""
+    removed, so an input error leaves no file. A reader of path that closes
+    early (a FIFO) is the same error; no stdout is written while the handle
+    is open, so the broken pipe is path's."""
     if path is None:
         yield sys.stdout
         return
@@ -95,8 +98,11 @@ def _output(path, *opened):
         for done in opened:
             os.remove(done)
         raise CliError(f"cannot write {path!r}: {exc}") from None
-    with fh:
-        yield fh
+    try:
+        with fh:
+            yield fh
+    except BrokenPipeError as exc:
+        raise CliError(f"cannot write {path!r}: {exc}") from None
 
 
 @contextlib.contextmanager
@@ -140,27 +146,27 @@ def cmd_verify(args) -> int:
         results.extend(run_suites(k, a, args.trials, seed))
     ran = [r for r in results if r.trials]
     failed = [r for r in results if r.status == FAIL]
-    # the report is opened before the first line is printed, so a path that
+    # the report is written before the first line is printed, so a path that
     # cannot be written is an input error with nothing on stdout
-    with contextlib.nullcontext() if args.json is None else _output(args.json) as report:
-        for res in results:
-            print(res.line())
-        print(
-            f"summary: {len(ran) - len(failed)}/{len(ran)} suites ok"
-            f" (k={','.join(str(k) for k in ks)}, a={a},"
-            f" trials={args.trials}, seed={seed})"
-        )
-        if report is not None:
-            payload = {
-                "ks": ks,
-                "a": str(a),
-                "trials": args.trials,
-                "seed": seed,
-                "ok": not failed,
-                "suites": [{**vars(r), "a": str(r.a)} for r in results],
-            }
+    if args.json is not None:
+        payload = {
+            "ks": ks,
+            "a": str(a),
+            "trials": args.trials,
+            "seed": seed,
+            "ok": not failed,
+            "suites": [{**vars(r), "a": str(r.a)} for r in results],
+        }
+        with _output(args.json) as report:
             json.dump(payload, report, indent=2)
             report.write("\n")
+    for res in results:
+        print(res.line())
+    print(
+        f"summary: {len(ran) - len(failed)}/{len(ran)} suites ok"
+        f" (k={','.join(str(k) for k in ks)}, a={a},"
+        f" trials={args.trials}, seed={seed})"
+    )
     return 1 if failed else 0
 
 
@@ -263,11 +269,12 @@ def cmd_reduce(args) -> int:
 
     names = ["y1", "y2"] if p.k == 3 else ["y1", "y2", "y3", "y4"]
     residual = 0
-    with _full_digits(), _output(args.out) as fh:
-        fh.write(",".join(["n"] + names) + "\n")
-        for n, (y, gap) in enumerate(rows):
-            fh.write(",".join([str(n)] + [str(c) for c in y]) + "\n")
-            residual = max(residual, gap)
+    with _full_digits():
+        with _output(args.out) as fh:
+            fh.write(",".join(["n"] + names) + "\n")
+            for n, (y, gap) in enumerate(rows):
+                fh.write(",".join([str(n)] + [str(c) for c in y]) + "\n")
+                residual = max(residual, gap)
         print(f"kappa = {1 / eval_w.kernel(p, x0)}")  # x0 passed replay's check
         print(f"semiconjugacy residual over {args.steps} double-steps: {residual}")
     return 0
@@ -309,6 +316,7 @@ def cmd_figures(args) -> int:
 # ----------------------------------------------------------------- main
 
 
+@functools.cache  # parse_args leaves the parser as it was, so every main call shares one
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lyness-lab",

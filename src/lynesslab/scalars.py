@@ -4,8 +4,9 @@ Every formula in this package is written against plain arithmetic operators so
 the same code runs over exact rationals (the stdlib Fraction: always reduced,
 positive denominator, exact field operations), float64, `Dual` numbers, or
 `Cleared` rationals, which are never reduced and so take no gcd; the exact
-orbit rows run over `Cleared`, and the verify suites over a point's
-common-denominator `Cleared` image (`Cleared.common`).
+orbit rows run over `Cleared`. The verify suites check a point over its
+common denominator (`common_denominator`): the traced identities as integer
+code (`lyness.traced`), the other two on its `Cleared.common` image.
 A directional derivative is one dual pass (`jvp`), a gradient one per
 coordinate; ranks over the rationals use fraction-free integer elimination.
 """
@@ -148,6 +149,13 @@ def exact_kinds(values) -> bool:
     return kinds <= {int, Fraction} and Fraction in kinds
 
 
+def common_denominator(x) -> tuple:
+    """(D, (n_1, ..., n_k)) for the int or Fraction point x: D is the lcm of
+    its denominators and x_i = n_i / D; nothing is reduced."""
+    d = math.lcm(*(q.denominator for q in x))
+    return d, tuple(q.numerator * (d // q.denominator) for q in x)
+
+
 def _cancel(d1, d2):
     """d1 and d2 less their shared factors: each factor of d2 cancels one equal one of d1."""
     rest, extra = list(d1), []
@@ -183,12 +191,12 @@ class Cleared:
 
     @classmethod
     def common(cls, x) -> tuple:
-        """The int or Fraction point x over one shared denominator D, the lcm of
-        its denominators: x_i = Cleared(p_i * (D // q_i), (D,)), no factor if D = 1.
+        """The int or Fraction point x over one shared denominator D
+        (`common_denominator`): x_i = Cleared(n_i, (D,)), no factor if D = 1.
         Sums of its coordinates then add numerators over equal denominators."""
-        d = math.lcm(*(q.denominator for q in x))
+        d, n = common_denominator(x)
         den = (d,) if d != 1 else ()
-        return tuple(cls(q.numerator * (d // q.denominator), den) for q in x)
+        return tuple(cls(c, den) for c in n)
 
     def __add__(self, other):
         if type(other) is int:  # the formulas' literals, without a lift

@@ -5,14 +5,18 @@ replayed over seeded random rational points and reported per suite.
 residual (p, x) -> tuple, or a scalar as its one value), and `run_suites` is
 its one reader: a trial passes when every value is 0. Five suites hold a
 public residual's traced `.kernel` itself, so the API and `verify` share one
-compiled form per k; ten more are the difference of an identity's two
+traced kernel per k; ten more are the difference of an identity's two
 sides, traced once per k under the suite's name. Each inlines the kernels it
 calls by attribute as they are when traced; integral annihilation is
 `annihilation_residual` for every integral registered for k, and the tracer
-merges their repeated X(x) into one. `det closed form` (its oracle pivots on
+merges their repeated X(x) into one. These fifteen run as their exact form
+(`traced`'s `exact`): integer straight-line code in the numerators of the
+point over their common denominator, which returns each value's numerator,
+0 exactly where the value is. `det closed form` (its oracle pivots on
 values) and `sign(Z) alternation` (it branches on a sign) are not ring
-identities and run as written. Each suite draws its own string-seeded RNG
-stream, so results do not depend on suite order.
+identities and run as written, on the point's common-denominator `Cleared`
+image. Each suite draws its own string-seeded RNG stream, so results do not
+depend on suite order.
 """
 
 from __future__ import annotations
@@ -145,8 +149,9 @@ SUITES = (
 def run_suites(k: int, a, trials: int, seed: int) -> list:
     """All applicable identity suites for one (k, a), k >= 3, with trials >= 1
     points each (both checked before any suite runs); exact arithmetic only:
-    each point is drawn as Fractions, validated, and checked on its
-    common-denominator Cleared image (`Cleared.common`)."""
+    each point is drawn as Fractions, validated, and checked over its common
+    denominator: by a traced residual's exact form, or on the point's
+    `Cleared.common` image."""
     if k < 3:
         raise DimensionError(f"verification suites need k >= 3, got k={k}")
     p = Params(k, Fraction(a))
@@ -159,10 +164,11 @@ def run_suites(k: int, a, trials: int, seed: int) -> list:
             results.append(SuiteResult(name, k, p.a, 0, 0, NA, note))
             continue
         rng = stream(f"{seed}|k={k}|a={p.a}|{name}", seed)
+        exact = getattr(residual, "exact", None)
         failures = 0
         for _ in range(trials):
-            x = Cleared.common(require_point(p, random_point(rng, k)))
-            r = residual(p, x)
+            x = require_point(p, random_point(rng, k))
+            r = exact(p, x) if exact else residual(p, Cleared.common(x))
             if not all(v == 0 for v in (r if isinstance(r, tuple) else (r,))):
                 failures += 1
         results.append(SuiteResult(name, k, p.a, trials, failures, FAIL if failures else OK))

@@ -90,6 +90,9 @@ CASES = {
     # traces every suite residual past the k range the other tests reach
     "verify-k9-12": Case("verify --k-range 9..12 --trials 1 --seed 1",
                          "82e3b00848db35c70e16b9c4fa0558731e0aacade8be34ec316b1dd26900f371"),
+    # the default 100 trials per suite
+    "verify-json-default-trials": Case("verify --k-range 3..8 --json OUT",
+                                       "1894490a6b057fc428769afbd8f037e8d55e5077a1c9cf99fd6462752533cb40"),
     "verify-json-seed-1": Case("verify --k-range 3..8 --trials 2 --seed 1 --json OUT",
                                "6553ea8dddf360ba3ed8a48220c7c30b2fca2016f302cacdde2e4cc93295b0f1"),
     "flow-k4-csv": Case("flow --k 4 --a 4 --x0 1,2,3,4 --t-max 1 --out OUT",

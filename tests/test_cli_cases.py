@@ -1,9 +1,12 @@
 """Every case of cli_cases.CASES through `cli.main` in process; two of them,
-and a closed stdout, in fresh processes."""
+and a closed stdout, in fresh processes; an --out FIFO whose reader closes
+early, in process and in a fresh process."""
 
 import contextlib
 import io
+import os
 import subprocess
+import threading
 
 import pytest
 
@@ -35,3 +38,32 @@ def test_a_reader_that_closes_stdout_gets_one_error_line_and_exit_two(args):
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 2
     assert err.decode().startswith("error: cannot write <stdout>") and err.count(b"\n") == 1
+
+
+@pytest.mark.parametrize("where", ["in process", "fresh process"])
+def test_a_reader_that_closes_an_out_fifo_gets_its_path_in_one_error_line(where, tmp_path):
+    fifo = str(tmp_path / "ff")
+    os.mkfifo(fifo)
+    argv = ["orbit", "--k", "3", "--x0", "1,1,3", "--steps", "100000", "--out", fifo]
+    lines = []
+
+    def read_one_line():  # blocks until the command opens the FIFO
+        with open(fifo, encoding="utf-8") as fh:
+            lines.append(fh.readline())
+
+    reader = threading.Thread(target=read_one_line, daemon=True)
+    reader.start()
+    if where == "in process":
+        real_stdout = os.fstat(1)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        run = Run(code, stdout.getvalue(), stderr.getvalue())
+        assert os.path.samestat(os.fstat(1), real_stdout)  # fd 1 still writes where it did
+    else:
+        proc = subprocess.run([*PYTHON, *argv], capture_output=True, env=environ(PYTHON), timeout=60)
+        run = Run(proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+    reader.join(timeout=60)
+    assert not reader.is_alive() and lines == ["n,x1,x2,x3,V1,V2,V3,signZ\n"]
+    assert run.code == 2 and run.stdout == ""
+    assert run.stderr.startswith(f"error: cannot write {fifo!r}: ") and run.stderr.count("\n") == 1, run.stderr

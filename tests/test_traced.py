@@ -5,7 +5,10 @@ kernel that takes a `jvp` among them. The compiled form must give its body's
 results (`__wrapped__`) in value and type, bit for bit over floats, and a
 body that branches on a value must fail when traced. A repeated operation is
 compiled once; nothing is commuted or re-associated, and the compiled
-sources of the float kernels are pinned by digest."""
+sources of the float kernels are pinned by digest. A kernel's exact form
+keeps the value of every int literal it folds, and a kernel with a
+comparison or an extra input has none (tests/test_verify.py checks the
+exact forms of the suites)."""
 
 import hashlib
 import linecache
@@ -18,11 +21,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from lynesslab import exact as exact_module  # noqa: E402
 from lynesslab import lyness  # noqa: E402
 from lynesslab.flow import _rk4_stages  # noqa: E402
 from lynesslab.invariants import LevelSignature, level_signature, level_signatures  # noqa: E402
 from lynesslab.lyness import Params, float_point, inverse_step, orbit, step, traced  # noqa: E402
-from lynesslab.scalars import Cleared, Dual, jvp  # noqa: E402
+from lynesslab.scalars import Cleared, Dual, common_denominator, jvp  # noqa: E402
 from lynesslab.symmetry import symmetry_vector  # noqa: E402
 from lynesslab.verify import SUITES  # noqa: E402
 
@@ -145,6 +149,29 @@ def test_an_extra_input_is_an_input_of_the_compiled_code():
     run = traced(lambda p, x, t, x_: (x[0] * t + x_,))
     assert run(Params(3, 1.0), (2.0, 1.0, 1.0), 3.0, 0.5) == (6.5,)
     assert _recorded(run, 3) == ["x0 * t", "t0 + x_"]
+
+
+def test_the_exact_form_keeps_the_value_of_every_int_literal():
+    @traced
+    def literals(p, x):
+        zero = x[0] * 0
+        return (0 - x[0], zero - x[1], zero + x[2], 1 * x[0], x[1] * 1, x[0] / 3 - 1,
+                -(x[1] / x[2]), x[0] - 0, 0 / x[1], p.a * x[0] / 2, 1 / x[0] * x[1], -zero)
+
+    p, x = Params(3, Fraction(7, 3)), (Fraction(1, 2), Fraction(5, 3), Fraction(4))
+    want = literals(p, x)
+    pairs = exact_module.compile_exact(literals.__wrapped__, 3, denominators=True)(7, 3, *common_denominator(x))
+    assert [Fraction(*pair) for pair in pairs] == list(want)
+    assert [v == 0 for v in literals.exact(p, x)] == [v == 0 for v in want]
+
+
+@pytest.mark.parametrize("body", [lambda p, x: (x[0] < x[1],), lambda p, x, h: (x[0] * h,)],
+                         ids=["comparison", "extra input"])
+def test_a_kernel_with_a_comparison_or_an_extra_input_has_no_exact_form(body):
+    run = traced(body)
+    with pytest.raises(TypeError):
+        run.exact(Params(3, Fraction(1)), (1, 2, 3))
+    assert run.compiled_exact == {}
 
 
 def _branches(p, x):

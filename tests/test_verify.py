@@ -1,25 +1,31 @@
 """Identity suites: k and the trial count are checked before any suite runs,
 each drawn point is validated once per trial, five suites hold their public
-residual's compiled kernel (so a public call after `verify` compiles
-nothing), the shift law and the symmetry condition evaluate the field once
-at x and once at F(x) and integral annihilation evaluates it once (each
-inlined into a residual traced once per k), a wrong field fails every suite
-that uses it, every check gives the same verdict on both `Cleared` images of
-a point as on the `Fraction` point they were made from, the suites check the
-common-denominator image of each drawn point, and the determinant oracle
-eliminates dense rational matrices exactly."""
+residual's traced kernel (so `verify` builds their exact forms, a public call
+afterwards builds only the generic form and a second one nothing), the shift
+law and the symmetry condition evaluate the field once at x and once at F(x)
+and integral annihilation evaluates it once (each inlined into an exact form
+that calls no function), a wrong field fails every suite that uses it, every
+check gives the same verdict on both `Cleared` images of a point and on its
+exact form as on the `Fraction` point they were made from, each exact form's
+numerators over their denominators are the generic kernel's components and it
+raises where the generic kernel divides by zero, the exact forms take no gcd,
+the suites check the common-denominator image of each drawn point, and the
+determinant oracle eliminates dense rational matrices exactly."""
 
+import dis
 import functools
+import math
 from fractions import Fraction
 
 import pytest
 
+from lynesslab import exact as exact_module
 from lynesslab import lyness, verify
 from lynesslab.dynamics import measure_density_residual
 from lynesslab.errors import DimensionError
 from lynesslab.lyness import Params
 from lynesslab.sampling import random_point, stream
-from lynesslab.scalars import Cleared, RatMatrix
+from lynesslab.scalars import Cleared, RatMatrix, common_denominator
 from lynesslab.symmetry import (
     compatibility_residual, factorization_residual, lie_residual, shift_residual, shift_residuals,
     symmetry_vector,
@@ -59,16 +65,28 @@ def test_suites_check_k_and_trials_before_any_suite_runs(k, trials, error, messa
     assert drawn == []
 
 
+def _components(r) -> list:
+    """A residual's values: its tuple, or a scalar as its one value."""
+    return list(r) if isinstance(r, tuple) else [r]
+
+
 def _only(monkeypatch, name):
     monkeypatch.setattr(verify, "SUITES", tuple(s for s in verify.SUITES if s[0] == name))
 
 
+def _traced_suites():
+    """(name, na, residual) of the suites whose residual is traced."""
+    return [suite for suite in verify.SUITES if hasattr(suite[2], "exact")]
+
+
 @pytest.fixture
 def fresh_suites():
-    """Empty the compiled cache of every traced suite residual for the test,
-    so a patched kernel reaches each suite traced while it is patched, then
-    restore every cache, so no patched compilation outlives the test."""
-    caches = [residual.compiled for _, _, residual in verify.SUITES if hasattr(residual, "compiled")]
+    """Empty both compiled caches (generic and exact) of every traced suite
+    residual for the test, so a patched kernel reaches each suite traced while
+    it is patched, then restore every cache, so no patched compilation
+    outlives the test."""
+    caches = [cache for _, _, residual in _traced_suites()
+              for cache in (residual.compiled, residual.compiled_exact)]
     saved = [dict(cache) for cache in caches]
     for cache in caches:
         cache.clear()
@@ -95,28 +113,40 @@ def test_five_suites_hold_their_public_residuals_kernel():
 
 @pytest.mark.parametrize("k", [3, 6, 7])
 def test_a_public_residual_runs_what_its_suite_compiled(k, monkeypatch, fresh_suites):
-    compiled = []
-    real = lyness._compile
-    monkeypatch.setattr(lyness, "_compile", lambda kernel, n: compiled.append(kernel.__name__) or real(kernel, n))
+    built = []
+    for module, form in ((lyness, "_compile"), (exact_module, "compile_exact")):
+        real = getattr(module, form)
+        monkeypatch.setattr(module, form, lambda kernel, n, real=real, form=form:
+                            built.append((form, kernel.__name__)) or real(kernel, n))
     applicable = [PUBLIC_RESIDUALS[name] for name, na, _ in verify.SUITES
                   if name in PUBLIC_RESIDUALS and na(k) is None]
+    names = {public.__name__ for public in applicable}
     assert len(applicable) == {3: 4, 6: 4, 7: 5}[k]
     assert all(r.failures == 0 for r in run_suites(k, 1, 1, 0))
-    assert {public.__name__ for public in applicable} <= set(compiled)
-    compiled.clear()
+    # the suites built each public residual's exact form, once, and no generic form of it
+    assert sorted(name for form, name in built if name in names) == sorted(names)
+    assert all(form == "compile_exact" for form, name in built if name in names)
+    built.clear()
     p = Params(k, Fraction(1))
     x = tuple(Fraction(i + 2, i + 1) for i in range(k))
     for public in applicable:
         assert _passes(public, p, x), public.__name__
+        assert not any(_components(public.kernel.exact(p, x))), public.__name__  # the form the suite built
     assert [shift_residual(p, x, i) for i in range(1, k)] == [0] * (k - 1)
-    assert compiled == []
+    # a public call compiles its generic form once; the exact form is not rebuilt
+    assert sorted(built) == sorted(("_compile", name) for name in names)
+    built.clear()
+    for public in applicable:
+        assert _passes(public, p, x), public.__name__
+    assert built == []
 
 
 def _field_calls(monkeypatch, name, k):
     """Distinct points the field is evaluated at in two runs of the one suite
     `name` at k, of 3 and then 5 trials: each is a traced point, named by its
-    recordings, because the suite's compiled residual calls no function at all
-    and the tracer merges a repeated call at one point into one."""
+    recordings, because the suite runs its residual's exact form, which calls
+    no function at all (the generic form is not built), and the tracer merges
+    a repeated call at one point into one."""
     points = set()
     real = symmetry_vector.kernel
     monkeypatch.setattr(symmetry_vector, "kernel",
@@ -125,8 +155,11 @@ def _field_calls(monkeypatch, name, k):
     for trials in (3, 5):
         [result] = run_suites(k, 1, trials, 0)
         assert (result.name, result.trials, result.failures) == (name, trials, 0)
-    [compiled] = [r.compiled[k] for n, _, r in verify.SUITES if n == name]
-    assert compiled.__code__.co_names == ("a",)  # p.a, and no call to the field
+    [residual] = [r for n, _, r in verify.SUITES if n == name]
+    assert k not in residual.compiled
+    code = residual.compiled_exact[k].__code__
+    assert code.co_names == ("ZeroDivisionError",)  # raised, never called: no call to the field
+    assert not [i.opname for i in dis.get_instructions(code) if "CALL" in i.opname]
     return len(points)
 
 
@@ -186,9 +219,16 @@ def _passes(residual, p, x) -> bool:
     return all(v == 0 for v in (r if isinstance(r, tuple) else (r,)))
 
 
+def _exact_verdict(residual, p, x):
+    """The verdict `run_suites` reaches: on the exact form of a traced residual,
+    else on the common-denominator Cleared image."""
+    exact = getattr(residual, "exact", None)
+    return not any(_components(exact(p, x))) if exact else _passes(residual, p, Cleared.common(x))
+
+
 def _verdicts(k, points=5):
-    """{(a, suite): [(verdict on the Fraction point, on its Cleared images)]} over
-    seeded points, for every suite that applies to k."""
+    """{(a, suite): [(verdict on the Fraction point, on its Cleared images, by
+    `run_suites`' path)]} over seeded points, for every suite that applies to k."""
     out = {}
     for a in (Fraction(0), Fraction(1), Fraction(7, 3)):
         p = Params(k, a)
@@ -197,14 +237,15 @@ def _verdicts(k, points=5):
                 check = functools.partial(_passes, residual, p)
                 rng = stream(f"backends|k={k}|a={a}|{name}", 0)
                 xs = [lyness.require_point(p, random_point(rng, k)) for _ in range(points)]
-                out[a, name] = [(check(x), _cleared_verdict(check, x)) for x in xs]
+                out[a, name] = [(check(x), _cleared_verdict(check, x), _exact_verdict(residual, p, x))
+                                for x in xs]
     return out
 
 
 @pytest.mark.parametrize("k", range(3, 9))
 def test_every_check_gives_the_same_verdict_on_cleared_and_fraction_points(k):
-    for key, pairs in _verdicts(k).items():
-        assert all(pair == (True, True) for pair in pairs), key
+    for key, triples in _verdicts(k).items():
+        assert all(triple == (True, True, True) for triple in triples), key
 
 
 @pytest.mark.parametrize("k", [3, 5, 6])
@@ -217,13 +258,16 @@ def test_a_broken_field_fails_on_both_backends(k, monkeypatch, fresh_suites):
         return tuple(out)
 
     monkeypatch.setattr(symmetry_vector, "kernel", broken)
-    for (a, name), pairs in _verdicts(k).items():
+    for (a, name), triples in _verdicts(k).items():
         want = name not in FIELD_SUITES
-        assert all(pair == (want, want) for pair in pairs), (a, name)
+        assert all(triple == (want, want, want) for triple in triples), (a, name)
 
 
 @pytest.mark.parametrize("k", [3, 6])
-def test_suites_check_the_common_denominator_image_of_each_drawn_point(k, monkeypatch):
+def test_suites_check_the_common_denominator_image_of_each_drawn_point(k, monkeypatch, fresh_suites):
+    """A traced suite's exact form takes (an, ad, D, n) with x_i = n_i / D, and
+    an untraced suite the Cleared image; each over D, the lcm of the drawn
+    point's denominators. Recorded as (a, the image's values, its denominators)."""
     drawn, checked = [], []
     real = lyness.require_point
 
@@ -231,15 +275,130 @@ def test_suites_check_the_common_denominator_image_of_each_drawn_point(k, monkey
         drawn.append(real(p, x))
         return drawn[-1]
 
+    def spying(kernel, n, real=exact_module.compile_exact):
+        fn = real(kernel, n)
+        return lambda an, ad, d, ns: checked.append(
+            ("exact", Fraction(an, ad), [Fraction(c, d) for c in ns], {d})) or fn(an, ad, d, ns)
+
     monkeypatch.setattr(verify, "require_point", recording)
+    monkeypatch.setattr(exact_module, "compile_exact", spying)
     monkeypatch.setattr(verify, "SUITES", tuple(
-        (name, na, lambda p, x, residual=residual: checked.append(x) or residual(p, x))
+        (name, na, residual) if hasattr(residual, "exact") else
+        (name, na, lambda p, x, residual=residual: checked.append(
+            ("cleared", p.a, [c.fraction() for c in x], {math.prod(c.den) for c in x})) or residual(p, x))
         for name, na, residual in verify.SUITES))
-    assert all(r.failures == 0 for r in run_suites(k, Fraction(7, 3), 2, 0))
-    assert len(checked) == len(drawn) > 0
-    for x, image in zip(drawn, checked):
-        assert [c.fraction() for c in image] == list(x)
-        assert len({c.den for c in image}) == 1
+    results = run_suites(k, Fraction(7, 3), 2, 0)
+    assert all(r.failures == 0 for r in results)
+    assert len(checked) == len(drawn) == sum(r.trials for r in results)
+    ran = [name for name, na, _ in verify.SUITES if na(k) is None]
+    traced = {name for name, _, _ in _traced_suites()}
+    assert [form for form, *_ in checked] == [
+        "exact" if name in traced else "cleared" for name in ran for _ in range(2)]
+    for x, (_, a, values, denominators) in zip(drawn, checked):
+        assert a == Fraction(7, 3)
+        assert values == list(x)
+        assert denominators == {math.lcm(*(q.denominator for q in x))}
+
+
+def _exact_kernels(k: int) -> list:
+    """The traced residuals of the suites that apply to k, and three kernels
+    whose components are not 0: F, F^-1 and the field."""
+    return [lyness.step.kernel, lyness.inverse_step.kernel, symmetry_vector.kernel] + [
+        residual for _, na, residual in _traced_suites() if na(k) is None]
+
+
+def _at_point(form):
+    """An exact form of (an, ad, D, n) as a function of (p, x), as `traced`'s `exact` calls it."""
+    return lambda p, x: form(p.a.numerator, p.a.denominator, *common_denominator(x))
+
+
+def _assert_exact_gives_components(k, exact, pairs, generic):
+    """At seeded points for a in {0, 1, 7/3}: the exact form's components are 0
+    where the generic ones over Fraction are, and its (numerator,
+    denominator) pairs are those components. Whether one was not 0."""
+    nonzero = False
+    for a in (Fraction(0), Fraction(1), Fraction(7, 3)):
+        p = Params(k, a)
+        rng = stream(f"exact|k={k}|a={a}", 0)
+        for x in [lyness.require_point(p, random_point(rng, k)) for _ in range(3)]:
+            want, got = generic(p, x), pairs(a.numerator, a.denominator, *common_denominator(x))
+            want, got = (want, got) if isinstance(want, tuple) else ((want,), (got,))
+            assert [c == 0 for c in _components(exact(p, x))] == [c == 0 for c in want]
+            assert [Fraction(*pair) for pair in got] == list(want)
+            nonzero = nonzero or any(want)
+    return nonzero
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_the_exact_form_gives_the_components_of_the_generic_form(k):
+    nonzero = set()
+    for run in _exact_kernels(k):
+        pairs = exact_module.compile_exact(run.__wrapped__, k, denominators=True)
+        if _assert_exact_gives_components(k, run.exact, pairs, run):
+            nonzero.add(run.__name__)
+    assert nonzero == {"step", "inverse_step", "symmetry_vector"}
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 8])
+def test_the_exact_form_of_a_perturbed_field_gives_its_nonzero_components(k, monkeypatch):
+    real = symmetry_vector.kernel
+
+    def perturbed(p, x):
+        out = list(real(p, x))
+        out[0] = out[0] * (10**6 + 1) / 10**6
+        return tuple(out)
+
+    monkeypatch.setattr(symmetry_vector, "kernel", perturbed)
+    nonzero = set()
+    for name, na, residual in _traced_suites():
+        if na(k) is None:
+            body = residual.__wrapped__  # the generic kernel as written, run over Fraction
+            pairs = exact_module.compile_exact(body, k, denominators=True)
+            if _assert_exact_gives_components(k, _at_point(exact_module.compile_exact(body, k)), pairs, body):
+                nonzero.add(name)
+    assert nonzero == {name for name in FIELD_SUITES if name != "integral annihilation" or k <= 5}
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_the_exact_form_raises_where_the_generic_form_divides_by_zero(k):
+    p = Params(k, Fraction(7, 3))
+    for i in (0, k - 1):
+        x = tuple(Fraction(0) if j == i else Fraction(j + 2, j + 1) for j in range(k))
+        returned = []
+        for run in _exact_kernels(k):
+            outcomes = []
+            for form in (run, run.exact):
+                try:
+                    form(p, x)
+                    outcomes.append("returned")
+                except ZeroDivisionError:
+                    outcomes.append(ZeroDivisionError)
+            assert outcomes[0] == outcomes[1], run.__qualname__
+            if outcomes[0] == "returned":
+                returned.append(run.__qualname__)
+        if i == 0:  # every kernel divides by x1 but F^-1 and the polynomial factorization
+            assert returned == ["inverse_step"] + ["factorization_residual"] * (k >= 6)
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_the_exact_forms_take_no_gcd(k, monkeypatch):
+    kernels = _exact_kernels(k)
+    inputs = []
+    for a in (Fraction(0), Fraction(1), Fraction(7, 3)):
+        p = Params(k, a)
+        rng = stream(f"gcd|k={k}|a={a}", 0)
+        for x in [lyness.require_point(p, random_point(rng, k)) for _ in range(3)]:
+            inputs.append((a.numerator, a.denominator, *common_denominator(x)))  # the lcm is not counted
+    for run in kernels:
+        run.exact(Params(k, 1), (1,) * k)  # built before gcd is counted
+    calls = []
+    real = math.gcd
+    monkeypatch.setattr(math, "gcd", lambda *args: calls.append(args) or real(*args))
+    for run in kernels:
+        for args in inputs:
+            run.compiled_exact[k](*args)
+    assert not calls
+    assert Fraction(6, 4) and calls  # the spy sees a Fraction's gcd
 
 
 def _product(lower, upper):
