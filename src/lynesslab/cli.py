@@ -158,8 +158,7 @@ def cmd_verify(args) -> int:
             "suites": [{**vars(r), "a": str(r.a)} for r in results],
         }
         with _output(args.json) as report:
-            json.dump(payload, report, indent=2)
-            report.write("\n")
+            report.write(json.dumps(payload, indent=2) + "\n")  # one write, not one per token
     for res in results:
         print(res.line())
     print(

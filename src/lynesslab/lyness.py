@@ -26,9 +26,10 @@ checked once at the boundary: a `@validated` public function runs
 drivers that validated their start point already. `step`, `inverse_step`,
 the symmetry field, the level signatures and the five residuals `verify`
 holds are also `@traced`: their `.kernel` runs the body as straight-line code
-compiled once per k, and `.kernel.exact` runs its exact form, integer
+compiled once per k, and `.kernel.exact_form(k)` is its exact form, integer
 straight-line code in the numerators of a rational point over their common
-denominator, which the `verify` suites run. Every float run enters float64
+denominator, which the `verify` suites run (`.kernel.exact` runs it at a
+Fraction point). Every float run enters float64
 through `float_point`, the one place that converts a and x0.
 """
 
@@ -146,10 +147,14 @@ class Recording:
         self.tape, self.name = tape, name
 
     def record(self, symbol: str, *operands):
-        if not all(isinstance(v, Recording) or type(v) is int for v in operands):
-            return NotImplemented
-        key = (symbol, *(v.name if isinstance(v, Recording) else v for v in operands))
-        return Recording(self.tape, self.tape.setdefault(key, f"t{len(self.tape)}"))
+        key = [symbol]
+        for v in operands:  # a plain loop, no generators: tracing runs this per operation
+            if type(v) is Recording:
+                v = v.name
+            elif type(v) is not int:
+                return NotImplemented
+            key.append(v)
+        return Recording(self.tape, self.tape.setdefault(tuple(key), f"t{len(self.tape)}"))
 
     __add__, __radd__ = _binary("+")
     __sub__, __rsub__ = _binary("-")
@@ -239,11 +244,12 @@ def traced(kernel):
     reuses the first result), so its results are f's, bit for bit. f stays
     the source, as `__wrapped__`; `compiled` maps k to its function.
 
-    `exact(p, x)`, for a kernel of (p, x) alone at a rational point (int or
-    Fraction a and coordinates), runs f's exact form (`exact.compile_exact`),
-    traced and compiled at the first exact call at p.k and kept in
-    `compiled_exact`: f's result with each value's numerator over x's
-    common denominator in its place, 0 exactly where the value is."""
+    `exact_form(k)`, for a kernel of (p, x) alone, is f's exact form at
+    dimension k (`exact.compile_exact`), traced and compiled on first use and
+    kept in `compiled_exact`: a function of (an, ad, D, n), the rational point
+    a = an/ad, x_i = n_i/D, that returns f's result with each value's
+    numerator in its place, 0 exactly where the value is. `exact(p, x)` runs
+    it at an int or Fraction a and point x, over x's common denominator."""
     compiled, compiled_exact = {}, {}
 
     @functools.wraps(kernel)
@@ -254,16 +260,17 @@ def traced(kernel):
             fn = compiled[p.k] = _compile(kernel, p.k)
         return fn(p, x, *extra) if extra else fn(p, x)  # a call with *() costs more
 
-    def exact(p, x):
-        try:
-            fn = compiled_exact[p.k]
-        except KeyError:
+    def exact_form(k: int):
+        if k not in compiled_exact:
             from .exact import compile_exact  # loaded on first exact use; float runs never need it
 
-            fn = compiled_exact[p.k] = compile_exact(kernel, p.k)
-        return fn(p.a.numerator, p.a.denominator, *common_denominator(x))
+            compiled_exact[k] = compile_exact(kernel, k)
+        return compiled_exact[k]
 
-    run.compiled, run.compiled_exact, run.exact = compiled, compiled_exact, exact
+    def exact(p, x):
+        return exact_form(p.k)(p.a.numerator, p.a.denominator, *common_denominator(x))
+
+    run.compiled, run.compiled_exact, run.exact_form, run.exact = compiled, compiled_exact, exact_form, exact
     return run
 
 

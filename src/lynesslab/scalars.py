@@ -4,9 +4,10 @@ Every formula in this package is written against plain arithmetic operators so
 the same code runs over exact rationals (the stdlib Fraction: always reduced,
 positive denominator, exact field operations), float64, `Dual` numbers, or
 `Cleared` rationals, which are never reduced and so take no gcd; the exact
-orbit rows run over `Cleared`. The verify suites check a point over its
-common denominator (`common_denominator`): the traced identities as integer
-code (`lyness.traced`), the other two on its `Cleared.common` image.
+orbit rows run over `Cleared`. The verify suites check a point drawn over its
+common denominator D as integers n (`sampling.random_common_point`, the
+values `common_denominator` gives): the traced identities as integer code
+(`lyness.traced`), the other two on its `Cleared.over(D, n)` image.
 A directional derivative is one dual pass (`jvp`), a gradient one per
 coordinate; ranks over the rationals use fraction-free integer elimination.
 """
@@ -190,13 +191,18 @@ class Cleared:
         return cls(q.numerator, (q.denominator,) if q.denominator != 1 else ())
 
     @classmethod
-    def common(cls, x) -> tuple:
-        """The int or Fraction point x over one shared denominator D
-        (`common_denominator`): x_i = Cleared(n_i, (D,)), no factor if D = 1.
-        Sums of its coordinates then add numerators over equal denominators."""
-        d, n = common_denominator(x)
+    def over(cls, d: int, n) -> tuple:
+        """The point x_i = n_i / d, d >= 1, over that one denominator:
+        x_i = Cleared(n_i, (d,)), no factor if d = 1. Sums of its coordinates
+        then add numerators over equal denominators."""
         den = (d,) if d != 1 else ()
         return tuple(cls(c, den) for c in n)
+
+    @classmethod
+    def common(cls, x) -> tuple:
+        """The int or Fraction point x over one shared denominator D
+        (`common_denominator`), as `over` builds it."""
+        return cls.over(*common_denominator(x))
 
     def __add__(self, other):
         if type(other) is int:  # the formulas' literals, without a lift

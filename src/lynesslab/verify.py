@@ -10,13 +10,14 @@ sides, traced once per k under the suite's name. Each inlines the kernels it
 calls by attribute as they are when traced; integral annihilation is
 `annihilation_residual` for every integral registered for k, and the tracer
 merges their repeated X(x) into one. These fifteen run as their exact form
-(`traced`'s `exact`): integer straight-line code in the numerators of the
-point over their common denominator, which returns each value's numerator,
-0 exactly where the value is. `det closed form` (its oracle pivots on
-values) and `sign(Z) alternation` (it branches on a sign) are not ring
-identities and run as written, on the point's common-denominator `Cleared`
-image. Each suite draws its own string-seeded RNG stream, so results do not
-depend on suite order.
+(`traced`'s `exact_form`): integer straight-line code in the numerators of
+the point over their common denominator, which returns each value's
+numerator, 0 exactly where the value is. `det closed form` (its oracle
+pivots on values) and `sign(Z) alternation` (it branches on a sign) are not
+ring identities and run as written, on the point's common-denominator
+`Cleared` image. Each suite draws its own string-seeded RNG stream, so
+results do not depend on suite order, and draws each point as those
+integers (`sampling.random_common_point`): no Fraction is built.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from fractions import Fraction
 from .dynamics import measure_density_residual
 from .errors import DimensionError
 from .invariants import eval_pi, eval_v1, eval_v2, eval_v3, eval_w, eval_z
-from .lyness import Params, inverse_step, jacobian, jacobian_det, require_point, step, traced
-from .sampling import random_point, stream
+from .lyness import Params, inverse_step, jacobian, jacobian_det, step, traced
+from .sampling import random_common_point, stream
 from .scalars import Cleared
 from .symmetry import (
     ANNIHILATED,
@@ -149,14 +150,16 @@ SUITES = (
 def run_suites(k: int, a, trials: int, seed: int) -> list:
     """All applicable identity suites for one (k, a), k >= 3, with trials >= 1
     points each (both checked before any suite runs); exact arithmetic only:
-    each point is drawn as Fractions, validated, and checked over its common
-    denominator: by a traced residual's exact form, or on the point's
-    `Cleared.common` image."""
+    each point is drawn as integers over its common denominator D
+    (`random_common_point`, positive by construction, so not validated)
+    and checked over D: by a traced residual's exact form, fetched
+    once per suite, or on the point's `Cleared.over` image."""
     if k < 3:
         raise DimensionError(f"verification suites need k >= 3, got k={k}")
     p = Params(k, Fraction(a))
     if trials < 1:
         raise ValueError(f"the number of trials must be >= 1, got {trials}")
+    an, ad = p.a.numerator, p.a.denominator
     results = []
     for name, na, residual in SUITES:
         note = na(k)
@@ -164,11 +167,11 @@ def run_suites(k: int, a, trials: int, seed: int) -> list:
             results.append(SuiteResult(name, k, p.a, 0, 0, NA, note))
             continue
         rng = stream(f"{seed}|k={k}|a={p.a}|{name}", seed)
-        exact = getattr(residual, "exact", None)
+        form = residual.exact_form(k) if hasattr(residual, "exact_form") else None
         failures = 0
         for _ in range(trials):
-            x = require_point(p, random_point(rng, k))
-            r = exact(p, x) if exact else residual(p, Cleared.common(x))
+            d, n = random_common_point(rng, k)
+            r = form(an, ad, d, n) if form else residual(p, Cleared.over(d, n))
             if not all(v == 0 for v in (r if isinstance(r, tuple) else (r,))):
                 failures += 1
         results.append(SuiteResult(name, k, p.a, trials, failures, FAIL if failures else OK))

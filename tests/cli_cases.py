@@ -95,6 +95,11 @@ CASES = {
                                        "1894490a6b057fc428769afbd8f037e8d55e5077a1c9cf99fd6462752533cb40"),
     "verify-json-seed-1": Case("verify --k-range 3..8 --trials 2 --seed 1 --json OUT",
                                "6553ea8dddf360ba3ed8a48220c7c30b2fca2016f302cacdde2e4cc93295b0f1"),
+    # a rational a and a = 0, past k = 8; digests taken before points were drawn as integers
+    "verify-json-k3-9-rational-a": Case("verify --k-range 3..9 --trials 3 --seed 5 --a 7/3 --json OUT",
+                                        "63131be0b1567a5667ece3f5b71294fa5aa32aed5dd9a6b183d961d711832c96"),
+    "verify-json-k3-9-a-0": Case("verify --k-range 3..9 --trials 3 --seed 5 --a 0 --json OUT",
+                                 "ac7c3d66914d5a917c685a4108ff07f009e00d674a2cf830c344e3a601e95335"),
     "flow-k4-csv": Case("flow --k 4 --a 4 --x0 1,2,3,4 --t-max 1 --out OUT",
                         "40feae563784953876bf36485cd04d9cf58d0776ba92460e796de428f6d19986"),
     "orbit-exact-k5-200": Case("orbit --k 5 --a 1 --x0 1,2,3,4,5 --steps 200 --exact --out OUT",

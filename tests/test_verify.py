@@ -1,7 +1,8 @@
 """Identity suites: k and the trial count are checked before any suite runs,
-each drawn point is validated once per trial, five suites hold their public
-residual's traced kernel (so `verify` builds their exact forms, a public call
-afterwards builds only the generic form and a second one nothing), the shift
+each trial draws one point and validates none (the draw is positive by
+construction), five suites hold their public residual's traced kernel (so
+`verify` builds their exact forms, a public call afterwards builds only the
+generic form and a second one nothing), the shift
 law and the symmetry condition evaluate the field once at x and once at F(x)
 and integral annihilation evaluates it once (each inlined into an exact form
 that calls no function), a wrong field fails every suite that uses it, every
@@ -15,12 +16,13 @@ determinant oracle eliminates dense rational matrices exactly."""
 import dis
 import functools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from lynesslab import exact as exact_module
-from lynesslab import lyness, verify
+from lynesslab import lyness, sampling, verify
 from lynesslab.dynamics import measure_density_residual
 from lynesslab.errors import DimensionError
 from lynesslab.lyness import Params
@@ -34,19 +36,17 @@ from lynesslab.verify import run_suites
 
 
 @pytest.mark.parametrize("k", [3, 5, 6])
-def test_suites_validate_each_drawn_point_once(k, monkeypatch):
-    calls = []
-    real = lyness.require_point
-
-    def counting(p, x):
-        calls.append(x)
-        return real(p, x)
-
-    for module in (lyness, verify):
-        monkeypatch.setattr(module, "require_point", counting)
+def test_suites_draw_one_point_per_trial_and_validate_none(k, monkeypatch):
+    draws, checks = [], []
+    real = sampling.random_common_point
+    monkeypatch.setattr(verify, "random_common_point", lambda rng, n: draws.append(n) or real(rng, n))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lynesslab") and hasattr(module, "require_point"):
+            monkeypatch.setattr(module, "require_point", lambda p, x: checks.append(x))
     results = run_suites(k, 1, 2, 0)
     assert all(r.failures == 0 for r in results)
-    assert len(calls) == sum(r.trials for r in results)
+    assert draws == [k] * sum(r.trials for r in results)
+    assert checks == []
 
 
 @pytest.mark.parametrize(("k", "trials", "error", "message"), [
@@ -59,7 +59,7 @@ def test_suites_validate_each_drawn_point_once(k, monkeypatch):
 ])
 def test_suites_check_k_and_trials_before_any_suite_runs(k, trials, error, message, monkeypatch):
     drawn = []
-    monkeypatch.setattr(verify, "random_point", lambda rng, k: drawn.append(k))
+    monkeypatch.setattr(verify, "random_common_point", lambda rng, k: drawn.append(k))
     with pytest.raises(error, match=f"^{message}$"):
         run_suites(k, 1, trials, 0)
     assert drawn == []
@@ -265,39 +265,37 @@ def test_a_broken_field_fails_on_both_backends(k, monkeypatch, fresh_suites):
 
 @pytest.mark.parametrize("k", [3, 6])
 def test_suites_check_the_common_denominator_image_of_each_drawn_point(k, monkeypatch, fresh_suites):
-    """A traced suite's exact form takes (an, ad, D, n) with x_i = n_i / D, and
-    an untraced suite the Cleared image; each over D, the lcm of the drawn
-    point's denominators. Recorded as (a, the image's values, its denominators)."""
-    drawn, checked = [], []
-    real = lyness.require_point
-
-    def recording(p, x):
-        drawn.append(real(p, x))
-        return drawn[-1]
+    """Each suite checks the points `random_point` draws on the suite's own
+    stream, over D, the lcm of a point's denominators: a traced suite's exact
+    form takes (an, ad, D, n) with x_i = n_i / D, and an untraced suite takes
+    (p.a, the Cleared image x_i = Cleared(n_i, (D,)), no factor if D = 1)."""
+    a, seed, trials = Fraction(7, 3), 0, 2
+    traced = {name for name, _, _ in _traced_suites()}
+    expected = []
+    for name, na, _ in verify.SUITES:
+        if na(k) is None:
+            rng = stream(f"{seed}|k={k}|a={a}|{name}", seed)
+            for x in [random_point(rng, k) for _ in range(trials)]:
+                d = math.lcm(*(q.denominator for q in x))
+                n = tuple(int(q * d) for q in x)
+                expected.append(("exact", 7, 3, d, n) if name in traced else
+                                ("cleared", a, tuple((c, (d,) if d != 1 else ()) for c in n)))
+    checked = []
 
     def spying(kernel, n, real=exact_module.compile_exact):
         fn = real(kernel, n)
-        return lambda an, ad, d, ns: checked.append(
-            ("exact", Fraction(an, ad), [Fraction(c, d) for c in ns], {d})) or fn(an, ad, d, ns)
+        return lambda an, ad, d, ns: checked.append(("exact", an, ad, d, ns)) or fn(an, ad, d, ns)
 
-    monkeypatch.setattr(verify, "require_point", recording)
     monkeypatch.setattr(exact_module, "compile_exact", spying)
     monkeypatch.setattr(verify, "SUITES", tuple(
-        (name, na, residual) if hasattr(residual, "exact") else
+        (name, na, residual) if name in traced else
         (name, na, lambda p, x, residual=residual: checked.append(
-            ("cleared", p.a, [c.fraction() for c in x], {math.prod(c.den) for c in x})) or residual(p, x))
+            ("cleared", p.a, tuple((c.n, c.den) for c in x))) or residual(p, x))
         for name, na, residual in verify.SUITES))
-    results = run_suites(k, Fraction(7, 3), 2, 0)
+    results = run_suites(k, a, trials, seed)
     assert all(r.failures == 0 for r in results)
-    assert len(checked) == len(drawn) == sum(r.trials for r in results)
-    ran = [name for name, na, _ in verify.SUITES if na(k) is None]
-    traced = {name for name, _, _ in _traced_suites()}
-    assert [form for form, *_ in checked] == [
-        "exact" if name in traced else "cleared" for name in ran for _ in range(2)]
-    for x, (_, a, values, denominators) in zip(drawn, checked):
-        assert a == Fraction(7, 3)
-        assert values == list(x)
-        assert denominators == {math.lcm(*(q.denominator for q in x))}
+    assert sum(r.trials for r in results) == len(expected)
+    assert checked == expected
 
 
 def _exact_kernels(k: int) -> list:
