@@ -239,7 +239,7 @@ def cmd_flow(args) -> int:
 
     if trace.boundary_hit:
         print(
-            f"warning: trajectory truncated near the domain boundary"
+            "warning: trajectory truncated (domain boundary or float64 range)"
             f" at t={(trace.times or [0.0])[-1]!r}",
             file=sys.stderr,
         )

@@ -13,8 +13,9 @@ from .errors import DegenerateOrbitError, DimensionError, DomainError, NoRootErr
 from .invariants import eval_pi, eval_v1, eval_v2, eval_v3, eval_z, level_signatures
 from .lyness import (
     OrbitTrace, Params, float_params, float_point, in_orthant, iterate, jacobian_det, orbit,
-    require_point, step, traced, two_periodic_point, validated,
+    require_point, step, two_periodic_point, validated,
 )
+from .tracing import traced
 
 
 def orbit_signature(p: Params, x0, n: int) -> OrbitTrace:
@@ -81,10 +82,11 @@ def _perfect_square(q: Fraction):
 def sample_g_point(p: Params, template) -> GPoint:
     """Solve Z = 0 along a template: None entries all bind to one unknown t.
 
-    Rational roots (linear polynomials, quadratics with square discriminant)
-    come back exact with residual 0; otherwise the smallest positive root is
-    bracketed on (0, 1e6), bisected and Newton-polished in float64 with
-    |Z| <= 1e-12 demanded. No positive root in range raises NoRootError.
+    Z in t has degree >= 2. A rational root of a quadratic Z (square
+    discriminant) comes back exact with residual 0; otherwise the smallest
+    positive root is bracketed on (0, 1e6), bisected and Newton-polished in
+    float64 with |Z| <= 1e-12 demanded. No positive root in range raises
+    NoRootError.
     """
     if p.k % 2 == 0:
         raise DimensionError("the separating surface lives in odd dimensions")
@@ -103,8 +105,11 @@ def sample_g_point(p: Params, template) -> GPoint:
     def z_of(t):  # the nodes t > 0 fill a template checked above
         return eval_z.kernel(p, filled(t))
 
-    # Z is polynomial in t; each odd-position hole contributes degree 2,
-    # each even-position hole degree 3 at most (t(t+1) times the linear sum).
+    # Z is polynomial in t. With the fixed coordinates > 0, the h_odd holes at
+    # odd positions give prod_odd degree 2 h_odd, and the h_even at even ones
+    # give S * prod_even degree 2 h_even + 1 (t(t+1) each, times S, which
+    # holds every hole), both with positive leading coefficients: the
+    # parities differ, so nothing cancels, and the degree is >= 2.
     bound = 1 + sum(3 if i % 2 else 2 for i in holes)
     ts = [Fraction(j) for j in range(1, bound + 2)]
     coeffs = _interp_poly(ts, [z_of(t) for t in ts])
@@ -119,9 +124,6 @@ def sample_g_point(p: Params, template) -> GPoint:
 
 
 def _exact_root(coeffs, degree):
-    if degree == 1:
-        cand = -coeffs[0] / coeffs[1]
-        return cand if cand > 0 else None
     if degree == 2:
         c0, c1, c2 = coeffs
         sq = _perfect_square(c1 * c1 - 4 * c2 * c0)

@@ -25,8 +25,9 @@ import math
 from dataclasses import dataclass
 
 from .invariants import level_signatures
-from .lyness import Params, float_point, step, traced
+from .lyness import Params, float_point, step
 from .symmetry import symmetry_vector
+from .tracing import traced
 
 BOUNDARY_EPS = 1e-12
 

@@ -25,7 +25,7 @@ zero set is invariant, its sign flips each step off the zero set, and
 iterate. "odd"/"even" above refer to 1-based coordinate positions.
 
 Each `eval_*` kernel is its formula as written. `level_signature` calls the
-kernels of V1, V2, V3 and sign Z; the tracer (`lyness.traced`) runs the
+kernels of V1, V2, V3 and sign Z; the tracer (`tracing.traced`) runs the
 pieces they share (S, the coordinate product, each x_i + 1) once.
 """
 
@@ -36,8 +36,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DimensionError
-from .lyness import Params, require_point, traced, validated
+from .lyness import Params, require_point, validated
 from .scalars import Cleared, RatMatrix, exact_kinds, exact_rank, fold, gradient
+from .tracing import traced
 
 
 def _total(p: Params, x):

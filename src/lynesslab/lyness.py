@@ -25,27 +25,24 @@ checked once at the boundary: a `@validated` public function runs
 `require_point` and then its kernel, which stays reachable as `.kernel` for
 drivers that validated their start point already. `step`, `inverse_step`,
 the symmetry field, the level signatures and the five residuals `verify`
-holds are also `@traced`: their `.kernel` runs the body as straight-line code
-compiled once per k, and `.kernel.exact_form(k)` is its exact form, integer
-straight-line code in the numerators of a rational point over their common
-denominator, which the `verify` suites run (`.kernel.exact` runs it at a
-Fraction point). Every float run enters float64
-through `float_point`, the one place that converts a and x0.
+holds are also `@traced` (`tracing.traced`): their `.kernel` runs the body as
+straight-line code compiled once per k, and `.kernel.exact_form(k)` is its
+exact form, integer straight-line code in the numerators of a rational point
+over their common denominator, which the `verify` suites run. Every float
+run enters float64 through `float_point`, the one place that converts a and
+x0.
 """
 
 from __future__ import annotations
 
 import functools
-import inspect
-import linecache
 import math
-import re
-import types
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DimensionError, DomainError
-from .scalars import RatMatrix, common_denominator, fold
+from .scalars import RatMatrix, fold
+from .tracing import traced
 
 
 @dataclass(frozen=True)
@@ -120,158 +117,6 @@ def validated(kernel, check=None):
 
     public.kernel = kernel
     return public
-
-
-def _binary(symbol):
-    """The forward and reflected methods of one recorded binary operator."""
-    return (lambda self, other: self.record(symbol, self, other),
-            lambda self, other: self.record(symbol, other, self))
-
-
-class Recording:
-    """A symbolic scalar of one trace. Each `+ - * /`, unary `-`, `<` or `>`
-    on it records the operation (operator, *operands), each operand a
-    recording's name or an int literal, in the order Python evaluated them,
-    and returns its result as a new recording. The other operand is a
-    recording or an int literal; a `Dual` runs its own method on the
-    recording, and anything else (bool, ==, abs, **, float, ...) raises
-    TypeError, so a kernel that branches on a value fails when it is traced.
-    The tape maps each distinct operation to the name of its result, in the
-    order first recorded: an operation recorded again (the same operator on
-    the same operands in the same order) names the first result, so it runs
-    once."""
-
-    __slots__ = ("tape", "name")
-
-    def __init__(self, tape: dict, name: str):
-        self.tape, self.name = tape, name
-
-    def record(self, symbol: str, *operands):
-        key = [symbol]
-        for v in operands:  # a plain loop, no generators: tracing runs this per operation
-            if type(v) is Recording:
-                v = v.name
-            elif type(v) is not int:
-                return NotImplemented
-            key.append(v)
-        return Recording(self.tape, self.tape.setdefault(tuple(key), f"t{len(self.tape)}"))
-
-    __add__, __radd__ = _binary("+")
-    __sub__, __rsub__ = _binary("-")
-    __mul__, __rmul__ = _binary("*")
-    __truediv__, __rtruediv__ = _binary("/")
-    __lt__ = _binary("<")[0]
-    __gt__ = _binary(">")[0]
-
-    def __neg__(self):
-        return self.record("-", self)
-
-    def __bool__(self):
-        raise TypeError("a traced kernel cannot branch on a value")
-
-    def __eq__(self, other):
-        raise TypeError("a traced kernel cannot compare values for equality")
-
-
-def _line(symbol: str, *operands) -> str:
-    """The source of one recorded operation: `-t1`, or `t1 * 3` with its operands in recorded order."""
-    return f"{symbol}{operands[0]}" if len(operands) == 1 else f"{operands[0]} {symbol} {operands[1]}"
-
-
-def _expression(out, names: dict, leaf=lambda v: v.name) -> str:
-    """Source that rebuilds a kernel's result from the trace's variables, each
-    recording as leaf gives it (by default its name); a tuple subclass is
-    rebuilt by its constructor, whose type is added to names."""
-    if isinstance(out, Recording):
-        return leaf(out)
-    if isinstance(out, tuple):
-        items = "(" + "".join(_expression(v, names, leaf) + ", " for v in out) + ")"
-        if type(out) is tuple:
-            return items
-        names[type(out).__name__] = type(out)
-        return type(out).__name__ + items
-    if out is None:
-        return "None"
-    raise TypeError(f"a traced kernel returns tuples of scalars, not {out!r}")
-
-
-def _trace(kernel, k: int) -> tuple:
-    """(tape, extra, result) of kernel run once at dimension k on recordings
-    a, x0..x{k-1} and the extra inputs its signature names."""
-    tape = {}
-    x = tuple(Recording(tape, f"x{i}") for i in range(k))
-    extra = list(inspect.signature(kernel).parameters)[2:]
-    if any(re.fullmatch(r"[apx]|[xt]\d+", name) for name in extra):
-        raise ValueError(f"{kernel.__qualname__}: no extra input may be named p, a, x, x<n> or t<n>")
-    out = kernel(types.SimpleNamespace(k=k, a=Recording(tape, "a")), x, *(Recording(tape, n) for n in extra))
-    return tape, extra, out
-
-
-def _define(lines: list, names: dict, filename: str) -> tuple:
-    """The function `kernel` that the source lines (a def, then its body)
-    define, run in names, and that source."""
-    source = "\n    ".join(lines) + "\n"
-    exec(compile(source, filename, "exec"), names)
-    return names["kernel"], source
-
-
-def _compile(kernel, k: int):
-    """kernel traced once at dimension k (`_trace`) and written out as one
-    straight-line function of (p, x, *extra) that performs each distinct
-    recorded operation once, in the order first recorded. Nothing is
-    reordered, commuted or re-associated (`x0 + 1` and `1 + x0` stay two
-    operations). Its source is kept in `linecache`, for tracebacks."""
-    tape, extra, out = _trace(kernel, k)
-    names = {}
-    result = _expression(out, names)
-    lines = [f"def kernel({', '.join(['p', 'x', *extra])}):", "a = p.a",
-             "".join(f"x{i}, " for i in range(k)) + "= x",
-             *(f"{name} = {_line(*key)}" for key, name in tape.items()),
-             f"return {result}"]
-    filename = f"<traced {kernel.__qualname__} k={k}>"
-    fn, source = _define(lines, names, filename)
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    return fn
-
-
-def traced(kernel):
-    """A pure kernel f(p, x, *extra) run as straight-line code compiled once
-    per k; extra are scalars past the point, such as a step size (the tracer
-    records no float literal). The first call at dimension p.k traces f on
-    `Recording` inputs and compiles what it recorded; that call and every
-    later one at p.k run the compiled function. It performs f's operations on
-    the same operands in the same order, each distinct one once (a repeat
-    reuses the first result), so its results are f's, bit for bit. f stays
-    the source, as `__wrapped__`; `compiled` maps k to its function.
-
-    `exact_form(k)`, for a kernel of (p, x) alone, is f's exact form at
-    dimension k (`exact.compile_exact`), traced and compiled on first use and
-    kept in `compiled_exact`: a function of (an, ad, D, n), the rational point
-    a = an/ad, x_i = n_i/D, that returns f's result with each value's
-    numerator in its place, 0 exactly where the value is. `exact(p, x)` runs
-    it at an int or Fraction a and point x, over x's common denominator."""
-    compiled, compiled_exact = {}, {}
-
-    @functools.wraps(kernel)
-    def run(p, x, *extra):
-        try:
-            fn = compiled[p.k]
-        except KeyError:
-            fn = compiled[p.k] = _compile(kernel, p.k)
-        return fn(p, x, *extra) if extra else fn(p, x)  # a call with *() costs more
-
-    def exact_form(k: int):
-        if k not in compiled_exact:
-            from .exact import compile_exact  # loaded on first exact use; float runs never need it
-
-            compiled_exact[k] = compile_exact(kernel, k)
-        return compiled_exact[k]
-
-    def exact(p, x):
-        return exact_form(p.k)(p.a.numerator, p.a.denominator, *common_denominator(x))
-
-    run.compiled, run.compiled_exact, run.exact_form, run.exact = compiled, compiled_exact, exact_form, exact
-    return run
 
 
 @validated

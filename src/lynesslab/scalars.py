@@ -7,7 +7,7 @@ positive denominator, exact field operations), float64, `Dual` numbers, or
 orbit rows run over `Cleared`. The verify suites check a point drawn over its
 common denominator D as integers n (`sampling.random_common_point`, the
 values `common_denominator` gives): the traced identities as integer code
-(`lyness.traced`), the other two on its `Cleared.over(D, n)` image.
+(`tracing.traced`), the other two on its `Cleared.over(D, n)` image.
 A directional derivative is one dual pass (`jvp`), a gradient one per
 coordinate; ranks over the rationals use fraction-free integer elimination.
 """
@@ -157,7 +157,7 @@ def common_denominator(x) -> tuple:
     return d, tuple(q.numerator * (d // q.denominator) for q in x)
 
 
-def _cancel(d1, d2):
+def cancel(d1, d2):
     """d1 and d2 less their shared factors: each factor of d2 cancels one equal one of d1."""
     rest, extra = list(d1), []
     for f in d2:
@@ -211,7 +211,7 @@ class Cleared:
             return self + Cleared.of(other) if isinstance(other, (int, Fraction)) else NotImplemented
         if not other.n or self.den == other.den:
             return Cleared(self.n + other.n, self.den)
-        rest, extra = _cancel(self.den, other.den)
+        rest, extra = cancel(self.den, other.den)
         return Cleared(self.n * math.prod(extra) + other.n * math.prod(rest), self.den + tuple(extra))
 
     __radd__ = __add__
@@ -241,7 +241,7 @@ class Cleared:
             return self / Cleared.of(other) if isinstance(other, (int, Fraction)) else NotImplemented
         if not other.n:
             raise ZeroDivisionError("Cleared division by zero")
-        rest, extra = _cancel(self.den, other.den)
+        rest, extra = cancel(self.den, other.den)
         n = self.n * math.prod(extra)
         return Cleared(n if other.n > 0 else -n, (*rest, abs(other.n)))
 
@@ -253,7 +253,7 @@ class Cleared:
             return self.n == other * math.prod(self.den) if other else not self.n
         if type(other) is not Cleared:
             return self == Cleared.of(other) if isinstance(other, (int, Fraction)) else NotImplemented
-        rest, extra = _cancel(self.den, other.den)
+        rest, extra = cancel(self.den, other.den)
         return self.n * math.prod(extra) == other.n * math.prod(rest)
 
     @property

@@ -12,7 +12,7 @@ on the open positive orthant is
 `symmetry_vector` writes each component as its formula: every product is
 `math.prod` over its own slice, left to right, and every sum is `fold`. A
 product or sum that several components share (S, a prefix of the L_i or of
-the x_i) is computed once by the tracer (`lyness.traced`), not by hand.
+the x_i) is computed once by the tracer (`tracing.traced`), not by hand.
 
 It satisfies the symmetry condition X(F(x)) = DF(x) X(x) componentwise over
 the rationals, which is equivalent to the pair:
@@ -36,8 +36,9 @@ import math
 
 from .errors import DimensionError
 from .invariants import eval_v1, eval_v2, eval_v3
-from .lyness import Params, step, traced, validated
+from .lyness import Params, step, validated
 from .scalars import Dual, fold, jvp
+from .tracing import traced
 
 
 def _links(x) -> list:

@@ -1,0 +1,238 @@
+"""The kernel tracer: a kernel's tape, and the two forms written from it.
+
+`traced` runs a pure kernel once per k on `Recording` inputs, which record
+each operation it performs as a tape, and writes that tape out as its
+compiled form (`_compile`), straight-line code over any scalar backend, and,
+on first exact use, as its exact form (`compile_exact`), integer
+straight-line code over a rational point's common denominator, which the
+`verify` suites run.
+"""
+
+from __future__ import annotations
+
+import functools
+import inspect
+import linecache
+import re
+import types
+
+from .scalars import cancel
+
+
+def _binary(symbol):
+    """The forward and reflected methods of one recorded binary operator."""
+    return (lambda self, other: self.record(symbol, self, other),
+            lambda self, other: self.record(symbol, other, self))
+
+
+class Recording:
+    """A symbolic scalar of one trace. Each `+ - * /`, unary `-`, `<` or `>`
+    on it records the operation (operator, *operands), each operand a
+    recording's name or an int literal, in the order Python evaluated them,
+    and returns its result as a new recording. The other operand is a
+    recording or an int literal; a `Dual` runs its own method on the
+    recording, and anything else (bool, ==, abs, **, float, ...) raises
+    TypeError, so a kernel that branches on a value fails when it is traced.
+    The tape maps each distinct operation to the name of its result, in the
+    order first recorded: an operation recorded again (the same operator on
+    the same operands in the same order) names the first result, so it runs
+    once."""
+
+    __slots__ = ("tape", "name")
+
+    def __init__(self, tape: dict, name: str):
+        self.tape, self.name = tape, name
+
+    def record(self, symbol: str, *operands):
+        key = [symbol]
+        for v in operands:  # a plain loop, no generators: tracing runs this per operation
+            if type(v) is Recording:
+                v = v.name
+            elif type(v) is not int:
+                return NotImplemented
+            key.append(v)
+        return Recording(self.tape, self.tape.setdefault(tuple(key), f"t{len(self.tape)}"))
+
+    __add__, __radd__ = _binary("+")
+    __sub__, __rsub__ = _binary("-")
+    __mul__, __rmul__ = _binary("*")
+    __truediv__, __rtruediv__ = _binary("/")
+    __lt__ = _binary("<")[0]
+    __gt__ = _binary(">")[0]
+
+    def __neg__(self):
+        return self.record("-", self)
+
+    def __bool__(self):
+        raise TypeError("a traced kernel cannot branch on a value")
+
+    def __eq__(self, other):
+        raise TypeError("a traced kernel cannot compare values for equality")
+
+
+def _expression(out, names: dict, leaf) -> str:
+    """Source that rebuilds a kernel's result from the trace's variables, each
+    recording as leaf gives it; a tuple subclass is rebuilt by its
+    constructor, whose type is added to names."""
+    if isinstance(out, Recording):
+        return leaf(out)
+    if isinstance(out, tuple):
+        items = "(" + "".join(_expression(v, names, leaf) + ", " for v in out) + ")"
+        if type(out) is tuple:
+            return items
+        names[type(out).__name__] = type(out)
+        return type(out).__name__ + items
+    if out is None:
+        return "None"
+    raise TypeError(f"a traced kernel returns tuples of scalars, not {out!r}")
+
+
+def _trace(kernel, k: int) -> tuple:
+    """(tape, extra, result) of kernel run once at dimension k on recordings
+    a, x0..x{k-1} and the extra inputs its signature names."""
+    tape = {}
+    x = tuple(Recording(tape, f"x{i}") for i in range(k))
+    extra = list(inspect.signature(kernel).parameters)[2:]
+    if any(re.fullmatch(r"[apx]|[xt]\d+", name) for name in extra):
+        raise ValueError(f"{kernel.__qualname__}: no extra input may be named p, a, x, x<n> or t<n>")
+    out = kernel(types.SimpleNamespace(k=k, a=Recording(tape, "a")), x, *(Recording(tape, n) for n in extra))
+    return tape, extra, out
+
+
+def _define(lines: list, out, leaf, filename: str) -> tuple:
+    """The function `kernel` that the source lines (a def, then its body) and
+    a return of the traced result out, each recording as leaf gives it,
+    define, and that source."""
+    names = {}
+    lines.append(f"return {_expression(out, names, leaf)}")  # leaf may add lines first
+    source = "\n    ".join(lines) + "\n"
+    exec(compile(source, filename, "exec"), names)
+    return names["kernel"], source
+
+
+def _compile(kernel, k: int):
+    """kernel traced once at dimension k (`_trace`) and written out as one
+    straight-line function of (p, x, *extra) that performs each distinct
+    recorded operation once, in the order first recorded. Nothing is
+    reordered, commuted or re-associated (`x0 + 1` and `1 + x0` stay two
+    operations). Its source is kept in `linecache`, for tracebacks."""
+    tape, extra, out = _trace(kernel, k)
+    lines = [f"def kernel({', '.join(['p', 'x', *extra])}):", "a = p.a",
+             "".join(f"x{i}, " for i in range(k)) + "= x"]
+    for (symbol, *operands), name in tape.items():
+        lines.append(f"{name} = {symbol}{operands[0]}" if len(operands) == 1 else
+                     f"{name} = {operands[0]} {symbol} {operands[1]}")
+    filename = f"<traced {kernel.__qualname__} k={k}>"
+    fn, source = _define(lines, out, lambda v: v.name, filename)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return fn
+
+
+def compile_exact(kernel, k: int, denominators: bool = False):
+    """kernel traced once at dimension k (`_trace`) and written out as integer
+    straight-line code in an, ad, D and n = (n0, ..., n{k-1}), the rational
+    point a = an/ad, x_i = n_i/D, that returns kernel's result with the
+    numerator of each value in its place (with `denominators`, a
+    (numerator, denominator) pair). Each recorded value is a numerator and
+    a tuple of nonzero denominator factors (D, ad, an int literal or a
+    divisor's numerator), cancelled and multiplied as `Cleared` does it, but
+    while the source is written: the code holds only int products, sums and
+    differences, each distinct one once, and before the first division by
+    each value a ZeroDivisionError where its numerator is 0. A component is 0
+    exactly when its numerator is. Comparisons have no exact form. The
+    source is not kept in `linecache`: for the forms of `verify --k-range
+    3..8` it would hold about 0.5 MB, so a traceback gives only the form's
+    name (`<exact name k=K>`) and line."""
+    tape, inputs, out = _trace(kernel, k)
+    if inputs:
+        raise TypeError(f"{kernel.__qualname__}: the exact form takes no extra inputs")
+    lines = ["def kernel(an, ad, D, n):", "".join(f"n{i}, " for i in range(k)) + "= n"]
+    named, checked = {}, set()
+
+    def let(expression: str) -> str:
+        if expression not in named:
+            named[expression] = f"e{len(named)}"
+            lines.append(f"{named[expression]} = {expression}")
+        return named[expression]
+
+    def product(factors):  # left to right, so products with one prefix share its lines
+        return functools.reduce(lambda left, right: let(f"{left} * {right}"), factors)
+
+    def scaled(n, factors):
+        if not factors or n == 0:
+            return n
+        return product(factors) if n == 1 else let(f"{n} * {product(factors)}")
+
+    def merged(*factors) -> tuple:  # one order, so equal products share their lines
+        return tuple(sorted(factors, key=str))
+
+    value = {"a": ("an", ("ad",)), **{f"x{i}": (f"n{i}", ("D",)) for i in range(k)}}
+    for (symbol, *operands), name in tape.items():
+        if symbol in ("<", ">"):
+            raise TypeError(f"{kernel.__qualname__}: a comparison has no exact form")
+        (un, ud), *other = [value[v] if isinstance(v, str) else (v, ()) for v in operands]
+        if not other:  # unary minus
+            value[name] = (-un if type(un) is int else let(f"-{un}"), ud)
+            continue
+        [(vn, vd)] = other
+        # the literals 0 and 1 that `fold`, `math.prod` and `Dual`'s lift bring fold away
+        if symbol == "*":
+            if un == 0 or vn == 0:
+                value[name] = (0, ())
+            elif un == 1 and not ud:
+                value[name] = (vn, vd)
+            elif vn == 1 and not vd:
+                value[name] = (un, ud)
+            else:
+                value[name] = (let(f"{un} * {vn}"), merged(*ud, *vd))
+            continue
+        rest, extra = cancel(ud, vd)
+        if symbol == "/":
+            if not (type(vn) is int and vn) and vn not in checked:
+                checked.add(vn)
+                lines.append(f"if not {vn}: raise ZeroDivisionError")
+            value[name] = (scaled(un, extra), merged(*rest, vn))
+        elif vn == 0:
+            value[name] = (un, ud)
+        elif un == 0 and symbol == "+":
+            value[name] = (vn, vd)
+        else:
+            value[name] = (let(f"{scaled(un, extra)} {symbol} {scaled(vn, rest)}"), merged(*ud, *extra))
+
+    def leaf(v) -> str:
+        n, d = value[v.name]
+        return f"({n}, {product(d) if d else 1})" if denominators else str(n)
+
+    return _define(lines, out, leaf, f"<exact {kernel.__qualname__} k={k}>")[0]
+
+
+def traced(kernel):
+    """A pure kernel f(p, x, *extra) run as straight-line code compiled once
+    per k; extra are scalars past the point, such as a step size (the tracer
+    records no float literal). The first call at dimension p.k traces f on
+    `Recording` inputs and compiles what it recorded; that call and every
+    later one at p.k run the compiled function. It performs f's operations on
+    the same operands in the same order, each distinct one once (a repeat
+    reuses the first result), so its results are f's, bit for bit. f stays
+    the source, as `__wrapped__`; `compiled` maps k to its function.
+
+    `exact_form(k)`, for a kernel of (p, x) alone, is f's exact form at
+    dimension k (`compile_exact`), a function of (an, ad, D, n), built on
+    first use and kept in `compiled_exact`."""
+    compiled, compiled_exact = {}, {}
+
+    @functools.wraps(kernel)
+    def run(p, x, *extra):
+        try:
+            fn = compiled[p.k]
+        except KeyError:
+            fn = compiled[p.k] = _compile(kernel, p.k)
+        return fn(p, x, *extra) if extra else fn(p, x)  # a call with *() costs more
+
+    def exact_form(k: int):
+        if k not in compiled_exact:
+            compiled_exact[k] = compile_exact(kernel, k)
+        return compiled_exact[k]
+
+    run.compiled, run.compiled_exact, run.exact_form = compiled, compiled_exact, exact_form
+    return run

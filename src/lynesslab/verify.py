@@ -10,7 +10,7 @@ sides, traced once per k under the suite's name. Each inlines the kernels it
 calls by attribute as they are when traced; integral annihilation is
 `annihilation_residual` for every integral registered for k, and the tracer
 merges their repeated X(x) into one. These fifteen run as their exact form
-(`traced`'s `exact_form`): integer straight-line code in the numerators of
+(`tracing.compile_exact`): integer straight-line code in the numerators of
 the point over their common denominator, which returns each value's
 numerator, 0 exactly where the value is. `det closed form` (its oracle
 pivots on values) and `sign(Z) alternation` (it branches on a sign) are not
@@ -29,7 +29,7 @@ from fractions import Fraction
 from .dynamics import measure_density_residual
 from .errors import DimensionError
 from .invariants import eval_pi, eval_v1, eval_v2, eval_v3, eval_w, eval_z
-from .lyness import Params, inverse_step, jacobian, jacobian_det, step, traced
+from .lyness import Params, inverse_step, jacobian, jacobian_det, step
 from .sampling import random_common_point, stream
 from .scalars import Cleared
 from .symmetry import (
@@ -40,6 +40,7 @@ from .symmetry import (
     lie_residual,
     shift_residuals,
 )
+from .tracing import traced
 
 OK = "ok"
 FAIL = "fail"

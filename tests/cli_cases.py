@@ -45,7 +45,7 @@ def _error(argv: str, line: str = "error: ") -> Case:
     return Case(argv, stderr=(line,), code=2)
 
 
-T0 = (r"warning: trajectory truncated near the domain boundary at t=0\.0$",)
+T0 = (r"warning: trajectory truncated \(domain boundary or float64 range\) at t=0\.0$",)
 WROTE = (r"figure \d: wrote \S+/out(, \S+/out\.flow\.csv)?$",)
 K30 = ",".join(["1e-11"] * 30)
 

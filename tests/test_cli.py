@@ -89,7 +89,7 @@ def test_a_flow_truncated_at_its_first_step_reports_no_drift(capsys):
                  "--t-max", "0.05"])
     captured = capsys.readouterr()
     assert code == 0
-    assert captured.err == "warning: trajectory truncated near the domain boundary at t=0.0\n"
+    assert captured.err == "warning: trajectory truncated (domain boundary or float64 range) at t=0.0\n"
     assert captured.out.splitlines()[1:] == ["max relative drift = n/a (fewer than 2 samples)"]
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from lynesslab import dynamics
 from lynesslab.cli import main
 from lynesslab.dynamics import (
     measure_density_residual,
@@ -98,6 +99,32 @@ def test_sample_g_point_validates_template():
     for bad in (0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             sample_g_point(P31, (Fraction(1), bad, None))
+
+
+class _Solved(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_z_along_a_template_is_never_linear(k, monkeypatch):
+    """Over every nonempty hole set at positive fixed coordinates, Z in t has
+    the degree `sample_g_point` derives, max(2 h_odd, 2 h_even + 1) for the
+    holes at odd and at even positions: never 1."""
+    degrees = []
+
+    def solved(coeffs, degree):
+        degrees.append(degree)
+        raise _Solved  # the degree is all this test needs
+
+    monkeypatch.setattr(dynamics, "_exact_root", solved)
+    for a in (Fraction(0), Fraction(1), Fraction(7, 3)):
+        for holes in range(1, 2**k):
+            template = [None if holes >> i & 1 else Fraction(i + 2, i + 1) for i in range(k)]
+            odd, even = template[::2].count(None), template[1::2].count(None)
+            with pytest.raises(_Solved):
+                sample_g_point(Params(k, a), template)
+            assert degrees[-1] == max(2 * odd, 2 * even + 1), (a, template)
+    assert min(degrees) == 2
 
 
 def test_odd_period_guard_certifies_off_the_hypersurface():

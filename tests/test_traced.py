@@ -21,13 +21,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from lynesslab import exact as exact_module  # noqa: E402
-from lynesslab import lyness  # noqa: E402
+from lynesslab import tracing  # noqa: E402
 from lynesslab.flow import _rk4_stages  # noqa: E402
 from lynesslab.invariants import LevelSignature, level_signature, level_signatures  # noqa: E402
-from lynesslab.lyness import Params, float_point, inverse_step, orbit, step, traced  # noqa: E402
+from lynesslab.lyness import Params, float_point, inverse_step, orbit, step  # noqa: E402
 from lynesslab.scalars import Cleared, Dual, common_denominator, jvp  # noqa: E402
 from lynesslab.symmetry import symmetry_vector  # noqa: E402
+from lynesslab.tracing import traced  # noqa: E402
 from lynesslab.verify import SUITES  # noqa: E402
 
 TRACED = (step, inverse_step, symmetry_vector, level_signature)
@@ -160,9 +160,9 @@ def test_the_exact_form_keeps_the_value_of_every_int_literal():
 
     p, x = Params(3, Fraction(7, 3)), (Fraction(1, 2), Fraction(5, 3), Fraction(4))
     want = literals(p, x)
-    pairs = exact_module.compile_exact(literals.__wrapped__, 3, denominators=True)(7, 3, *common_denominator(x))
+    pairs = tracing.compile_exact(literals.__wrapped__, 3, denominators=True)(7, 3, *common_denominator(x))
     assert [Fraction(*pair) for pair in pairs] == list(want)
-    assert [v == 0 for v in literals.exact(p, x)] == [v == 0 for v in want]
+    assert [v == 0 for v in literals.exact_form(3)(7, 3, *common_denominator(x))] == [v == 0 for v in want]
 
 
 @pytest.mark.parametrize("body", [lambda p, x: (x[0] < x[1],), lambda p, x, h: (x[0] * h,)],
@@ -170,7 +170,7 @@ def test_the_exact_form_keeps_the_value_of_every_int_literal():
 def test_a_kernel_with_a_comparison_or_an_extra_input_has_no_exact_form(body):
     run = traced(body)
     with pytest.raises(TypeError):
-        run.exact(Params(3, Fraction(1)), (1, 2, 3))
+        run.exact_form(3)
     assert run.compiled_exact == {}
 
 
@@ -235,8 +235,8 @@ def test_a_kernel_that_takes_a_jvp_traces():
 
 def test_a_long_orbit_compiles_each_kernel_once_per_k(monkeypatch):
     compiled = []
-    real = lyness._compile
-    monkeypatch.setattr(lyness, "_compile", lambda kernel, k: compiled.append((kernel.__name__, k)) or real(kernel, k))
+    real = tracing._compile
+    monkeypatch.setattr(tracing, "_compile", lambda kernel, k: compiled.append((kernel.__name__, k)) or real(kernel, k))
     for fn in (step, inverse_step, level_signature):
         for k in list(fn.kernel.compiled):
             monkeypatch.delitem(fn.kernel.compiled, k)
@@ -323,6 +323,6 @@ SOURCE_DIGESTS = {
 def test_the_float_kernels_keep_their_compiled_operation_order(body):
     digest = hashlib.sha256()
     for k in range(3, 10):
-        lyness._compile(body, k)  # afresh: a test may have traced a patched body under this name
+        tracing._compile(body, k)  # afresh: a test may have traced a patched body under this name
         digest.update("".join(linecache.getlines(f"<traced {body.__qualname__} k={k}>")).encode())
     assert digest.hexdigest() == SOURCE_DIGESTS[body.__name__]

@@ -21,8 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from lynesslab import exact as exact_module
-from lynesslab import lyness, sampling, verify
+from lynesslab import lyness, sampling, tracing, verify
 from lynesslab.dynamics import measure_density_residual
 from lynesslab.errors import DimensionError
 from lynesslab.lyness import Params
@@ -76,7 +75,7 @@ def _only(monkeypatch, name):
 
 def _traced_suites():
     """(name, na, residual) of the suites whose residual is traced."""
-    return [suite for suite in verify.SUITES if hasattr(suite[2], "exact")]
+    return [suite for suite in verify.SUITES if hasattr(suite[2], "exact_form")]
 
 
 @pytest.fixture
@@ -114,9 +113,9 @@ def test_five_suites_hold_their_public_residuals_kernel():
 @pytest.mark.parametrize("k", [3, 6, 7])
 def test_a_public_residual_runs_what_its_suite_compiled(k, monkeypatch, fresh_suites):
     built = []
-    for module, form in ((lyness, "_compile"), (exact_module, "compile_exact")):
-        real = getattr(module, form)
-        monkeypatch.setattr(module, form, lambda kernel, n, real=real, form=form:
+    for form in ("_compile", "compile_exact"):
+        real = getattr(tracing, form)
+        monkeypatch.setattr(tracing, form, lambda kernel, n, real=real, form=form:
                             built.append((form, kernel.__name__)) or real(kernel, n))
     applicable = [PUBLIC_RESIDUALS[name] for name, na, _ in verify.SUITES
                   if name in PUBLIC_RESIDUALS and na(k) is None]
@@ -131,7 +130,8 @@ def test_a_public_residual_runs_what_its_suite_compiled(k, monkeypatch, fresh_su
     x = tuple(Fraction(i + 2, i + 1) for i in range(k))
     for public in applicable:
         assert _passes(public, p, x), public.__name__
-        assert not any(_components(public.kernel.exact(p, x))), public.__name__  # the form the suite built
+        exact = _at_point(public.kernel.exact_form(k))  # the form the suite built
+        assert not any(_components(exact(p, x))), public.__name__
     assert [shift_residual(p, x, i) for i in range(1, k)] == [0] * (k - 1)
     # a public call compiles its generic form once; the exact form is not rebuilt
     assert sorted(built) == sorted(("_compile", name) for name in names)
@@ -222,8 +222,9 @@ def _passes(residual, p, x) -> bool:
 def _exact_verdict(residual, p, x):
     """The verdict `run_suites` reaches: on the exact form of a traced residual,
     else on the common-denominator Cleared image."""
-    exact = getattr(residual, "exact", None)
-    return not any(_components(exact(p, x))) if exact else _passes(residual, p, Cleared.common(x))
+    if hasattr(residual, "exact_form"):
+        return not any(_components(_at_point(residual.exact_form(p.k))(p, x)))
+    return _passes(residual, p, Cleared.common(x))
 
 
 def _verdicts(k, points=5):
@@ -282,11 +283,11 @@ def test_suites_check_the_common_denominator_image_of_each_drawn_point(k, monkey
                                 ("cleared", a, tuple((c, (d,) if d != 1 else ()) for c in n)))
     checked = []
 
-    def spying(kernel, n, real=exact_module.compile_exact):
+    def spying(kernel, n, real=tracing.compile_exact):
         fn = real(kernel, n)
         return lambda an, ad, d, ns: checked.append(("exact", an, ad, d, ns)) or fn(an, ad, d, ns)
 
-    monkeypatch.setattr(exact_module, "compile_exact", spying)
+    monkeypatch.setattr(tracing, "compile_exact", spying)
     monkeypatch.setattr(verify, "SUITES", tuple(
         (name, na, residual) if name in traced else
         (name, na, lambda p, x, residual=residual: checked.append(
@@ -306,7 +307,7 @@ def _exact_kernels(k: int) -> list:
 
 
 def _at_point(form):
-    """An exact form of (an, ad, D, n) as a function of (p, x), as `traced`'s `exact` calls it."""
+    """An exact form of (an, ad, D, n) as a function of (p, x), at x's common denominator."""
     return lambda p, x: form(p.a.numerator, p.a.denominator, *common_denominator(x))
 
 
@@ -331,8 +332,8 @@ def _assert_exact_gives_components(k, exact, pairs, generic):
 def test_the_exact_form_gives_the_components_of_the_generic_form(k):
     nonzero = set()
     for run in _exact_kernels(k):
-        pairs = exact_module.compile_exact(run.__wrapped__, k, denominators=True)
-        if _assert_exact_gives_components(k, run.exact, pairs, run):
+        pairs = tracing.compile_exact(run.__wrapped__, k, denominators=True)
+        if _assert_exact_gives_components(k, _at_point(run.exact_form(k)), pairs, run):
             nonzero.add(run.__name__)
     assert nonzero == {"step", "inverse_step", "symmetry_vector"}
 
@@ -351,8 +352,8 @@ def test_the_exact_form_of_a_perturbed_field_gives_its_nonzero_components(k, mon
     for name, na, residual in _traced_suites():
         if na(k) is None:
             body = residual.__wrapped__  # the generic kernel as written, run over Fraction
-            pairs = exact_module.compile_exact(body, k, denominators=True)
-            if _assert_exact_gives_components(k, _at_point(exact_module.compile_exact(body, k)), pairs, body):
+            pairs = tracing.compile_exact(body, k, denominators=True)
+            if _assert_exact_gives_components(k, _at_point(tracing.compile_exact(body, k)), pairs, body):
                 nonzero.add(name)
     assert nonzero == {name for name in FIELD_SUITES if name != "integral annihilation" or k <= 5}
 
@@ -365,7 +366,7 @@ def test_the_exact_form_raises_where_the_generic_form_divides_by_zero(k):
         returned = []
         for run in _exact_kernels(k):
             outcomes = []
-            for form in (run, run.exact):
+            for form in (run, _at_point(run.exact_form(k))):
                 try:
                     form(p, x)
                     outcomes.append("returned")
@@ -388,7 +389,7 @@ def test_the_exact_forms_take_no_gcd(k, monkeypatch):
         for x in [lyness.require_point(p, random_point(rng, k)) for _ in range(3)]:
             inputs.append((a.numerator, a.denominator, *common_denominator(x)))  # the lcm is not counted
     for run in kernels:
-        run.exact(Params(k, 1), (1,) * k)  # built before gcd is counted
+        run.exact_form(k)  # built before gcd is counted
     calls = []
     real = math.gcd
     monkeypatch.setattr(math, "gcd", lambda *args: calls.append(args) or real(*args))
