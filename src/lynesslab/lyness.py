@@ -28,7 +28,8 @@ the symmetry field, the level signatures and the five residuals `verify`
 holds are also `@traced` (`tracing.traced`): their `.kernel` runs the body as
 straight-line code compiled once per k, and `.kernel.exact_form(k)` is its
 exact form, integer straight-line code in the numerators of a rational point
-over their common denominator, which the `verify` suites run. Every float
+over their common denominator, which the `verify` suites run (the exact
+orbit rows run `level_signature`'s over each coordinate's own). Every float
 run enters float64 through `float_point`, the one place that converts a and
 x0.
 """

@@ -3,11 +3,13 @@
 Every formula in this package is written against plain arithmetic operators so
 the same code runs over exact rationals (the stdlib Fraction: always reduced,
 positive denominator, exact field operations), float64, `Dual` numbers, or
-`Cleared` rationals, which are never reduced and so take no gcd; the exact
-orbit rows run over `Cleared`. The verify suites check a point drawn over its
-common denominator D as integers n (`sampling.random_common_point`, the
+`Cleared` rationals, which are never reduced and so take no gcd; the reduce
+replay's reduced steps run over `Cleared`. The exact orbit rows run
+`level_signature`'s exact form (`tracing.traced`), integer code over each
+coordinate's own denominator, and the verify suites check a point drawn over
+its common denominator D as integers n (`sampling.random_common_point`, the
 values `common_denominator` gives): the traced identities as integer code
-(`tracing.traced`), the other two on its `Cleared.over(D, n)` image.
+over D, the other two on its `Cleared.over(D, n)` image.
 A directional derivative is one dual pass (`jvp`), a gradient one per
 coordinate; ranks over the rationals use fraction-free integer elimination.
 """
@@ -144,8 +146,8 @@ def gradient(f, x):
 
 def exact_kinds(values) -> bool:
     """Whether every value is an int or Fraction and one is a Fraction: the
-    inputs whose arithmetic `Cleared` repeats exactly (all-int ones divide
-    to floats)."""
+    inputs whose arithmetic `Cleared` and the exact forms repeat exactly
+    (all-int ones divide to floats)."""
     kinds = set(map(type, values))
     return kinds <= {int, Fraction} and Fraction in kinds
 
@@ -173,7 +175,11 @@ class Cleared:
     integer factors. Operations and equality with int, Fraction or Cleared
     operands only multiply integers and cancel factors shared by two
     denominators: no gcd. Any other operand type gets NotImplemented, so its
-    own reflected operation runs (a `Dual` takes a `Cleared` value part)."""
+    own reflected operation runs (a `Dual` takes a `Cleared` value part).
+    The reduce replay's reduced steps and the two `verify` suites that are
+    not traced run over it; the exact forms (`tracing.compile_exact`) apply
+    the same rules once, while they write their integer code, so the exact
+    orbit rows build none."""
 
     __slots__ = ("n", "den")
 
@@ -272,13 +278,9 @@ class Cleared:
     def __ge__(self, other):
         return (self - other).sign >= 0
 
-    def fraction(self, hint=None) -> Fraction:
-        """The reduced value: hint itself if one exact cross-multiplication shows
-        it equal (no gcd), else Fraction(n, prod(den))."""
-        d = math.prod(self.den)
-        if hint is not None and d and self.n * hint.denominator == d * hint.numerator:
-            return hint
-        return Fraction(self.n, d)
+    def fraction(self) -> Fraction:
+        """The reduced value, Fraction(n, prod(den)) (one gcd)."""
+        return Fraction(self.n, math.prod(self.den))
 
 
 @dataclass

@@ -4,8 +4,9 @@
 each operation it performs as a tape, and writes that tape out as its
 compiled form (`_compile`), straight-line code over any scalar backend, and,
 on first exact use, as its exact form (`compile_exact`), integer
-straight-line code over a rational point's common denominator, which the
-`verify` suites run.
+straight-line code in a rational point's numerators and denominators: the
+`verify` suites run it over the point's common denominator, the exact orbit
+rows (`level_signature`'s form) over each coordinate's own.
 """
 
 from __future__ import annotations
@@ -128,25 +129,35 @@ def _compile(kernel, k: int):
     return fn
 
 
-def compile_exact(kernel, k: int, denominators: bool = False):
+def compile_exact(kernel, k: int, denominators: bool = False, common: bool = True):
     """kernel traced once at dimension k (`_trace`) and written out as integer
-    straight-line code in an, ad, D and n = (n0, ..., n{k-1}), the rational
-    point a = an/ad, x_i = n_i/D, that returns kernel's result with the
-    numerator of each value in its place (with `denominators`, a
-    (numerator, denominator) pair). Each recorded value is a numerator and
-    a tuple of nonzero denominator factors (D, ad, an int literal or a
-    divisor's numerator), cancelled and multiplied as `Cleared` does it, but
-    while the source is written: the code holds only int products, sums and
-    differences, each distinct one once, and before the first division by
-    each value a ZeroDivisionError where its numerator is 0. A component is 0
-    exactly when its numerator is. Comparisons have no exact form. The
-    source is not kept in `linecache`: for the forms of `verify --k-range
-    3..8` it would hold about 0.5 MB, so a traceback gives only the form's
-    name (`<exact name k=K>`) and line."""
+    straight-line code in an, ad, the point's denominators and n = (n0, ...,
+    n{k-1}), the rational point a = an/ad and x_i = n_i/D over one common
+    denominator D (with `common` false, x_i = n_i/d_i over each coordinate's
+    own, d = (d0, ..., d{k-1})), every denominator positive. It returns
+    kernel's result with the numerator of each value in its place (with
+    `denominators`, a (numerator, denominator) pair). Each recorded value is
+    a numerator and a tuple of nonzero denominator factors (D or d_i, ad, an
+    int literal or a divisor's numerator), cancelled and multiplied as
+    `Cleared` does it, but while the source is written: the code holds only
+    int products, sums and differences, each distinct one once, and before
+    the first division by each value a ZeroDivisionError where its numerator
+    is 0. A component is 0 exactly when its numerator is. In a kernel that
+    compares values, every factor is positive: a divisor's absolute value is
+    the factor and its sign moves to the numerator, so a value's sign is its
+    numerator's, and a comparison compares two numerators over a shared
+    denominator and gives 0 or 1, with no denominator formed. (Elsewhere no
+    sign is read, so none is moved.) A product takes its distinct
+    factors first, so a product whose distinct factors another has extends
+    that one's line. The source is not kept in `linecache`: for the forms of
+    `verify --k-range 3..8` it would hold about 0.5 MB, so a traceback gives
+    only the form's name (`<exact name k=K>`) and line."""
     tape, inputs, out = _trace(kernel, k)
     if inputs:
         raise TypeError(f"{kernel.__qualname__}: the exact form takes no extra inputs")
-    lines = ["def kernel(an, ad, D, n):", "".join(f"n{i}, " for i in range(k)) + "= n"]
+    lines = [f"def kernel(an, ad, {'D' if common else 'd'}, n):", "".join(f"n{i}, " for i in range(k)) + "= n"]
+    if not common:
+        lines.append("".join(f"d{i}, " for i in range(k)) + "= d")
     named, checked = {}, set()
 
     def let(expression: str) -> str:
@@ -163,16 +174,24 @@ def compile_exact(kernel, k: int, denominators: bool = False):
             return n
         return product(factors) if n == 1 else let(f"{n} * {product(factors)}")
 
-    def merged(*factors) -> tuple:  # one order, so equal products share their lines
-        return tuple(sorted(factors, key=str))
+    def minus(n) -> str:  # the source of -n
+        return str(-n) if type(n) is int else f"-{n}"
 
-    value = {"a": ("an", ("ad",)), **{f"x{i}": (f"n{i}", ("D",)) for i in range(k)}}
+    def negated(n):
+        return -n if type(n) is int else let(minus(n))
+
+    def merged(*factors) -> tuple:  # one order, distinct factors first, then the repeats
+        distinct, repeats = [], []
+        for f in sorted(factors, key=str):
+            (repeats if f in distinct else distinct).append(f)
+        return (*distinct, *repeats)
+
+    value = {"a": ("an", ("ad",)), **{f"x{i}": (f"n{i}", ("D",) if common else (f"d{i}",)) for i in range(k)}}
+    signed = any(key[0] in "<>" for key in tape)  # whether a sign is read, so factors must be positive
     for (symbol, *operands), name in tape.items():
-        if symbol in ("<", ">"):
-            raise TypeError(f"{kernel.__qualname__}: a comparison has no exact form")
         (un, ud), *other = [value[v] if isinstance(v, str) else (v, ()) for v in operands]
         if not other:  # unary minus
-            value[name] = (-un if type(un) is int else let(f"-{un}"), ud)
+            value[name] = (negated(un), ud)
             continue
         [(vn, vd)] = other
         # the literals 0 and 1 that `fold`, `math.prod` and `Dual`'s lift bring fold away
@@ -187,17 +206,28 @@ def compile_exact(kernel, k: int, denominators: bool = False):
                 value[name] = (let(f"{un} * {vn}"), merged(*ud, *vd))
             continue
         rest, extra = cancel(ud, vd)
+        left = scaled(un, extra)  # u's numerator over the denominator u and v share
         if symbol == "/":
             if not (type(vn) is int and vn) and vn not in checked:
                 checked.add(vn)
                 lines.append(f"if not {vn}: raise ZeroDivisionError")
-            value[name] = (scaled(un, extra), merged(*rest, vn))
+            if not signed:
+                value[name] = (left, merged(*rest, vn))
+            elif type(vn) is int:
+                value[name] = (left if vn > 0 else negated(left), merged(*rest, abs(vn)))
+            else:
+                value[name] = (left if left == 0 else let(f"{left} if {vn} > 0 else {minus(left)}"),
+                               merged(*rest, let(f"{vn} if {vn} > 0 else -{vn}")))
+            continue
+        right = scaled(vn, rest)
+        if symbol in ("<", ">"):  # over positive denominators, the order of the numerators
+            value[name] = (let(f"{left} {symbol} {right}"), ())
         elif vn == 0:
             value[name] = (un, ud)
         elif un == 0 and symbol == "+":
             value[name] = (vn, vd)
         else:
-            value[name] = (let(f"{scaled(un, extra)} {symbol} {scaled(vn, rest)}"), merged(*ud, *extra))
+            value[name] = (let(f"{left} {symbol} {right}"), merged(*ud, *extra))
 
     def leaf(v) -> str:
         n, d = value[v.name]
@@ -216,9 +246,12 @@ def traced(kernel):
     reuses the first result), so its results are f's, bit for bit. f stays
     the source, as `__wrapped__`; `compiled` maps k to its function.
 
-    `exact_form(k)`, for a kernel of (p, x) alone, is f's exact form at
-    dimension k (`compile_exact`), a function of (an, ad, D, n), built on
-    first use and kept in `compiled_exact`."""
+    `exact_form(k, denominators=False, common=True)`, for a kernel of (p, x)
+    alone, is f's exact form at dimension k (`compile_exact`), a function of
+    (an, ad, D, n), or with `common` false of (an, ad, d, n), built on first
+    use and kept in `compiled_exact` under (k, denominators, common): the
+    `verify` suites run the numerators over a common denominator, the exact
+    orbit rows `level_signature`'s pairs over each coordinate's own."""
     compiled, compiled_exact = {}, {}
 
     @functools.wraps(kernel)
@@ -229,10 +262,11 @@ def traced(kernel):
             fn = compiled[p.k] = _compile(kernel, p.k)
         return fn(p, x, *extra) if extra else fn(p, x)  # a call with *() costs more
 
-    def exact_form(k: int):
-        if k not in compiled_exact:
-            compiled_exact[k] = compile_exact(kernel, k)
-        return compiled_exact[k]
+    def exact_form(k: int, denominators: bool = False, common: bool = True):
+        key = (k, denominators, common)
+        if key not in compiled_exact:
+            compiled_exact[key] = compile_exact(kernel, k, denominators, common)
+        return compiled_exact[key]
 
     run.compiled, run.compiled_exact, run.exact_form = compiled, compiled_exact, exact_form
     return run

@@ -85,6 +85,14 @@ CASES = {
     "orbit-exact-k5-proj-jsonl": Case(
         "orbit --k 5 --a 1 --x0 1,2,3,4,5 --steps 120 --exact --proj 1,3,5 --format jsonl",
         "8219325203a31373d17ff5f3c05c801f927b1ad20b9b49866da76af81b6fef51"),
+    # exact rows over each coordinate's own denominator: k=7 with a rational a; a start with
+    # Z = 0, so every signZ is 0; even k with a = 0 to a file; digests taken before they were
+    "orbit-exact-k7-rational-a": Case("orbit --k 7 --a 7/3 --x0 1,2,3,4,5,6,7 --steps 40 --exact",
+                                      "ec4f7c762b43e3b554bb9a752a4aafcddcf4993c07b645d1c6f737b386420ebd"),
+    "orbit-exact-k3-z-zero": Case("orbit --k 3 --a 1 --x0 2,3/2,3/2 --steps 30 --exact",
+                                  "6bd34a91b0134740881fcb688830300211f665d4e64e021f599a79191e5797c5"),
+    "orbit-exact-k6-a-0": Case("orbit --k 6 --a 0 --x0 1,2,3,4,5,6 --steps 40 --exact --out OUT",
+                               "13ab2b2147010380fe476ce6585e4ef9ac416d8c3c635feb08d803b70b79a25a"),
     "verify-k3-5": Case("verify --k-range 3..5 --trials 1 --seed 1",
                         "41341df98c6bb3942b81bd84a214937b07b6c6a79f9566c3f05ad34076b03f1c"),
     # traces every suite residual past the k range the other tests reach

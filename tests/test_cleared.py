@@ -1,6 +1,9 @@
 """The cleared-denominator backend and the one signature driver: `Cleared`
 agrees with Fraction and never calls gcd, and `level_signatures` returns what
-`level_signature.kernel` returns, in value and in type, whatever the hints."""
+`level_signature.kernel` returns, in value and in type, whatever the previous
+row's levels, with no `Cleared` built on an exact orbit: the rows' rule
+(`invariants._fraction`) returns the previous level only when one
+cross-multiplication shows it equal."""
 
 import math
 import re
@@ -13,7 +16,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from lynesslab.errors import DomainError  # noqa: E402
-from lynesslab.invariants import eval_z, level_signature, level_signatures  # noqa: E402
+from lynesslab.invariants import _fraction, eval_z, level_signature, level_signatures  # noqa: E402
 from lynesslab.lyness import Params, orbit  # noqa: E402
 from lynesslab.reduction import ReducedParams  # noqa: E402
 from lynesslab.scalars import Cleared, Dual, jvp  # noqa: E402
@@ -81,12 +84,13 @@ def test_validated_constructors_take_cleared_values():
 def test_fraction_is_the_reduced_value_and_returns_only_an_equal_hint(a, hint):
     x = value(a)
     assert a.fraction() == x and type(a.fraction()) is Fraction
-    got = a.fraction(hint)
-    assert got == x
+    pair = (a.n, math.prod(a.den))  # a row's (numerator, denominator), the denominator >= 1
+    got = _fraction(pair, hint)
+    assert got == x and type(got) is Fraction
     if hint == x:
         assert got is hint
     equal = Fraction(x.numerator, x.denominator)
-    assert a.fraction(equal) is equal
+    assert _fraction(pair, equal) is equal
 
 
 def test_a_zero_divisor_raises():
@@ -95,11 +99,18 @@ def test_a_zero_divisor_raises():
             Cleared(1, (2,)) / zero
 
 
-def test_a_zero_product_of_denominator_factors_never_matches_a_hint():
-    for c, hint in ((Cleared(0, (0,)), Fraction(0)), (Cleared(0, (2, 0)), Fraction(5)),
-                    (Cleared(3, (0, 4)), Fraction(0))):
+def test_a_zero_denominator_or_a_row_divisor_of_zero_raises():
+    for c in (Cleared(0, (0,)), Cleared(0, (2, 0)), Cleared(3, (0, 4))):
         with pytest.raises(ZeroDivisionError):
-            c.fraction(hint)
+            c.fraction()
+    # a row's denominator is never 0: a state that divides by zero raises, as the kernel does
+    p = Params(5, Fraction(1))
+    x = (Fraction(1, 2), 2, 3, 4, 5)
+    rows = level_signatures(p, [x, (0, *x[1:]), x])
+    assert next(rows) == level_signature.kernel(p, x)
+    for call in (lambda: next(rows), lambda: level_signature.kernel(p, (Fraction(0), *x[1:]))):
+        with pytest.raises(ZeroDivisionError):
+            call()
 
 
 def test_operations_and_a_confirmed_hint_call_no_gcd(monkeypatch):
@@ -110,9 +121,10 @@ def test_operations_and_a_confirmed_hint_call_no_gcd(monkeypatch):
     monkeypatch.setattr(math, "gcd", lambda *args: calls.append(args) or real(*args))
     x = tuple(map(Cleared.of, q))
     got = (half + x[0] * x[1] - x[2] / x[3] + 1) / x[0]
-    assert got.fraction(want) is want
+    pair = (got.n, math.prod(got.den))
+    assert _fraction(pair, want) is want
     assert not calls
-    assert got.fraction(want + 1) == want  # a wrong hint: reduced with gcd
+    assert _fraction(pair, want + 1) == want  # a wrong hint: reduced with gcd
     assert calls
 
 
@@ -219,6 +231,18 @@ def test_an_exact_orbit_reduces_only_its_first_row(monkeypatch):
     assert len(calls) == 3  # V1, V2 and V3 of row 0
     assert len(list(rows)) == 40
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_exact_rows_build_no_cleared(k, monkeypatch):
+    p = Params(k, Fraction(7, 3))
+    states = list(orbit(p, tuple(Fraction(i + 2, i % 3 + 1) for i in range(k)), 40))
+    built = []
+    real = Cleared.__init__
+    monkeypatch.setattr(Cleared, "__init__", lambda self, *args: built.append(args) or real(self, *args))
+    assert len(list(level_signatures(p, states))) == 41
+    assert built == []
+    assert Cleared.of(Fraction(1, 2)) and built  # the spy sees a Cleared built
 
 
 def test_points_on_the_invariant_hypersurface_give_z_sign_zero():

@@ -221,9 +221,9 @@ def test_a_valid_exact_replay_reduces_nothing_and_checks_the_domain_once(monkeyp
     counts = {"fraction": 0, "public": 0}
     real_fraction = Cleared.fraction
 
-    def fraction(self, hint=None):
+    def fraction(self):
         counts["fraction"] += 1
-        return real_fraction(self, hint)
+        return real_fraction(self)
 
     monkeypatch.setattr(Cleared, "fraction", fraction)
     # the positivity check runs only in the public forms; after its one

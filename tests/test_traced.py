@@ -6,9 +6,10 @@ results (`__wrapped__`) in value and type, bit for bit over floats, and a
 body that branches on a value must fail when traced. A repeated operation is
 compiled once; nothing is commuted or re-associated, and the compiled
 sources of the float kernels are pinned by digest. A kernel's exact form
-keeps the value of every int literal it folds, and a kernel with a
-comparison or an extra input has none (tests/test_verify.py checks the
-exact forms of the suites)."""
+keeps the value of every int literal it folds, gives a comparison's 0 or 1
+over either layout of the point (also where a divisor is negative), and a
+kernel with an extra input has none (tests/test_verify.py checks the exact
+forms of the suites)."""
 
 import hashlib
 import linecache
@@ -156,7 +157,8 @@ def test_the_exact_form_keeps_the_value_of_every_int_literal():
     def literals(p, x):
         zero = x[0] * 0
         return (0 - x[0], zero - x[1], zero + x[2], 1 * x[0], x[1] * 1, x[0] / 3 - 1,
-                -(x[1] / x[2]), x[0] - 0, 0 / x[1], p.a * x[0] / 2, 1 / x[0] * x[1], -zero)
+                -(x[1] / x[2]), x[0] - 0, 0 / x[1], p.a * x[0] / 2, 1 / x[0] * x[1], -zero,
+                x[2] / -4, -1 / (x[0] - x[1]))
 
     p, x = Params(3, Fraction(7, 3)), (Fraction(1, 2), Fraction(5, 3), Fraction(4))
     want = literals(p, x)
@@ -165,10 +167,36 @@ def test_the_exact_form_keeps_the_value_of_every_int_literal():
     assert [v == 0 for v in literals.exact_form(3)(7, 3, *common_denominator(x))] == [v == 0 for v in want]
 
 
-@pytest.mark.parametrize("body", [lambda p, x: (x[0] < x[1],), lambda p, x, h: (x[0] * h,)],
-                         ids=["comparison", "extra input"])
-def test_a_kernel_with_a_comparison_or_an_extra_input_has_no_exact_form(body):
-    run = traced(body)
+def _orders(p, x):
+    """Comparisons of values over different denominators, of a value with a
+    literal on either side, and of a quotient whose divisor x1 - x2 may be
+    negative, whose sign the exact form moves to the numerator."""
+    quotient = x[0] / (x[1] - x[2])
+    return (x[0] < x[1], x[0] > x[1], x[1] < x[0], quotient > 0, quotient < 0, 0 < quotient,
+            p.a * x[2] > x[0] / 3, x[1] / -2 < -x[0], -quotient > 1, (quotient > 0) - (quotient < 0))
+
+
+@pytest.mark.parametrize("common", [True, False], ids=["common denominator", "own denominators"])
+def test_a_comparisons_exact_form_gives_the_generic_0_or_1(common):
+    pairs = tracing.compile_exact(_orders, 3, denominators=True, common=common)
+    numerators = traced(_orders).exact_form(3, common=common)
+    p = Params(3, Fraction(7, 3))
+    # x0 below, above and at x1; x1 below and above x2, a quotient at 1 and at -1
+    points = [(Fraction(1, 2), Fraction(5, 3), Fraction(4)), (Fraction(5, 2), Fraction(2, 3), Fraction(1, 7)),
+              (Fraction(3, 2), Fraction(6, 4), Fraction(9, 5)), (Fraction(3, 4), Fraction(5, 4), Fraction(1, 2)),
+              (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), (Fraction(2), Fraction(1), Fraction(3, 7))]
+    for x in points:
+        want = [int(v) for v in _orders(p, x)]
+        d, n = common_denominator(x) if common else (tuple(c.denominator for c in x), tuple(c.numerator for c in x))
+        assert [Fraction(*pair) for pair in pairs(7, 3, d, n)] == want
+        assert list(numerators(7, 3, d, n)) == want
+    assert {tuple(_orders(p, x)[:3]) for x in points} == {(True, False, False), (False, True, True),
+                                                          (False, False, False)}
+    assert {_orders(p, x)[-1] for x in points} == {-1, 1}
+
+
+def test_a_kernel_with_an_extra_input_has_no_exact_form():
+    run = traced(lambda p, x, h: (x[0] * h,))
     with pytest.raises(TypeError):
         run.exact_form(3)
     assert run.compiled_exact == {}

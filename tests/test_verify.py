@@ -8,7 +8,8 @@ and integral annihilation evaluates it once (each inlined into an exact form
 that calls no function), a wrong field fails every suite that uses it, every
 check gives the same verdict on both `Cleared` images of a point and on its
 exact form as on the `Fraction` point they were made from, each exact form's
-numerators over their denominators are the generic kernel's components and it
+numerators over their denominators are the generic kernel's components (over
+a common denominator and over each coordinate's own) and it
 raises where the generic kernel divides by zero, the exact forms take no gcd,
 the suites check the common-denominator image of each drawn point, and the
 determinant oracle eliminates dense rational matrices exactly."""
@@ -115,8 +116,8 @@ def test_a_public_residual_runs_what_its_suite_compiled(k, monkeypatch, fresh_su
     built = []
     for form in ("_compile", "compile_exact"):
         real = getattr(tracing, form)
-        monkeypatch.setattr(tracing, form, lambda kernel, n, real=real, form=form:
-                            built.append((form, kernel.__name__)) or real(kernel, n))
+        monkeypatch.setattr(tracing, form, lambda kernel, *args, real=real, form=form:
+                            built.append((form, kernel.__name__)) or real(kernel, *args))
     applicable = [PUBLIC_RESIDUALS[name] for name, na, _ in verify.SUITES
                   if name in PUBLIC_RESIDUALS and na(k) is None]
     names = {public.__name__ for public in applicable}
@@ -157,7 +158,7 @@ def _field_calls(monkeypatch, name, k):
         assert (result.name, result.trials, result.failures) == (name, trials, 0)
     [residual] = [r for n, _, r in verify.SUITES if n == name]
     assert k not in residual.compiled
-    code = residual.compiled_exact[k].__code__
+    code = residual.exact_form(k).__code__
     assert code.co_names == ("ZeroDivisionError",)  # raised, never called: no call to the field
     assert not [i.opname for i in dis.get_instructions(code) if "CALL" in i.opname]
     return len(points)
@@ -283,8 +284,8 @@ def test_suites_check_the_common_denominator_image_of_each_drawn_point(k, monkey
                                 ("cleared", a, tuple((c, (d,) if d != 1 else ()) for c in n)))
     checked = []
 
-    def spying(kernel, n, real=tracing.compile_exact):
-        fn = real(kernel, n)
+    def spying(kernel, *args, real=tracing.compile_exact):
+        fn = real(kernel, *args)
         return lambda an, ad, d, ns: checked.append(("exact", an, ad, d, ns)) or fn(an, ad, d, ns)
 
     monkeypatch.setattr(tracing, "compile_exact", spying)
@@ -311,19 +312,25 @@ def _at_point(form):
     return lambda p, x: form(p.a.numerator, p.a.denominator, *common_denominator(x))
 
 
-def _assert_exact_gives_components(k, exact, pairs, generic):
+def _assert_exact_gives_components(k, exact, pairs, generic, own=None):
     """At seeded points for a in {0, 1, 7/3}: the exact form's components are 0
     where the generic ones over Fraction are, and its (numerator,
-    denominator) pairs are those components. Whether one was not 0."""
+    denominator) pairs are those components, also those of own, the pairs
+    over each coordinate's own denominator, where given. Whether one was not 0."""
     nonzero = False
     for a in (Fraction(0), Fraction(1), Fraction(7, 3)):
         p = Params(k, a)
         rng = stream(f"exact|k={k}|a={a}", 0)
         for x in [lyness.require_point(p, random_point(rng, k)) for _ in range(3)]:
-            want, got = generic(p, x), pairs(a.numerator, a.denominator, *common_denominator(x))
-            want, got = (want, got) if isinstance(want, tuple) else ((want,), (got,))
+            want = generic(p, x)
+            got = [pairs(a.numerator, a.denominator, *common_denominator(x))]
+            if own is not None:
+                got.append(own(a.numerator, a.denominator, tuple(c.denominator for c in x),
+                               tuple(c.numerator for c in x)))
+            want, got = (want, got) if isinstance(want, tuple) else ((want,), [(g,) for g in got])
             assert [c == 0 for c in _components(exact(p, x))] == [c == 0 for c in want]
-            assert [Fraction(*pair) for pair in got] == list(want)
+            for layout in got:
+                assert [Fraction(*pair) for pair in layout] == list(want)
             nonzero = nonzero or any(want)
     return nonzero
 
@@ -333,7 +340,8 @@ def test_the_exact_form_gives_the_components_of_the_generic_form(k):
     nonzero = set()
     for run in _exact_kernels(k):
         pairs = tracing.compile_exact(run.__wrapped__, k, denominators=True)
-        if _assert_exact_gives_components(k, _at_point(run.exact_form(k)), pairs, run):
+        own = run.exact_form(k, denominators=True, common=False)
+        if _assert_exact_gives_components(k, _at_point(run.exact_form(k)), pairs, run, own):
             nonzero.add(run.__name__)
     assert nonzero == {"step", "inverse_step", "symmetry_vector"}
 
@@ -395,7 +403,7 @@ def test_the_exact_forms_take_no_gcd(k, monkeypatch):
     monkeypatch.setattr(math, "gcd", lambda *args: calls.append(args) or real(*args))
     for run in kernels:
         for args in inputs:
-            run.compiled_exact[k](*args)
+            run.exact_form(k)(*args)
     assert not calls
     assert Fraction(6, 4) and calls  # the spy sees a Fraction's gcd
 
