@@ -77,7 +77,7 @@ from .reduction import (
     reduced_step_k5,
     semiconjugacy_residual,
 )
-from .scalars import Cleared, Dual, RatMatrix, exact_rank, gradient, parse_rational
+from .scalars import Dual, RatMatrix, exact_rank, gradient, parse_rational
 from .symmetry import (
     annihilation_residual,
     compatibility_residual,

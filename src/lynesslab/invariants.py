@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .errors import DimensionError
 from .lyness import Params, require_point, validated
-from .scalars import RatMatrix, exact_kinds, exact_rank, fold, gradient
+from .scalars import RatMatrix, exact_kinds, exact_rank, fold, fraction_of, gradient
 from .tracing import traced
 
 
@@ -121,23 +121,15 @@ def level_signature(p: Params, x) -> LevelSignature:
     return LevelSignature(v1, v2, eval_v3.kernel(p, x), z_sign.kernel(p, x))
 
 
-def _fraction(pair: tuple, hint):
-    """The reduced value n/d of pair = (n, d), d != 0: hint itself if one exact
-    cross-multiplication shows it equal (no gcd), else Fraction(n, d)."""
-    n, d = pair
-    if hint is not None and n * hint.denominator == d * hint.numerator:
-        return hint
-    return Fraction(n, d)
-
-
 def level_signatures(p: Params, states):
     """`level_signature.kernel(p, x)` for each state x, equal in value and type.
     Where those levels are Fractions, `level_signature`'s exact form runs on the
     numerators and denominators of a and x (`tracing.compile_exact`, each
     coordinate over its own denominator): each V comes as a (numerator,
     denominator) pair and is confirmed against the previous row's by one exact
-    cross-multiplication, so only row 0 and a changed level are reduced (gcd),
-    and sign Z is its numerator's sign, with no denominator of Z formed.
+    cross-multiplication (`fraction_of`), so only row 0 and a changed level
+    are reduced (gcd), and sign Z is its numerator's sign, with no
+    denominator of Z formed.
     Where they are floats, a state whose float kernel raises ArithmeticError or
     gives a level that is not finite (a product overflows or underflows) gets
     the kernel over `Fraction` of a and x, each level rounded once with `float`
@@ -150,8 +142,8 @@ def level_signatures(p: Params, states):
             v1, v2, v3, z = form(p.a.numerator, p.a.denominator,
                                  tuple(c.denominator for c in x), tuple(c.numerator for c in x))
             if z is not None:  # odd k: V3, and sign Z over the denominator 1
-                v3, z = _fraction(v3, prev.v3), z[0]
-            prev = LevelSignature(_fraction(v1, prev.v1), _fraction(v2, prev.v2), v3, z)
+                v3, z = fraction_of(v3, prev.v3), z[0]
+            prev = LevelSignature(fraction_of(v1, prev.v1), fraction_of(v2, prev.v2), v3, z)
             yield prev
             continue
         try:

@@ -29,9 +29,10 @@ holds are also `@traced` (`tracing.traced`): their `.kernel` runs the body as
 straight-line code compiled once per k, and `.kernel.exact_form(k)` is its
 exact form, integer straight-line code in the numerators of a rational point
 over their common denominator, which the `verify` suites run (the exact
-orbit rows run `level_signature`'s over each coordinate's own). Every float
-run enters float64 through `float_point`, the one place that converts a and
-x0.
+orbit rows run `level_signature`'s over each coordinate's own). `jacobian`
+is ring arithmetic too, with the int literals 0 and 1 for its constant
+entries, so the `det closed form` suite traces it. Every float run enters
+float64 through `float_point`, the one place that converts a and x0.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ class Params:
 
 def in_orthant(x) -> bool:
     """The domain rule: every coordinate satisfies 0 < c < inf. Only a float
-    can be infinite, so an exact coordinate (int, Fraction, Cleared) is
-    compared with 0 alone: no comparison with a float, which `Cleared` does
-    not support and which costs a `Fraction` several times more."""
+    can be infinite, so an exact coordinate (int or Fraction) is compared
+    with 0 alone: no comparison with a float, which costs a `Fraction`
+    several times more."""
     return all(0 < c < math.inf if isinstance(c, float) else 0 < c for c in x)
 
 
@@ -176,14 +177,11 @@ def iterate(p: Params, x0, n: int) -> OrbitTrace:
 
 @validated
 def jacobian(p: Params, x) -> RatMatrix:
-    """DF(x): shift rows for coordinates 1..k-1, one rational row at the bottom."""
-    zero = x[0] - x[0]
-    one = zero + 1
-    rows = []
-    for i in range(p.k - 1):
-        rows.append([one if j == i + 1 else zero for j in range(p.k)])
-    last = [-(p.a + fold(x[1:])) / (x[0] * x[0])] + [one / x[0]] * (p.k - 1)
-    rows.append(last)
+    """DF(x): shift rows for coordinates 1..k-1, one rational row at the
+    bottom. The shift rows' entries are the int literals 0 and 1, which an
+    exact form folds away."""
+    rows = [[int(j == i + 1) for j in range(p.k)] for i in range(p.k - 1)]
+    rows.append([-(p.a + fold(x[1:])) / (x[0] * x[0])] + [1 / x[0]] * (p.k - 1))
     return RatMatrix(rows)
 
 

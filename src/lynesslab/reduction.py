@@ -20,6 +20,8 @@ lifted point, exactly over the rationals; `replay` steps both sides in one
 pass, and `semiconjugacy_residual` returns the largest deviation (zero when
 the convention holds). The lifts and steps are `lyness.validated` kernels
 whose check is that the reduced state lies in the orthant (`in_orthant`).
+An exact replay runs the reduced step's exact form, traced with kappa as an
+input (`_reduced_step`).
 """
 
 from __future__ import annotations
@@ -27,12 +29,14 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import types
 from dataclasses import dataclass
 
 from .errors import DimensionError, DomainError
 from .invariants import eval_w
 from .lyness import Params, in_orthant, orbit, require_point, validated
-from .scalars import Cleared, exact_kinds
+from .scalars import exact_kinds, fraction_of
+from .tracing import traced
 
 
 @dataclass(frozen=True)
@@ -98,22 +102,20 @@ def project(p: Params, x) -> tuple:
     raise DimensionError(f"order reduction covers k in {{3, 5}}, got k={p.k}")
 
 
-def _same(v):
-    return v
-
-
 def replay(p: Params, x0, n: int):
     """Yield (y_j, gap_j) for j = 0..n: the reduced orbit y_j of project(x0)
     with kappa = 1/W(x0), and its largest deviation from the projection of
     the F^2 orbit of x0 (zero over the rationals when the convention holds).
     The F^2 orbit, every second state of `orbit`, is the reference; a float
     one that leaves the domain raises DomainError after the rows it reached,
-    so a short run is never taken for a whole one. Over exact a and x0
-    each reduced step runs on `Cleared` (no gcd) and each coordinate is
-    confirmed against the projected F^2 state by one cross-multiplication;
-    a match takes that state with gap zero, and only a mismatch is reduced
-    (gcd) and measured. k, n, x0 and kappa are checked when `replay` is
-    called, before the first row is asked for.
+    so a short run is never taken for a whole one. Over exact a, x0 and
+    kappa each reduced step runs as its exact form, each coordinate over its
+    own denominator (no gcd), and each coordinate is confirmed against the
+    projected F^2 state by one cross-multiplication (`fraction_of`): a match
+    takes that state's coordinate, and only a mismatch is reduced (gcd).
+    The gap is zero where every coordinate matches, else measured. k, n, x0
+    and kappa are checked when `replay` is called, before the first row is
+    asked for.
     """
     if p.k not in (3, 5):
         raise DimensionError(f"order reduction covers k in {{3, 5}}, got k={p.k}")
@@ -123,20 +125,36 @@ def replay(p: Params, x0, n: int):
     return _replay(p, ReducedParams(a=p.a, kappa=1 / eval_w.kernel(p, x0)), x0, n)
 
 
+@traced
+def _reduced_step(p, y, kappa):
+    """The reduced step of y (two coordinates for k=3, four for k=5) on the
+    level kappa, an input of its own, so that the exact form takes it as a
+    rational pair."""
+    advance = reduced_step_k3 if len(y) == 2 else reduced_step_k5
+    return advance.kernel(types.SimpleNamespace(a=p.a, kappa=kappa), y)
+
+
 def _replay(p: Params, rp: ReducedParams, x0: tuple, n: int):
     advance = (reduced_step_k3 if p.k == 3 else reduced_step_k5).kernel
-    lift, settle = (Cleared.of, Cleared.fraction) if exact_kinds((p.a, *x0)) else (_same, _same)
     reduced = project(p, x0)
+    exact = exact_kinds((p.a, rp.kappa, *x0))
+    if exact:
+        form = _reduced_step.exact_form(len(reduced), denominators=True, common=False)
+        an, ad, kappa = p.a.numerator, p.a.denominator, (rp.kappa.numerator, rp.kappa.denominator)
     zero = reduced[0] - reduced[0]  # the gap of a match, in the states' type
     yield reduced, zero
     done = 0  # double-steps taken along the F^2 orbit
     for done, full in enumerate(itertools.islice(orbit.kernel(p, x0, 2 * n), 2, None, 2), 1):
         target = project(p, full)
-        image = advance(rp, tuple(map(lift, reduced)))
+        if exact:
+            pairs = form(an, ad, tuple(c.denominator for c in reduced), tuple(c.numerator for c in reduced), kappa)
+            image = tuple(map(fraction_of, pairs, target))
+        else:
+            image = advance(rp, reduced)
         if all(map(operator.eq, image, target)):
             reduced, gap = target, zero
         else:
-            reduced = tuple(map(settle, image))
+            reduced = image
             gap = max(abs(r - f) for r, f in zip(reduced, target))
         yield reduced, gap
     if done < n:

@@ -2,14 +2,15 @@
 
 Every formula in this package is written against plain arithmetic operators so
 the same code runs over exact rationals (the stdlib Fraction: always reduced,
-positive denominator, exact field operations), float64, `Dual` numbers, or
-`Cleared` rationals, which are never reduced and so take no gcd; the reduce
-replay's reduced steps run over `Cleared`. The exact orbit rows run
-`level_signature`'s exact form (`tracing.traced`), integer code over each
-coordinate's own denominator, and the verify suites check a point drawn over
-its common denominator D as integers n (`sampling.random_common_point`, the
-values `common_denominator` gives): the traced identities as integer code
-over D, the other two on its `Cleared.over(D, n)` image.
+positive denominator, exact field operations), float64 or `Dual` numbers. The
+one other exact backend is a traced kernel's exact form
+(`tracing.compile_exact`): integer straight-line code in the numerators and
+denominators of a rational point, which it never reduces, so it takes no gcd.
+The verify suites run it over a point's common denominator D, drawn as the
+integers `common_denominator` gives (`sampling.random_common_point`); the
+exact orbit rows and the reduce replay run it over each coordinate's own, and
+`fraction_of` turns each (numerator, denominator) pair it returns into the
+Fraction, confirming a known value by one cross-multiplication.
 A directional derivative is one dual pass (`jvp`), a gradient one per
 coordinate; ranks over the rationals use fraction-free integer elimination.
 """
@@ -146,8 +147,8 @@ def gradient(f, x):
 
 def exact_kinds(values) -> bool:
     """Whether every value is an int or Fraction and one is a Fraction: the
-    inputs whose arithmetic `Cleared` and the exact forms repeat exactly
-    (all-int ones divide to floats)."""
+    inputs whose arithmetic the exact forms repeat exactly (all-int ones
+    divide to floats)."""
     kinds = set(map(type, values))
     return kinds <= {int, Fraction} and Fraction in kinds
 
@@ -159,6 +160,16 @@ def common_denominator(x) -> tuple:
     return d, tuple(q.numerator * (d // q.denominator) for q in x)
 
 
+def fraction_of(pair: tuple, hint):
+    """The reduced value n/d of pair = (n, d), d != 0: hint (an int, a
+    Fraction or None) itself if one exact cross-multiplication shows it
+    equal (no gcd), else Fraction(n, d)."""
+    n, d = pair
+    if hint is not None and n * hint.denominator == d * hint.numerator:
+        return hint
+    return Fraction(n, d)
+
+
 def cancel(d1, d2):
     """d1 and d2 less their shared factors: each factor of d2 cancels one equal one of d1."""
     rest, extra = list(d1), []
@@ -168,119 +179,6 @@ def cancel(d1, d2):
         else:
             extra.append(f)
     return rest, extra
-
-
-class Cleared:
-    """Exact rational n / prod(den) that is never reduced, den a tuple of positive
-    integer factors. Operations and equality with int, Fraction or Cleared
-    operands only multiply integers and cancel factors shared by two
-    denominators: no gcd. Any other operand type gets NotImplemented, so its
-    own reflected operation runs (a `Dual` takes a `Cleared` value part).
-    The reduce replay's reduced steps and the two `verify` suites that are
-    not traced run over it; the exact forms (`tracing.compile_exact`) apply
-    the same rules once, while they write their integer code, so the exact
-    orbit rows build none."""
-
-    __slots__ = ("n", "den")
-
-    def __init__(self, n: int, den: tuple = ()):
-        self.n, self.den = n, den
-
-    def __repr__(self):
-        return f"Cleared({self.n}, {self.den})"
-
-    @classmethod
-    def of(cls, q):
-        """q itself if Cleared; an int or Fraction q with no factor for a denominator 1."""
-        if isinstance(q, cls):
-            return q
-        return cls(q.numerator, (q.denominator,) if q.denominator != 1 else ())
-
-    @classmethod
-    def over(cls, d: int, n) -> tuple:
-        """The point x_i = n_i / d, d >= 1, over that one denominator:
-        x_i = Cleared(n_i, (d,)), no factor if d = 1. Sums of its coordinates
-        then add numerators over equal denominators."""
-        den = (d,) if d != 1 else ()
-        return tuple(cls(c, den) for c in n)
-
-    @classmethod
-    def common(cls, x) -> tuple:
-        """The int or Fraction point x over one shared denominator D
-        (`common_denominator`), as `over` builds it."""
-        return cls.over(*common_denominator(x))
-
-    def __add__(self, other):
-        if type(other) is int:  # the formulas' literals, without a lift
-            return Cleared(self.n + other * math.prod(self.den), self.den) if other else self
-        if type(other) is not Cleared:
-            return self + Cleared.of(other) if isinstance(other, (int, Fraction)) else NotImplemented
-        if not other.n or self.den == other.den:
-            return Cleared(self.n + other.n, self.den)
-        rest, extra = cancel(self.den, other.den)
-        return Cleared(self.n * math.prod(extra) + other.n * math.prod(rest), self.den + tuple(extra))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cleared(-self.n, self.den)
-
-    def __sub__(self, other):
-        if type(other) is Cleared or isinstance(other, (int, Fraction)):
-            return self.__add__(-other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        if type(other) is int:
-            return Cleared(self.n * other, self.den)
-        if type(other) is not Cleared:
-            return self * Cleared.of(other) if isinstance(other, (int, Fraction)) else NotImplemented
-        return Cleared(self.n * other.n, self.den + other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if type(other) is not Cleared:
-            return self / Cleared.of(other) if isinstance(other, (int, Fraction)) else NotImplemented
-        if not other.n:
-            raise ZeroDivisionError("Cleared division by zero")
-        rest, extra = cancel(self.den, other.den)
-        n = self.n * math.prod(extra)
-        return Cleared(n if other.n > 0 else -n, (*rest, abs(other.n)))
-
-    def __rtruediv__(self, other):
-        return Cleared.of(other) / self if isinstance(other, (int, Fraction)) else NotImplemented
-
-    def __eq__(self, other):
-        if type(other) is int:  # the zero tests, without a lift
-            return self.n == other * math.prod(self.den) if other else not self.n
-        if type(other) is not Cleared:
-            return self == Cleared.of(other) if isinstance(other, (int, Fraction)) else NotImplemented
-        rest, extra = cancel(self.den, other.den)
-        return self.n * math.prod(extra) == other.n * math.prod(rest)
-
-    @property
-    def sign(self) -> int:
-        return (self.n > 0) - (self.n < 0)
-
-    def __lt__(self, other):
-        return (self - other).sign < 0
-
-    def __gt__(self, other):
-        return (self - other).sign > 0
-
-    def __le__(self, other):
-        return (self - other).sign <= 0
-
-    def __ge__(self, other):
-        return (self - other).sign >= 0
-
-    def fraction(self) -> Fraction:
-        """The reduced value, Fraction(n, prod(den)) (one gcd)."""
-        return Fraction(self.n, math.prod(self.den))
 
 
 @dataclass

@@ -4,9 +4,11 @@
 each operation it performs as a tape, and writes that tape out as its
 compiled form (`_compile`), straight-line code over any scalar backend, and,
 on first exact use, as its exact form (`compile_exact`), integer
-straight-line code in a rational point's numerators and denominators: the
-`verify` suites run it over the point's common denominator, the exact orbit
-rows (`level_signature`'s form) over each coordinate's own.
+straight-line code in a rational point's numerators and denominators, the
+one exact backend besides `Fraction`: the `verify` suites run it over the
+point's common denominator, the exact orbit rows (`level_signature`'s form)
+and the reduce replay (the reduced step, with kappa as an extra input) over
+each coordinate's own.
 """
 
 from __future__ import annotations
@@ -132,32 +134,36 @@ def _compile(kernel, k: int):
 def compile_exact(kernel, k: int, denominators: bool = False, common: bool = True):
     """kernel traced once at dimension k (`_trace`) and written out as integer
     straight-line code in an, ad, the point's denominators and n = (n0, ...,
-    n{k-1}), the rational point a = an/ad and x_i = n_i/D over one common
-    denominator D (with `common` false, x_i = n_i/d_i over each coordinate's
-    own, d = (d0, ..., d{k-1})), every denominator positive. It returns
-    kernel's result with the numerator of each value in its place (with
-    `denominators`, a (numerator, denominator) pair). Each recorded value is
-    a numerator and a tuple of nonzero denominator factors (D or d_i, ad, an
-    int literal or a divisor's numerator), cancelled and multiplied as
-    `Cleared` does it, but while the source is written: the code holds only
-    int products, sums and differences, each distinct one once, and before
-    the first division by each value a ZeroDivisionError where its numerator
-    is 0. A component is 0 exactly when its numerator is. In a kernel that
-    compares values, every factor is positive: a divisor's absolute value is
-    the factor and its sign moves to the numerator, so a value's sign is its
-    numerator's, and a comparison compares two numerators over a shared
-    denominator and gives 0 or 1, with no denominator formed. (Elsewhere no
-    sign is read, so none is moved.) A product takes its distinct
-    factors first, so a product whose distinct factors another has extends
-    that one's line. The source is not kept in `linecache`: for the forms of
+    n{k-1}), then one (numerator, denominator) pair per extra input, in the
+    order of its signature: the rational point a = an/ad and x_i = n_i/D over
+    one common denominator D (with `common` false, x_i = n_i/d_i over each
+    coordinate's own, d = (d0, ..., d{k-1})), every denominator positive. It
+    returns kernel's result with the numerator of each value in its place
+    (with `denominators`, a (numerator, denominator) pair). Each recorded
+    value is a numerator and a tuple of nonzero denominator factors (D or
+    d_i, ad, an extra input's denominator, an int literal or a divisor's
+    numerator), never reduced: a sum scales each numerator by the factors of
+    the other denominator that its own lacks (`cancel`), a product joins the
+    two tuples, a quotient adds the divisor's numerator. That is done while
+    the source is written: the code holds only int products, sums and
+    differences, each distinct one once, and before the first division by
+    each value a ZeroDivisionError where its numerator is 0. A component is
+    0 exactly when its numerator is. In a kernel that compares values, every
+    factor is positive: a divisor's absolute value is the factor and its
+    sign moves to the numerator, so a value's sign is its numerator's, and a
+    comparison compares two numerators over a shared denominator and gives 0
+    or 1, with no denominator formed. (Elsewhere no sign is read, so none is
+    moved.) A product takes its distinct factors first, so a product whose
+    distinct factors another has extends that one's line. The source is not kept in `linecache`: for the forms of
     `verify --k-range 3..8` it would hold about 0.5 MB, so a traceback gives
     only the form's name (`<exact name k=K>`) and line."""
-    tape, inputs, out = _trace(kernel, k)
-    if inputs:
-        raise TypeError(f"{kernel.__qualname__}: the exact form takes no extra inputs")
-    lines = [f"def kernel(an, ad, {'D' if common else 'd'}, n):", "".join(f"n{i}, " for i in range(k)) + "= n"]
+    tape, extra, out = _trace(kernel, k)
+    pairs = [f"q{j}" for j in range(len(extra))]
+    lines = [f"def kernel({', '.join(['an', 'ad', 'D' if common else 'd', 'n', *pairs])}):",
+             "".join(f"n{i}, " for i in range(k)) + "= n"]
     if not common:
         lines.append("".join(f"d{i}, " for i in range(k)) + "= d")
+    lines += [f"{q}n, {q}d = {q}" for q in pairs]
     named, checked = {}, set()
 
     def let(expression: str) -> str:
@@ -186,7 +192,8 @@ def compile_exact(kernel, k: int, denominators: bool = False, common: bool = Tru
             (repeats if f in distinct else distinct).append(f)
         return (*distinct, *repeats)
 
-    value = {"a": ("an", ("ad",)), **{f"x{i}": (f"n{i}", ("D",) if common else (f"d{i}",)) for i in range(k)}}
+    value = {"a": ("an", ("ad",)), **{f"x{i}": (f"n{i}", ("D",) if common else (f"d{i}",)) for i in range(k)},
+             **{name: (f"{q}n", (f"{q}d",)) for name, q in zip(extra, pairs)}}
     signed = any(key[0] in "<>" for key in tape)  # whether a sign is read, so factors must be positive
     for (symbol, *operands), name in tape.items():
         (un, ud), *other = [value[v] if isinstance(v, str) else (v, ()) for v in operands]
@@ -246,12 +253,13 @@ def traced(kernel):
     reuses the first result), so its results are f's, bit for bit. f stays
     the source, as `__wrapped__`; `compiled` maps k to its function.
 
-    `exact_form(k, denominators=False, common=True)`, for a kernel of (p, x)
-    alone, is f's exact form at dimension k (`compile_exact`), a function of
-    (an, ad, D, n), or with `common` false of (an, ad, d, n), built on first
-    use and kept in `compiled_exact` under (k, denominators, common): the
-    `verify` suites run the numerators over a common denominator, the exact
-    orbit rows `level_signature`'s pairs over each coordinate's own."""
+    `exact_form(k, denominators=False, common=True)` is f's exact form at
+    dimension k (`compile_exact`), a function of (an, ad, D, n), or with
+    `common` false of (an, ad, d, n), then one (numerator, denominator) pair
+    per extra input, built on first use and kept in `compiled_exact` under
+    (k, denominators, common): the `verify` suites run the numerators over a
+    common denominator, the exact orbit rows `level_signature`'s pairs and
+    the reduce replay the reduced step's over each coordinate's own."""
     compiled, compiled_exact = {}, {}
 
     @functools.wraps(kernel)

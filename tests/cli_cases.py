@@ -98,6 +98,9 @@ CASES = {
     # traces every suite residual past the k range the other tests reach
     "verify-k9-12": Case("verify --k-range 9..12 --trials 1 --seed 1",
                          "82e3b00848db35c70e16b9c4fa0558731e0aacade8be34ec316b1dd26900f371"),
+    # the det and sign suites' exact forms past k = 9; digest taken while both ran on `Cleared` images
+    "verify-k10-12-seed-3": Case("verify --k-range 10..12 --trials 2 --seed 3",
+                                 "1b3c39ccb82361b0e07747e20a4d45378984ac7d8d71baf956b9dae41a9d6d3f"),
     # the default 100 trials per suite
     "verify-json-default-trials": Case("verify --k-range 3..8 --json OUT",
                                        "1894490a6b057fc428769afbd8f037e8d55e5077a1c9cf99fd6462752533cb40"),

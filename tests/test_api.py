@@ -4,7 +4,7 @@ with no module and no private name among them."""
 import lynesslab
 
 PUBLIC = """
-    BOUNDARY_EPS Cleared DegenerateOrbitError DimensionError DomainError Dual FixedPoint
+    BOUNDARY_EPS DegenerateOrbitError DimensionError DomainError Dual FixedPoint
     FlowTrace GPoint LevelSignature METHODS NoRootError OddPeriodVerdict
     OrbitTrace Params RatMatrix ReducedParams SuiteResult TransportReport
     annihilation_residual compatibility_residual equilibrium_residual eval_pi eval_v1

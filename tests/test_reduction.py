@@ -1,7 +1,9 @@
 """Order reduction of the double-step: lifts, reduced maps, projections,
-and the exact semiconjugacy replay."""
+and the exact semiconjugacy replay, whose reduced steps run as the traced
+reduced step's exact form."""
 
 import math
+import types
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,6 @@ from lynesslab.reduction import (
     semiconjugacy_residual,
 )
 from lynesslab.sampling import random_point, stream
-from lynesslab.scalars import Cleared
 
 
 def test_reduced_step_k3_golden():
@@ -188,13 +189,27 @@ def _plus_one(real):
     return kernel
 
 
-def _double_kappa(real):
-    return lambda rp, y: real(ReducedParams(a=rp.a, kappa=2 * rp.kappa), y)
+def _double_kappa(real):  # a namespace: ReducedParams checks a and kappa, which fails on traced values
+    return lambda rp, y: real(types.SimpleNamespace(a=rp.a, kappa=2 * rp.kappa), y)
+
+
+@pytest.fixture
+def fresh_reduced_step():
+    """Empty the traced reduced step's exact forms for the test, so a patched
+    kernel is traced while it is patched, then restore them, so no patched
+    form outlives the test."""
+    cache = reduction._reduced_step.compiled_exact
+    saved = dict(cache)
+    cache.clear()
+    yield
+    cache.clear()
+    cache.update(saved)
 
 
 @pytest.mark.parametrize("k, a", REPLAY_CASES)
 @pytest.mark.parametrize("perturb", [_plus_one, _double_kappa])
-def test_a_broken_reduced_step_gives_the_reference_rows_and_residual(k, a, perturb, monkeypatch):
+def test_a_broken_reduced_step_gives_the_reference_rows_and_residual(k, a, perturb, monkeypatch,
+                                                                     fresh_reduced_step):
     public = reduced_step_k3 if k == 3 else reduced_step_k5
     monkeypatch.setattr(public, "kernel", perturb(public.kernel))
     p = Params(k, a)
@@ -218,14 +233,15 @@ def _counting(counts, public):
 
 
 def test_a_valid_exact_replay_reduces_nothing_and_checks_the_domain_once(monkeypatch):
-    counts = {"fraction": 0, "public": 0}
-    real_fraction = Cleared.fraction
+    counts = {"confirmed": 0, "fraction": 0, "public": 0}
+    real_fraction_of = reduction.fraction_of
 
-    def fraction(self):
-        counts["fraction"] += 1
-        return real_fraction(self)
+    def fraction_of(pair, hint):  # counts each coordinate confirmed, and each one reduced instead
+        got = real_fraction_of(pair, hint)
+        counts["confirmed" if got is hint else "fraction"] += 1
+        return got
 
-    monkeypatch.setattr(Cleared, "fraction", fraction)
+    monkeypatch.setattr(reduction, "fraction_of", fraction_of)
     # the positivity check runs only in the public forms; after its one
     # require_point the replay calls kernels alone
     for name in ("lift_k3", "lift_k5", "reduced_step_k3", "reduced_step_k5"):
@@ -233,7 +249,8 @@ def test_a_valid_exact_replay_reduces_nothing_and_checks_the_domain_once(monkeyp
     for k, a in REPLAY_CASES:
         for x0 in _points(k, a, 2):
             assert all(gap == 0 for _y, gap in replay(Params(k, a), x0, 30))
-    assert counts == {"fraction": 0, "public": 0}
+    confirmed = sum(30 * (k - 1) * 2 for k, _ in REPLAY_CASES)  # each coordinate of 30 steps, 2 points
+    assert counts == {"confirmed": confirmed, "fraction": 0, "public": 0}
 
 
 def test_a_float_replay_whose_orbit_leaves_the_domain_raises_after_its_rows():

@@ -7,9 +7,9 @@ body that branches on a value must fail when traced. A repeated operation is
 compiled once; nothing is commuted or re-associated, and the compiled
 sources of the float kernels are pinned by digest. A kernel's exact form
 keeps the value of every int literal it folds, gives a comparison's 0 or 1
-over either layout of the point (also where a divisor is negative), and a
-kernel with an extra input has none (tests/test_verify.py checks the exact
-forms of the suites)."""
+over either layout of the point (also where a divisor is negative), and
+takes each extra input as a (numerator, denominator) pair
+(tests/test_verify.py checks the exact forms of the suites)."""
 
 import hashlib
 import linecache
@@ -26,7 +26,7 @@ from lynesslab import tracing  # noqa: E402
 from lynesslab.flow import _rk4_stages  # noqa: E402
 from lynesslab.invariants import LevelSignature, level_signature, level_signatures  # noqa: E402
 from lynesslab.lyness import Params, float_point, inverse_step, orbit, step  # noqa: E402
-from lynesslab.scalars import Cleared, Dual, common_denominator, jvp  # noqa: E402
+from lynesslab.scalars import Dual, common_denominator, jvp  # noqa: E402
 from lynesslab.symmetry import symmetry_vector  # noqa: E402
 from lynesslab.tracing import traced  # noqa: E402
 from lynesslab.verify import SUITES  # noqa: E402
@@ -43,16 +43,14 @@ parameter = st.fractions(min_value=0, max_value=20, max_denominator=10)
 
 
 def _shape(v):
-    """v in a form that compares value and type: a float by its hex, a
-    Cleared by its numerator and denominator factors, a Dual by its parts."""
+    """v in a form that compares value and type: a float by its hex, a Dual
+    by its parts."""
     if isinstance(v, LevelSignature):
         return (LevelSignature, _shape([v.v1, v.v2, v.v3, v.z_sign]))
     if isinstance(v, (tuple, list)):
         return [_shape(c) for c in v]
     if isinstance(v, Dual):
         return (Dual, _shape(v.value), _shape(v.deriv))
-    if isinstance(v, Cleared):
-        return (Cleared, v.n, v.den)
     if isinstance(v, float):
         return (float, v.hex())
     return (type(v), v)
@@ -72,7 +70,7 @@ def _assert_traced_equals_body(p, x):
 
 def _suite_residuals(k: int) -> list:
     """The traced residuals of the verify suites that apply to k."""
-    return [residual for _, na, residual in SUITES if na(k) is None and hasattr(residual, "compiled")]
+    return [residual for _, na, residual in SUITES if na(k) is None]
 
 
 @SETTINGS
@@ -96,17 +94,16 @@ def test_exact_and_dual_kernels_give_the_values_and_types_of_their_body(data, k,
     x = data.draw(st.tuples(*[positive] * k))
     v = data.draw(st.tuples(*[st.integers(-3, 3)] * k))
     p = Params(k, a)
-    for point in (x, tuple(map(Cleared.of, x)), Cleared.common(x), tuple(map(Dual, x, v))):
+    for point in (x, tuple(map(Dual, x, v))):
         _assert_traced_equals_body(p, point)
 
 
 @pytest.mark.parametrize("k", range(3, 10))
 def test_suite_residuals_give_the_values_and_types_of_their_body(k):
     exact = tuple(Fraction(2 * i + 3, i + 2) for i in range(k))
-    points = {Params(k, Fraction(7, 3)): (exact, tuple(map(Cleared.of, exact)), Cleared.common(exact)),
-              Params(k, 0.7): (tuple(0.3 + 0.41 * i for i in range(k)),)}
+    points = {Params(k, Fraction(7, 3)): (exact,), Params(k, 0.7): (tuple(0.3 + 0.41 * i for i in range(k)),)}
     residuals = _suite_residuals(k)
-    assert len(residuals) == (14 if k % 2 else 7)  # of 15: 1 n/a at odd k, 8 at even k
+    assert len(residuals) == (16 if k % 2 else 8)  # of 17: 1 n/a at odd k, 9 at even k
     for p, xs in points.items():
         for x in xs:
             for residual in residuals:
@@ -195,11 +192,18 @@ def test_a_comparisons_exact_form_gives_the_generic_0_or_1(common):
     assert {_orders(p, x)[-1] for x in points} == {-1, 1}
 
 
-def test_a_kernel_with_an_extra_input_has_no_exact_form():
-    run = traced(lambda p, x, h: (x[0] * h,))
-    with pytest.raises(TypeError):
-        run.exact_form(3)
-    assert run.compiled_exact == {}
+def test_an_extra_input_of_the_exact_form_is_a_rational_pair():
+    run = traced(lambda p, x, h, g: (x[0] * h + g / x[1], h / g - p.a, h * g - g * h))
+    p, x = Params(3, Fraction(7, 3)), (Fraction(1, 2), Fraction(5, 3), Fraction(4))
+    h, g = Fraction(-3, 8), Fraction(5, 6)
+    want = run.__wrapped__(p, x, h, g)
+    assert run(p, x, h, g) == want and want[-1] == 0
+    for common in (True, False):
+        d, n = common_denominator(x) if common else (tuple(c.denominator for c in x), tuple(c.numerator for c in x))
+        pairs = run.exact_form(3, denominators=True, common=common)(7, 3, d, n, (-3, 8), (5, 6))
+        assert [Fraction(*pair) for pair in pairs] == list(want)
+        numerators = run.exact_form(3, common=common)(7, 3, d, n, (-3, 8), (5, 6))
+        assert [v == 0 for v in numerators] == [v == 0 for v in want]
 
 
 def _branches(p, x):

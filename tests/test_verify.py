@@ -6,13 +6,15 @@ generic form and a second one nothing), the shift
 law and the symmetry condition evaluate the field once at x and once at F(x)
 and integral annihilation evaluates it once (each inlined into an exact form
 that calls no function), a wrong field fails every suite that uses it, every
-check gives the same verdict on both `Cleared` images of a point and on its
-exact form as on the `Fraction` point they were made from, each exact form's
-numerators over their denominators are the generic kernel's components (over
-a common denominator and over each coordinate's own) and it
+suite runs its exact form, which gives the same verdict on a point cleared
+to its common denominator as the `Fraction` point it was made from, each
+exact form's numerators over their denominators are the generic kernel's
+components (over a common denominator and over each coordinate's own) and it
 raises where the generic kernel divides by zero, the exact forms take no gcd,
-the suites check the common-denominator image of each drawn point, and the
-determinant oracle eliminates dense rational matrices exactly."""
+the suites check the common-denominator image of each drawn point, the
+determinant oracle expands dense rational matrices exactly and DF(x) in O(k)
+lines, and a wrong closed form of det DF, or a step that is F^2, fails the
+suite that checks it."""
 
 import dis
 import functools
@@ -25,14 +27,16 @@ import pytest
 from lynesslab import lyness, sampling, tracing, verify
 from lynesslab.dynamics import measure_density_residual
 from lynesslab.errors import DimensionError
+from lynesslab.invariants import eval_z
 from lynesslab.lyness import Params
 from lynesslab.sampling import random_point, stream
-from lynesslab.scalars import Cleared, RatMatrix, common_denominator
+from lynesslab.scalars import common_denominator, fold
 from lynesslab.symmetry import (
     compatibility_residual, factorization_residual, lie_residual, shift_residual, shift_residuals,
     symmetry_vector,
 )
 from lynesslab.verify import run_suites
+from test_lyness import _det_by_elimination
 
 
 @pytest.mark.parametrize("k", [3, 5, 6])
@@ -74,18 +78,18 @@ def _only(monkeypatch, name):
     monkeypatch.setattr(verify, "SUITES", tuple(s for s in verify.SUITES if s[0] == name))
 
 
-def _traced_suites():
-    """(name, na, residual) of the suites whose residual is traced."""
-    return [suite for suite in verify.SUITES if hasattr(suite[2], "exact_form")]
+def test_every_suite_holds_a_traced_residual():
+    assert len(verify.SUITES) == 17
+    assert all(hasattr(residual, "exact_form") for _, _, residual in verify.SUITES)
 
 
 @pytest.fixture
 def fresh_suites():
-    """Empty both compiled caches (generic and exact) of every traced suite
+    """Empty both compiled caches (generic and exact) of every suite
     residual for the test, so a patched kernel reaches each suite traced while
     it is patched, then restore every cache, so no patched compilation
     outlives the test."""
-    caches = [cache for _, _, residual in _traced_suites()
+    caches = [cache for _, _, residual in verify.SUITES
               for cache in (residual.compiled, residual.compiled_exact)]
     saved = [dict(cache) for cache in caches]
     for cache in caches:
@@ -208,29 +212,20 @@ def test_symmetry_condition_evaluates_the_field_twice_and_builds_no_jacobian(
     assert _field_calls(monkeypatch, "symmetry condition", k) == 2
 
 
-def _cleared_verdict(check, x):
-    """The verdict on both Cleared images of x, one denominator per coordinate
-    and one common denominator, or None where the two differ."""
-    own, common = check(tuple(map(Cleared.of, x))), check(Cleared.common(x))
-    return own if own == common else None
-
-
 def _passes(residual, p, x) -> bool:
     r = residual(p, x)
     return all(v == 0 for v in (r if isinstance(r, tuple) else (r,)))
 
 
 def _exact_verdict(residual, p, x):
-    """The verdict `run_suites` reaches: on the exact form of a traced residual,
-    else on the common-denominator Cleared image."""
-    if hasattr(residual, "exact_form"):
-        return not any(_components(_at_point(residual.exact_form(p.k))(p, x)))
-    return _passes(residual, p, Cleared.common(x))
+    """The verdict `run_suites` reaches: on the exact form at x's common denominator."""
+    return not any(_components(_at_point(residual.exact_form(p.k))(p, x)))
 
 
 def _verdicts(k, points=5):
-    """{(a, suite): [(verdict on the Fraction point, on its Cleared images, by
-    `run_suites`' path)]} over seeded points, for every suite that applies to k."""
+    """{(a, suite): [(verdict on the Fraction point, by `run_suites`' path on
+    the point cleared to its common denominator)]} over seeded points, for
+    every suite that applies to k."""
     out = {}
     for a in (Fraction(0), Fraction(1), Fraction(7, 3)):
         p = Params(k, a)
@@ -239,15 +234,14 @@ def _verdicts(k, points=5):
                 check = functools.partial(_passes, residual, p)
                 rng = stream(f"backends|k={k}|a={a}|{name}", 0)
                 xs = [lyness.require_point(p, random_point(rng, k)) for _ in range(points)]
-                out[a, name] = [(check(x), _cleared_verdict(check, x), _exact_verdict(residual, p, x))
-                                for x in xs]
+                out[a, name] = [(check(x), _exact_verdict(residual, p, x)) for x in xs]
     return out
 
 
 @pytest.mark.parametrize("k", range(3, 9))
 def test_every_check_gives_the_same_verdict_on_cleared_and_fraction_points(k):
-    for key, triples in _verdicts(k).items():
-        assert all(triple == (True, True, True) for triple in triples), key
+    for key, pairs in _verdicts(k).items():
+        assert all(pair == (True, True) for pair in pairs), key
 
 
 @pytest.mark.parametrize("k", [3, 5, 6])
@@ -260,40 +254,31 @@ def test_a_broken_field_fails_on_both_backends(k, monkeypatch, fresh_suites):
         return tuple(out)
 
     monkeypatch.setattr(symmetry_vector, "kernel", broken)
-    for (a, name), triples in _verdicts(k).items():
+    for (a, name), pairs in _verdicts(k).items():
         want = name not in FIELD_SUITES
-        assert all(triple == (want, want, want) for triple in triples), (a, name)
+        assert all(pair == (want, want) for pair in pairs), (a, name)
 
 
 @pytest.mark.parametrize("k", [3, 6])
 def test_suites_check_the_common_denominator_image_of_each_drawn_point(k, monkeypatch, fresh_suites):
     """Each suite checks the points `random_point` draws on the suite's own
-    stream, over D, the lcm of a point's denominators: a traced suite's exact
-    form takes (an, ad, D, n) with x_i = n_i / D, and an untraced suite takes
-    (p.a, the Cleared image x_i = Cleared(n_i, (D,)), no factor if D = 1)."""
+    stream, over D, the lcm of a point's denominators: its exact form, the
+    one path of every suite, takes (an, ad, D, n) with x_i = n_i / D."""
     a, seed, trials = Fraction(7, 3), 0, 2
-    traced = {name for name, _, _ in _traced_suites()}
     expected = []
     for name, na, _ in verify.SUITES:
         if na(k) is None:
             rng = stream(f"{seed}|k={k}|a={a}|{name}", seed)
             for x in [random_point(rng, k) for _ in range(trials)]:
                 d = math.lcm(*(q.denominator for q in x))
-                n = tuple(int(q * d) for q in x)
-                expected.append(("exact", 7, 3, d, n) if name in traced else
-                                ("cleared", a, tuple((c, (d,) if d != 1 else ()) for c in n)))
+                expected.append((7, 3, d, tuple(int(q * d) for q in x)))
     checked = []
 
     def spying(kernel, *args, real=tracing.compile_exact):
         fn = real(kernel, *args)
-        return lambda an, ad, d, ns: checked.append(("exact", an, ad, d, ns)) or fn(an, ad, d, ns)
+        return lambda an, ad, d, ns: checked.append((an, ad, d, ns)) or fn(an, ad, d, ns)
 
     monkeypatch.setattr(tracing, "compile_exact", spying)
-    monkeypatch.setattr(verify, "SUITES", tuple(
-        (name, na, residual) if name in traced else
-        (name, na, lambda p, x, residual=residual: checked.append(
-            ("cleared", p.a, tuple((c.n, c.den) for c in x))) or residual(p, x))
-        for name, na, residual in verify.SUITES))
     results = run_suites(k, a, trials, seed)
     assert all(r.failures == 0 for r in results)
     assert sum(r.trials for r in results) == len(expected)
@@ -304,7 +289,7 @@ def _exact_kernels(k: int) -> list:
     """The traced residuals of the suites that apply to k, and three kernels
     whose components are not 0: F, F^-1 and the field."""
     return [lyness.step.kernel, lyness.inverse_step.kernel, symmetry_vector.kernel] + [
-        residual for _, na, residual in _traced_suites() if na(k) is None]
+        residual for _, na, residual in verify.SUITES if na(k) is None]
 
 
 def _at_point(form):
@@ -357,7 +342,7 @@ def test_the_exact_form_of_a_perturbed_field_gives_its_nonzero_components(k, mon
 
     monkeypatch.setattr(symmetry_vector, "kernel", perturbed)
     nonzero = set()
-    for name, na, residual in _traced_suites():
+    for name, na, residual in verify.SUITES:
         if na(k) is None:
             body = residual.__wrapped__  # the generic kernel as written, run over Fraction
             pairs = tracing.compile_exact(body, k, denominators=True)
@@ -431,9 +416,70 @@ SINGULAR_3 = ([[F(1, 2), 3, F(-4, 5)], [2, F(7, 3), 1],
 
 @pytest.mark.parametrize("rows, det", [DENSE_3, DENSE_4, SINGULAR_3],
                          ids=["dense-3x3", "dense-4x4-swap", "singular-3x3"])
-@pytest.mark.parametrize("image", ["fraction", "common"])
-def test_det_gauss_eliminates_dense_rational_matrices(rows, det, image):
+def test_det_expansion_expands_dense_rational_matrices(rows, det):
     assert all(row[0] != 0 for row in rows)  # no zero to skip in the first column
-    if image == "common":
-        rows = [Cleared.common(row) for row in rows]
-    assert verify._det_gauss(RatMatrix(rows)) == det
+    assert verify._det_expansion(rows) == det == _det_by_elimination(rows)
+
+
+def _exact_source(monkeypatch, name, k) -> list:
+    """The source lines of the suite `name`'s exact form at k, written afresh."""
+    sources = []
+    real = tracing._define
+
+    def define(*args):
+        fn, source = real(*args)
+        sources.append(source)
+        return fn, source
+
+    monkeypatch.setattr(tracing, "_define", define)
+    [residual] = [r for n, _, r in verify.SUITES if n == name]
+    tracing.compile_exact(residual.__wrapped__, k)
+    return sources[0].splitlines()
+
+
+def test_the_det_exact_form_grows_linearly_in_k(monkeypatch):
+    # DF(x)'s shift rows are int literals, so the expansion takes one term per row
+    lines = {k: len(_exact_source(monkeypatch, "det closed form", k)) for k in (3, 8, 20, 40)}
+    assert all(n <= 3 * k + 10 for k, n in lines.items()), lines
+    _only(monkeypatch, "det closed form")
+    [result] = run_suites(40, Fraction(7, 3), 2, 0)
+    assert (result.trials, result.failures) == (2, 0)
+
+
+def _wrong_closed_form(p, x):
+    """(-1)^k (a + x2 + ... + x_{k-1}) / xk^2: the wrong closed form that
+    `lyness`'s docstring quotes."""
+    val = (p.a + fold(x[1:-1])) / (x[-1] * x[-1])
+    return val if p.k % 2 == 0 else -val
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_a_wrong_closed_form_of_the_determinant_fails_its_suite(k, monkeypatch, fresh_suites):
+    monkeypatch.setattr(lyness.jacobian_det, "kernel", _wrong_closed_form)
+    _only(monkeypatch, "det closed form")
+    [result] = run_suites(k, 1, 3, 0)
+    assert (result.trials, result.failures) == (3, 3)
+
+
+def test_the_sign_alternation_passes_where_z_is_zero():
+    # on the invariant hypersurface Z = 0 there is nothing to flip, and W o F = W there
+    [residual] = [r for name, _, r in verify.SUITES if name == "sign(Z) alternation"]
+    for k, a, x in ((3, 7, (1, 1, 3)), (5, 5, (1, 1, 1, 1, 3))):
+        p = Params(k, Fraction(a))
+        assert eval_z(p, x) == 0
+        assert residual(p, tuple(map(Fraction, x))) == (0, 0)
+        assert residual.exact_form(k)(a, 1, 1, x) == (0, 0)
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_a_step_that_is_f_squared_fails_the_sign_alternation(k, monkeypatch, fresh_suites):
+    real = lyness.step.kernel
+    monkeypatch.setattr(lyness.step, "kernel", lambda p, x: real(p, real(p, x)))
+    _only(monkeypatch, "sign(Z) alternation")
+    [result] = run_suites(k, 1, 3, 0)
+    assert (result.trials, result.failures) == (3, 3)
+    # Z keeps its sign under F^2 on either side of Z = 0
+    [(_, _, residual)] = verify.SUITES
+    points = ((1,) * k, (2, 1) * (k // 2) + (2,))
+    assert {eval_z(Params(k, Fraction(1)), x) > 0 for x in points} == {True, False}
+    assert [residual.exact_form(k)(1, 1, 1, x)[0] for x in points] == [1, 1]
