@@ -31,6 +31,7 @@ import itertools
 import operator
 import types
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DimensionError, DomainError
 from .invariants import eval_w
@@ -108,8 +109,9 @@ def replay(p: Params, x0, n: int):
     the F^2 orbit of x0 (zero over the rationals when the convention holds).
     The F^2 orbit, every second state of `orbit`, is the reference; a float
     one that leaves the domain raises DomainError after the rows it reached,
-    so a short run is never taken for a whole one. Over exact a, x0 and
-    kappa each reduced step runs as its exact form, each coordinate over its
+    so a short run is never taken for a whole one. kappa is exact where a
+    and x0 are (W is taken over Fractions, also for int coordinates), and
+    then each reduced step runs as its exact form, each coordinate over its
     own denominator (no gcd), and each coordinate is confirmed against the
     projected F^2 state by one cross-multiplication (`fraction_of`): a match
     takes that state's coordinate, and only a mismatch is reduced (gcd).
@@ -122,7 +124,9 @@ def replay(p: Params, x0, n: int):
     if n < 0:
         raise ValueError(f"the number of double-steps must be >= 0, got {n}")
     x0 = require_point(p, x0)
-    return _replay(p, ReducedParams(a=p.a, kappa=1 / eval_w.kernel(p, x0)), x0, n)
+    # W of int coordinates divides int by int, so an exact start takes W over Fractions
+    w = eval_w.kernel(p, tuple(map(Fraction, x0)) if exact_kinds((p.a, *x0)) else x0)
+    return _replay(p, ReducedParams(a=p.a, kappa=1 / w), x0, n)
 
 
 @traced

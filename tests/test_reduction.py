@@ -91,6 +91,15 @@ def test_semiconjugacy_residual_with_zero_steps():
     assert semiconjugacy_residual(p, (Fraction(1), Fraction(1), Fraction(3)), 0) == 0
 
 
+@pytest.mark.parametrize("x0", [(1, 2, 3), (1, 2, 3, 4, 5)])
+def test_an_exact_a_with_int_coordinates_replays_exactly(x0):
+    """kappa = 1/W(x0) is exact for int coordinates too (int / int would be a float)."""
+    p = Params(len(x0), Fraction(1))
+    rows = list(replay(p, x0, 8))
+    assert all(type(c) in (int, Fraction) for y, gap in rows for c in (*y, gap))
+    assert semiconjugacy_residual(p, x0, 8) == 0
+
+
 def test_semiconjugacy_rejects_other_dimensions_and_bad_counts():
     with pytest.raises(DimensionError):
         semiconjugacy_residual(Params(4, Fraction(1)), (Fraction(1),) * 4, 5)
