@@ -33,6 +33,7 @@ from .errors import (
     DimensionError,
     DomainError,
     NoRootError,
+    VerificationError,
 )
 from .flow import (
     BOUNDARY_EPS,

@@ -9,7 +9,10 @@ reduce   replay the double-step in reduced coordinates, check the projection
 figures  canned orbit/flow datasets (three presets)
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error
-or an output that cannot be written, stdout included.
+or an output that cannot be written, stdout included. A verification failure
+is a `verify` suite that failed, or an exact `orbit` whose last state is off
+row 0's levels, which every row carries (`invariants.orbit_levels`); the
+latter is one `error:` line after the rows.
 Rational inputs are accepted as `p/q` text so exact runs stay exact. A
 command parses its text and leaves the check of every value the library
 takes (k, a, x0, dt, t_max) to the library; `main` reports any ValueError,
@@ -24,7 +27,6 @@ import argparse
 import collections
 import contextlib
 import functools
-import itertools
 import json
 import operator
 import os
@@ -32,7 +34,8 @@ import sys
 from fractions import Fraction
 
 from .flow import METHODS, integrate_flow, invariant_drift
-from .invariants import eval_w, level_signatures
+from .errors import VerificationError
+from .invariants import eval_w, orbit_levels
 from .lyness import Params, float_point, orbit, require_point
 from .reduction import replay
 from .scalars import parse_rational
@@ -178,8 +181,10 @@ def _write_orbit(p: Params, x0, steps: int, proj, fmt: str, fh) -> None:
     one coordinate (the contract by which `orbit` checks only the added one),
     so each row formats only its added coordinate x[-1] and takes the text
     of the other k-1 from a window of the last k. A float orbit ends early,
-    with one warning, where `orbit` or `level_signatures` ends: before the
-    first state that leaves the domain or whose levels overflow float64."""
+    with one warning, where `orbit` or `orbit_levels` ends: before the first
+    state that leaves the domain or whose levels overflow float64. An exact
+    orbit whose last state is off row 0's levels raises VerificationError
+    after its last row."""
     header = ["n"] + [f"x{i}" for i in proj] + ["V1", "V2"] + ["V3", "signZ"] * (p.k % 2)
     if fmt == "csv":
         fh.write(",".join(header) + "\n")
@@ -190,9 +195,8 @@ def _write_orbit(p: Params, x0, steps: int, proj, fmt: str, fh) -> None:
     pick = operator.itemgetter(*(i - 1 for i in proj))
     odd = p.k % 2 == 1
     cells = collections.deque(map(str, x0[:-1]), maxlen=p.k)  # row 0 appends str(x0[-1])
-    states, levels = itertools.tee(orbit.kernel(p, x0, steps))
     n = 0  # rows written
-    for x, (v1, v2, v3, z) in zip(states, level_signatures(p, levels)):
+    for x, (v1, v2, v3, z) in orbit_levels(p, orbit.kernel(p, x0, steps)):
         cells.append(str(x[-1]))
         fh.write(template % ((n, *pick(cells), v1, v2, v3, z) if odd else (n, *pick(cells), v1, v2)))
         n += 1
@@ -374,6 +378,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # CliError, DomainError, DimensionError, a bad literal
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError as exc:  # the reader closed stdout; the flush at exit goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write <stdout>: {exc}", file=sys.stderr)

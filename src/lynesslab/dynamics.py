@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateOrbitError, DimensionError, DomainError, NoRootError
-from .invariants import eval_pi, eval_v1, eval_v2, eval_v3, eval_z, level_signatures
+from .invariants import eval_pi, eval_v1, eval_v2, eval_v3, eval_z, orbit_levels
 from .lyness import (
     OrbitTrace, Params, float_params, float_point, in_orthant, iterate, jacobian_det, orbit,
     require_point, step, two_periodic_point, validated,
@@ -19,12 +19,13 @@ from .tracing import traced
 
 
 def orbit_signature(p: Params, x0, n: int) -> OrbitTrace:
-    """Orbit trace with per-state invariant levels by `level_signatures`. A
-    float orbit ends, flagged `truncated`, before its first state outside the
-    orthant or whose levels overflow float64 (a start whose own levels
-    overflow keeps no state)."""
+    """Orbit trace with per-state invariant levels by `orbit_levels`: an exact
+    orbit carries x0's levels and raises VerificationError if its last state
+    is off them. A float orbit computes each state's and ends, flagged
+    `truncated`, before its first state outside the orthant or whose levels
+    overflow float64 (a start whose own levels overflow keeps no state)."""
     trace = iterate(p, x0, n)
-    trace.signatures = list(level_signatures(p, trace.states))
+    trace.signatures = [sig for _, sig in orbit_levels(p, trace.states)]
     if len(trace.signatures) < len(trace.states):  # the levels ended first
         del trace.states[len(trace.signatures) :], trace.indices[len(trace.signatures) :]
         trace.truncated, trace.note = True, "float overflow"

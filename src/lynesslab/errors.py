@@ -15,3 +15,8 @@ class NoRootError(RuntimeError):
 
 class DegenerateOrbitError(RuntimeError):
     """Orbit too degenerate (collapsed spread) for the requested estimate."""
+
+
+class VerificationError(Exception):
+    """A value the paper's theorems fix came out otherwise. Not a ValueError:
+    the CLI reports it as a failed verification, exit code 1."""

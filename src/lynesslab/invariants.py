@@ -31,11 +31,12 @@ pieces they share (S, the coordinate product, each x_i + 1) once.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DimensionError
+from .errors import DimensionError, VerificationError
 from .lyness import Params, require_point, validated
 from .scalars import RatMatrix, exact_kinds, exact_rank, fold, fraction_of, gradient
 from .tracing import traced
@@ -121,43 +122,82 @@ def level_signature(p: Params, x) -> LevelSignature:
     return LevelSignature(v1, v2, eval_v3.kernel(p, x), z_sign.kernel(p, x))
 
 
-def level_signatures(p: Params, states):
-    """`level_signature.kernel(p, x)` for each state x, equal in value and type.
-    Where those levels are Fractions, `level_signature`'s exact form runs on the
-    numerators and denominators of a and x (`tracing.compile_exact`, each
-    coordinate over its own denominator): each V comes as a (numerator,
-    denominator) pair and is confirmed against the previous row's by one exact
-    cross-multiplication (`fraction_of`), so only row 0 and a changed level
-    are reduced (gcd), and sign Z is its numerator's sign, with no
-    denominator of Z formed.
-    Where they are floats, a state whose float kernel raises ArithmeticError or
-    gives a level that is not finite (a product overflows or underflows) gets
-    the kernel over `Fraction` of a and x, each level rounded once with `float`
-    and sign Z exact; the levels end before a state whose rounded level overflows."""
+def _exact_levels(p: Params, x, hint: LevelSignature) -> LevelSignature:
+    """`level_signature.kernel(p, x)` at an exact point, by its exact form
+    (`tracing.compile_exact`, each coordinate over its own denominator); each V
+    is hint's level where `fraction_of` confirms it, and sign Z is read off Z's
+    numerator, with no denominator of Z formed."""
+    form = level_signature.kernel.exact_form(p.k, denominators=True, common=False)
+    v1, v2, v3, z = form(p.a.numerator, p.a.denominator,
+                         tuple(c.denominator for c in x), tuple(c.numerator for c in x))
+    if z is not None:  # odd k: V3, and sign Z over the denominator 1
+        v3, z = fraction_of(v3, hint.v3), z[0]
+    return LevelSignature(fraction_of(v1, hint.v1), fraction_of(v2, hint.v2), v3, z)
+
+
+def _float_levels(p: Params, x):
+    """`level_signature.kernel(p, x)` at a float state, or where that raises
+    ArithmeticError or a level is not finite, the kernel over `Fraction` with
+    each level rounded once; None where a rounded level overflows."""
     n = 2 + p.k % 2  # V1, V2 and, for odd k, V3
-    exact_a, prev = type(p.a) in (int, Fraction), LevelSignature(None, None)
+    try:
+        sig = level_signature.kernel(p, x)
+        if math.isfinite(sig.v1) and math.isfinite(sig.v2) and (n == 2 or math.isfinite(sig.v3)):
+            return sig
+    except ArithmeticError:
+        pass
+    exact = level_signature.kernel(Params(p.k, Fraction(p.a)), tuple(map(Fraction, x)))
+    try:
+        return LevelSignature(*map(float, exact[:n]), *exact[n:])
+    except OverflowError:
+        return None
+
+
+def level_signatures(p: Params, states):
+    """`level_signature.kernel(p, x)` for each state x, equal in value and type,
+    computed on every state (one orbit's rows take `orbit_levels`, which
+    carries exact levels). Exact levels are confirmed against the previous
+    state's by one cross-multiplication (`fraction_of`), so only the first and a
+    changed level are reduced. Float levels end before a state whose levels
+    overflow float64 (`_float_levels`)."""
+    exact_a, hint = type(p.a) in (int, Fraction), LevelSignature(None, None)
     for x in states:
         if exact_a and exact_kinds((p.a, *x)):
-            form = level_signature.kernel.exact_form(p.k, denominators=True, common=False)
-            v1, v2, v3, z = form(p.a.numerator, p.a.denominator,
-                                 tuple(c.denominator for c in x), tuple(c.numerator for c in x))
-            if z is not None:  # odd k: V3, and sign Z over the denominator 1
-                v3, z = fraction_of(v3, prev.v3), z[0]
-            prev = LevelSignature(fraction_of(v1, prev.v1), fraction_of(v2, prev.v2), v3, z)
-            yield prev
-            continue
-        try:
-            sig = level_signature.kernel(p, x)
-            finite = math.isfinite(sig.v1) and math.isfinite(sig.v2) and (n == 2 or math.isfinite(sig.v3))
-        except ArithmeticError:
-            finite = False
-        if not finite:
-            exact = level_signature.kernel(Params(p.k, Fraction(p.a)), tuple(map(Fraction, x)))
-            try:
-                sig = LevelSignature(*map(float, exact[:n]), *exact[n:])
-            except OverflowError:
-                return
+            sig = hint = _exact_levels(p, x, hint)
+        elif (sig := _float_levels(p, x)) is None:
+            return
         yield sig
+
+
+def orbit_levels(p: Params, states):
+    """(x, `level_signature.kernel(p, x)`) for each state x of one orbit of F
+    or F^-1, the path chosen on the first state. Float levels are computed on
+    every row, as `level_signatures` does, since their drift is what a float
+    run shows. Exact rows carry row 0's levels: the paper proves V1 and V2
+    first integrals for every k and V3 for odd k, and for odd k sign Z flips
+    each step (0 stays 0), as Z o F = det DF * Z with det DF < 0 on the
+    orthant. The last state's levels are computed again; unless they are row
+    0's, with sign Z times (-1)^steps, VerificationError is raised."""
+    states = iter(states)
+    x = next(states)
+    if not exact_kinds((p.a, *x)):
+        for x in itertools.chain((x,), states):
+            if (sig := _float_levels(p, x)) is None:
+                return
+            yield x, sig
+        return
+    first = sig = _exact_levels(p, x, LevelSignature(None, None))
+    yield x, sig
+    steps = 0
+    for steps, x in enumerate(states, 1):
+        if sig.z_sign:
+            sig = sig._replace(z_sign=-sig.z_sign)
+        yield x, sig
+    last = _exact_levels(p, x, first)
+    if last != sig:
+        changed = [name for name, got, want in zip(("V1", "V2", "V3", "sign Z"), last, sig) if got != want]
+        raise VerificationError(f"the exact orbit's last state, after {steps} steps, is off row 0's levels: "
+                                f"{', '.join(changed)}")
 
 
 _EVALUATORS = {"V1": eval_v1, "V2": eval_v2, "V3": eval_v3}

@@ -91,7 +91,10 @@ def shift_residuals(p: Params, x) -> tuple:
 
 @validated
 def shift_residual(p: Params, x, i: int):
-    """X_{i+1}(x) - X_i(F(x)) for 1-based 1 <= i <= k-1: entry i-1 of `shift_residuals`."""
+    """X_{i+1}(x) - X_i(F(x)) for 1-based 1 <= i <= k-1: entry i-1 of
+    `shift_residuals`, which it computes whole, with both field evaluations. A
+    caller that wants every i calls `shift_residuals` once: looping over i
+    here pays 2(k-1) field evaluations where that pays 2."""
     if not 1 <= i <= p.k - 1:
         raise DimensionError(f"shift index must satisfy 1 <= i <= k-1, got {i}")
     return shift_residuals.kernel(p, x)[i - 1]

@@ -6,7 +6,7 @@ import lynesslab
 PUBLIC = """
     BOUNDARY_EPS DegenerateOrbitError DimensionError DomainError Dual FixedPoint
     FlowTrace GPoint LevelSignature METHODS NoRootError OddPeriodVerdict
-    OrbitTrace Params RatMatrix ReducedParams SuiteResult TransportReport
+    OrbitTrace Params RatMatrix ReducedParams SuiteResult TransportReport VerificationError
     annihilation_residual compatibility_residual equilibrium_residual eval_pi eval_v1
     eval_v2 eval_v3 eval_w eval_z exact_rank factorization_residual fixed_point
     gradient independence_rank integrate_flow invariant_drift

@@ -1,13 +1,15 @@
-"""The exact backend besides Fraction and the one signature driver. A traced
-kernel's exact form (`tracing.compile_exact`) keeps a rational point's
-denominators cleared, never reduced: its ring operations, negation,
-comparisons, int literals and a zero divisor agree with Fraction over each
-coordinate's own denominator and over their common one, and sums over one
-common denominator (`common_denominator`) form no product of it.
-`level_signatures` returns what `level_signature.kernel` returns, in value
-and in type, whatever the previous row's levels: the rows' rule
-(`scalars.fraction_of`) returns the previous level only when one
-cross-multiplication shows it equal."""
+"""The exact forms (`tracing.compile_exact`), the one exact backend besides
+Fraction, with `scalars.common_denominator` and `scalars.fraction_of`, and the
+levels they give `level_signatures`. (The file keeps the name of `Cleared`,
+the class the exact forms replaced, so that its tests keep their ids.) A
+traced kernel's exact form keeps a rational point's denominators cleared,
+never reduced: its ring operations, negation, comparisons, int literals and a
+zero divisor agree with Fraction over each coordinate's own denominator and
+over their common one, and sums over one common denominator form no product
+of it. `level_signatures` returns what `level_signature.kernel` returns, in
+value and in type, whatever the previous row's levels: the rows' rule
+(`fraction_of`) returns the previous level only when one cross-multiplication
+shows it equal."""
 
 import math
 import types
