@@ -73,11 +73,8 @@ def _poly_eval(coeffs, t):
 def _perfect_square(q: Fraction):
     if q < 0:
         return None
-    pn, pd = q.numerator, q.denominator
-    rn, rd = math.isqrt(pn), math.isqrt(pd)
-    if rn * rn == pn and rd * rd == pd:
-        return Fraction(rn, rd)
-    return None
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(rn, rd) if rn * rn == q.numerator and rd * rd == q.denominator else None
 
 
 def sample_g_point(p: Params, template) -> GPoint:
@@ -125,14 +122,12 @@ def sample_g_point(p: Params, template) -> GPoint:
 
 
 def _exact_root(coeffs, degree):
-    if degree == 2:
-        c0, c1, c2 = coeffs
-        sq = _perfect_square(c1 * c1 - 4 * c2 * c0)
-        if sq is None:
-            return None
-        roots = sorted(r for r in ((-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2)) if r > 0)
-        return roots[0] if roots else None
-    return None
+    if degree != 2:
+        return None
+    c0, c1, c2 = coeffs
+    sq = _perfect_square(c1 * c1 - 4 * c2 * c0)
+    roots = [] if sq is None else sorted(r for r in ((-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2)) if r > 0)
+    return roots[0] if roots else None
 
 
 def _float_root(p, coeffs, filled):

@@ -65,8 +65,11 @@ def in_orthant(x) -> bool:
     """The domain rule: every coordinate satisfies 0 < c < inf. Only a float
     can be infinite, so an exact coordinate (int or Fraction) is compared
     with 0 alone: no comparison with a float, which costs a `Fraction`
-    several times more."""
-    return all(0 < c < math.inf if isinstance(c, float) else 0 < c for c in x)
+    several times more. A plain loop, about twice as fast as `all`."""
+    for c in x:
+        if not (0 < c < math.inf if isinstance(c, float) else 0 < c):
+            return False
+    return True
 
 
 def require_point(p: Params, x) -> tuple:
@@ -178,8 +181,8 @@ def iterate(p: Params, x0, n: int) -> OrbitTrace:
 @validated
 def jacobian(p: Params, x) -> RatMatrix:
     """DF(x): shift rows for coordinates 1..k-1, one rational row at the
-    bottom. The shift rows' entries are the int literals 0 and 1, which an
-    exact form folds away."""
+    bottom. The shift rows' entries are the int literals 0 and 1: a trace
+    records no product with 1, and an exact form folds a product with 0 away."""
     rows = [[int(j == i + 1) for j in range(p.k)] for i in range(p.k - 1)]
     rows.append([-(p.a + fold(x[1:])) / (x[0] * x[0])] + [1 / x[0]] * (p.k - 1))
     return RatMatrix(rows)

@@ -59,10 +59,12 @@ def _literal_digits(literal: str) -> float:
 
 
 def fold(xs):
-    """0 + x1 + x2 + ..., added left to right: the order of `sum` before
-    CPython 3.12, whose `sum` of floats compensates rounding. Kernels sum
-    with `fold`, so a float result has the same bits on every interpreter."""
-    return functools.reduce(operator.add, xs, 0)
+    """x1 + x2 + ..., added left to right (0 for no items): `sum` before
+    CPython 3.12, whose `sum` of floats compensates rounding, less its `0 +`,
+    which changes a sum only where every item is -0.0. Kernels sum with
+    `fold`, so a float result has the same bits on every interpreter."""
+    xs = iter(xs)
+    return functools.reduce(operator.add, xs, next(xs, 0))
 
 
 def _lift(v):

@@ -143,11 +143,10 @@ def factorization_residual(p: Params, x):
         raise DimensionError(f"the factorization identity needs k >= 6, got k={p.k}")
     k = p.k
     links = _links(x)
-    acc = x[0] - x[0]  # zero of the working field
-    for i in range(1, k - 1):  # 0-based middle coordinates, chain M_{i+1}
-        acc = acc + x[i] * (x[i] + 1) * (x[i - 1] - x[i + 1]) * math.prod(
-            links[: i - 1] + links[i + 1 :]
-        )
+    acc = fold(  # over the 0-based middle coordinates i, chain M_{i+1}
+        x[i] * (x[i] + 1) * (x[i - 1] - x[i + 1]) * math.prod(links[: i - 1] + links[i + 1 :])
+        for i in range(1, k - 1)
+    )
     rhs = (
         math.prod(links[1:3])
         * math.prod(links[3 : k - 2])

@@ -38,8 +38,8 @@ class Recording:
     TypeError, so a kernel that branches on a value fails when it is traced.
     The tape maps each distinct operation to the name of its result, in the
     order first recorded: an operation recorded again (the same operator on
-    the same operands in the same order) names the first result, so it runs
-    once."""
+    the same operands, in either order for `+` and `*`) names the first
+    result, so it runs once; `1 * v` and `v * 1` record nothing and give v."""
 
     __slots__ = ("tape", "name")
 
@@ -54,7 +54,11 @@ class Recording:
             elif type(v) is not int:
                 return NotImplemented
             key.append(v)
-        return Recording(self.tape, self.tape.setdefault(tuple(key), f"t{len(self.tape)}"))
+        if symbol == "*" and 1 in key:  # 1 * v is v
+            return self
+        tape, key = self.tape, tuple(key)
+        swapped = (symbol, key[2], key[1]) if symbol in ("+", "*") else None  # u + v repeats v + u
+        return Recording(tape, tape.get(key) or tape.get(swapped) or tape.setdefault(key, f"t{len(tape)}"))
 
     __add__, __radd__ = _binary("+")
     __sub__, __rsub__ = _binary("-")
@@ -116,9 +120,9 @@ def _define(lines: list, out, leaf, filename: str) -> tuple:
 def _compile(kernel, k: int):
     """kernel traced once at dimension k (`_trace`) and written out as one
     straight-line function of (p, x, *extra) that performs each distinct
-    recorded operation once, in the order first recorded. Nothing is
-    reordered, commuted or re-associated (`x0 + 1` and `1 + x0` stay two
-    operations). Its source is kept in `linecache`, for tracebacks."""
+    recorded operation once, in the order, and with the operand order, first
+    recorded; nothing is re-associated (`(x0 + x1) + x2` and `x0 + (x1 + x2)`
+    stay two operations). Its source is kept in `linecache`, for tracebacks."""
     tape, extra, out = _trace(kernel, k)
     lines = [f"def kernel({', '.join(['p', 'x', *extra])}):", "a = p.a",
              "".join(f"x{i}, " for i in range(k)) + "= x"]
@@ -201,16 +205,9 @@ def compile_exact(kernel, k: int, denominators: bool = False, common: bool = Tru
             value[name] = (negated(un), ud)
             continue
         [(vn, vd)] = other
-        # the literals 0 and 1 that `fold`, `math.prod` and `Dual`'s lift bring fold away
+        # the literal 0 that `Dual`'s lift brings folds away (`1 *` is never recorded)
         if symbol == "*":
-            if un == 0 or vn == 0:
-                value[name] = (0, ())
-            elif un == 1 and not ud:
-                value[name] = (vn, vd)
-            elif vn == 1 and not vd:
-                value[name] = (un, ud)
-            else:
-                value[name] = (let(f"{un} * {vn}"), merged(*ud, *vd))
+            value[name] = (0, ()) if un == 0 or vn == 0 else (let(f"{un} * {vn}"), merged(*ud, *vd))
             continue
         rest, extra = cancel(ud, vd)
         left = scaled(un, extra)  # u's numerator over the denominator u and v share
@@ -248,10 +245,11 @@ def traced(kernel):
     per k; extra are scalars past the point, such as a step size (the tracer
     records no float literal). The first call at dimension p.k traces f on
     `Recording` inputs and compiles what it recorded; that call and every
-    later one at p.k run the compiled function. It performs f's operations on
-    the same operands in the same order, each distinct one once (a repeat
-    reuses the first result), so its results are f's, bit for bit. f stays
-    the source, as `__wrapped__`; `compiled` maps k to its function.
+    later one at p.k run the compiled function. It performs f's operations,
+    each distinct one once (a repeat, also a commuted `+` or `*`, reuses the
+    first result), and no `1 * v`: IEEE 754 `+` and `*` commute exactly and
+    `1 * v` is v for every float, so its results are f's, bit for bit. f
+    stays the source, as `__wrapped__`; `compiled` maps k to its function.
 
     `exact_form(k, denominators=False, common=True)` is f's exact form at
     dimension k (`compile_exact`), a function of (an, ad, D, n), or with

@@ -17,7 +17,7 @@ from lynesslab.flow import (
     invariant_drift,
     transport_diagnostic,
 )
-from lynesslab.lyness import Params, float_point
+from lynesslab.lyness import Params, float_point, in_orthant
 from lynesslab.scalars import fold
 from lynesslab.symmetry import symmetry_vector
 
@@ -84,6 +84,22 @@ def test_a_trace_of_one_sample_reports_no_drift():
 )
 def test_the_truncation_rule_keeps_finite_coordinates_past_the_boundary(c, inside):
     assert flow._in_domain((1.0, c, 2.0)) is inside
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_both_domain_rules_read_every_coordinate(i):
+    """`lyness.in_orthant` and the truncation rule fail a point whose
+    coordinate i is nan, inf or not positive; 1e-12 is in the orthant but not
+    in the flow's domain; exact coordinates pass both."""
+    def at(c):
+        return (1.0, 2.0, 3.0)[:i] + (c,) + (1.0, 2.0, 3.0)[i + 1:]
+
+    for c in (math.nan, math.inf, -math.inf, 0.0, -1.0, Fraction(0), -2):
+        assert in_orthant(at(c)) is flow._in_domain(at(c)) is False
+    for c in (flow.BOUNDARY_EPS, Fraction(1, 10**13)):
+        assert (in_orthant(at(c)), flow._in_domain(at(c))) == (True, False)
+    exact = (Fraction(1, 3), Fraction(10**400), 5)
+    assert in_orthant(exact) is flow._in_domain(exact) is True
 
 
 def test_method_and_grid_validation():

@@ -3,9 +3,10 @@ signatures and the residuals of the verify suites (five of them the public
 residuals' own kernels) run as straight-line code compiled once per k, a
 kernel that takes a `jvp` among them. The compiled form must give its body's
 results (`__wrapped__`) in value and type, bit for bit over floats, and a
-body that branches on a value must fail when traced. A repeated operation is
-compiled once; nothing is commuted or re-associated, and the compiled
-sources of the float kernels are pinned by digest. A kernel's exact form
+body that branches on a value must fail when traced. A repeated operation,
+also a commuted `+` or `*`, is compiled once, a product with the literal 1
+not at all; nothing is re-associated, and the compiled sources of the float
+kernels are pinned by digest. A kernel's exact form
 keeps the value of every int literal it folds, gives a comparison's 0 or 1
 over either layout of the point (also where a divisor is negative), and
 takes each extra input as a (numerator, denominator) pair
@@ -287,12 +288,28 @@ def _recorded(run, k: int) -> list:
     return [line.split(" = ", 1)[1].strip() for line in source if line.lstrip().startswith("t")]
 
 
+def _unordered(line: str):
+    """A compiled operation with the operands of a `+` or `*` as a set, so
+    that commuted copies compare equal."""
+    parts = line.split(" ")
+    return (parts[1], frozenset(parts[::2])) if len(parts) == 3 and parts[1] in ("+", "*") else line
+
+
 @pytest.mark.parametrize("k", range(3, 10))
 def test_no_compiled_kernel_repeats_an_operation(k):
     for run in [fn.kernel for fn in TRACED] + _suite_residuals(k):
         run(Params(k, 1.0), (2.0,) * k)
         lines = _recorded(run, k)
-        assert lines and len(set(lines)) == len(lines), run.__qualname__
+        assert lines and len(set(map(_unordered, lines))) == len(lines), run.__qualname__
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_no_compiled_float_kernel_multiplies_by_1_adds_to_0_or_commutes_a_repeat(k):
+    for body in [fn.kernel.__wrapped__ for fn in TRACED] + [_rk4_stages.__wrapped__]:
+        tracing._compile(body, k)
+        lines = _recorded(body, k)
+        assert not [line for line in lines if line.startswith(("1 * ", "0 + ")) or line.endswith(" * 1")], body.__name__
+        assert len(set(map(_unordered, lines))) == len(lines), body.__name__
 
 
 def test_a_repeated_operation_is_compiled_once():
@@ -304,13 +321,18 @@ def test_a_repeated_operation_is_compiled_once():
     assert _recorded(twice, 3) == ["x0 * x1", "t0 + t0"]
 
 
-def test_operations_are_not_commuted_or_reassociated():
+def test_a_commuted_repeat_is_compiled_once_and_nothing_is_reassociated():
     @traced
     def variants(p, x):
-        return (x[0] + 1, 1 + x[0], (x[0] + x[1]) + x[2], x[0] + (x[1] + x[2]))
+        return (x[0] + 1, 1 + x[0], x[1] * x[0], x[0] * x[1], (x[0] + x[1]) + x[2], x[0] + (x[1] + x[2]),
+                1 * x[2], x[2] * 1)
 
-    assert variants(Params(3, 1.0), (0.1, 0.2, 0.3)) == (1.1, 1.1, 0.6000000000000001, 0.6)
-    assert _recorded(variants, 3) == ["x0 + 1", "1 + x0", "x0 + x1", "t2 + x2", "x1 + x2", "x0 + t4"]
+    assert variants(Params(3, 1.0), (0.1, 0.2, 0.3)) == (1.1, 1.1, 0.020000000000000004, 0.020000000000000004,
+                                                         0.6000000000000001, 0.6, 0.3, 0.3)
+    # a commuted repeat keeps the order recorded first; a product with 1 records nothing
+    assert _recorded(variants, 3) == ["x0 + 1", "x1 * x0", "x0 + x1", "t2 + x2", "x1 + x2", "x0 + t4"]
+    source = linecache.getlines(f"<traced {variants.__qualname__} k=3>")
+    assert source[-1].strip() == "return (t0, t0, t1, t1, t3, t5, x2, x2, )"
 
 
 # float bits of the field and the level signatures at a = 0.7, x_i = 0.3 + 0.41 i,
@@ -342,11 +364,11 @@ def test_golden_float_bits_of_the_field_and_the_levels(k):
 # sha256 of each float kernel's compiled sources at k = 3..9, in order. Float
 # bits under every interpreter follow the operation order these sources fix.
 SOURCE_DIGESTS = {
-    "step": "e3c9ecd45f79daf3443f55a284374d5dc46e8396225ca7d7cc470aaf3a5acf71",
-    "inverse_step": "23e2248eca0e3bb9d8db7095d1c2df7dab6b1be80cc4af8d5a088feea60397c7",
-    "symmetry_vector": "c129e39053428f9a7c7d9a3718303a1a1a69757381d1f8964c5e3a1f7d90c759",
-    "level_signature": "4ef2c99d5b4e4fb0a5d4c7ebc02ba06b371e4cacd51a69afdca948168e3925ab",
-    "_rk4_stages": "1b6c263c6f715b7cbc3eaa0f8d6d7e9a4a065a98f92ee2c9d2ce5b38e3f3dc97",
+    "step": "29bfa434d2b6220ffb182a1f793fae82663dd43b94c697ff93d82b9b9bba5ce6",
+    "inverse_step": "223aab24ae05dcd0718c301271a5850a68cb4642b56b6fba417e6545886e6bd5",
+    "symmetry_vector": "3f9e13c20b52fcb39abe002680bd26e51ba0da7079bc2e37269185f348f6a46e",
+    "level_signature": "d54719169f1428cbe5ec96136292ef1fbb2b61f7153463638f5f9c434e028386",
+    "_rk4_stages": "4f85987664b7cb338f4622fce5ce677ab218a0ff91dd5126a67b7c7265a4835d",
 }
 
 
