@@ -201,7 +201,7 @@ def _write_orbit(p: Params, x0, steps: int, proj, fmt: str, fh) -> None:
         fh.write(template % ((n, *pick(cells), v1, v2, v3, z) if odd else (n, *pick(cells), v1, v2)))
         n += 1
     if n <= steps:
-        print(f"warning: float orbit left the domain at step {n}", file=sys.stderr)
+        print(f"warning: float orbit truncated (domain boundary or float64 range) at step {n}", file=sys.stderr)
 
 
 def cmd_orbit(args) -> int:

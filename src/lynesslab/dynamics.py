@@ -1,4 +1,5 @@
-"""Orbit-level diagnostics: signatures, the separating surface, densities,
+"""Orbit-level diagnostics: signatures, points of the separating surface
+{Z = 0} along a template (one kernel pass over `scalars.Poly`), densities,
 level profiles along the 2-periodic curve, and a rotation-number estimator.
 """
 
@@ -15,6 +16,7 @@ from .lyness import (
     OrbitTrace, Params, float_params, float_point, in_orthant, iterate, jacobian_det, orbit,
     require_point, step, two_periodic_point, validated,
 )
+from .scalars import Poly
 from .tracing import traced
 
 
@@ -42,27 +44,6 @@ class GPoint:
     image_residual: object
 
 
-def _interp_poly(ts, vals):
-    """Exact Lagrange interpolation; returns coefficients lowest-first."""
-    n = len(ts)
-    coeffs = [Fraction(0)] * n
-    for i, (ti, vi) in enumerate(zip(ts, vals)):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, tj in enumerate(ts):
-            if j == i:
-                continue
-            shifted = [Fraction(0)] + basis  # multiply the basis poly by t ...
-            for d in range(len(basis)):
-                shifted[d] -= tj * basis[d]  # ... minus tj
-            basis = shifted
-            denom *= ti - tj
-        scale = vi / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += scale * c
-    return coeffs
-
-
 def _poly_eval(coeffs, t):
     acc = coeffs[-1] * 0
     for c in reversed(coeffs):
@@ -80,19 +61,19 @@ def _perfect_square(q: Fraction):
 def sample_g_point(p: Params, template) -> GPoint:
     """Solve Z = 0 along a template: None entries all bind to one unknown t.
 
-    Z in t has degree >= 2. A rational root of a quadratic Z (square
-    discriminant) comes back exact with residual 0; otherwise the smallest
-    positive root is bracketed on (0, 1e6), bisected and Newton-polished in
-    float64 with |Z| <= 1e-12 demanded. No positive root in range raises
-    NoRootError.
+    Z's coefficients in t come from one kernel pass with t a `scalars.Poly`.
+    Z in t has degree >= 2. A rational root of a quadratic Z with exact
+    coefficients (square discriminant) comes back exact with residual 0;
+    otherwise the smallest positive root is bracketed on (0, 1e6), bisected
+    and Newton-polished in float64 with |Z| <= 1e-12 demanded. No positive
+    root in range raises NoRootError.
     """
     if p.k % 2 == 0:
         raise DimensionError("the separating surface lives in odd dimensions")
     template = tuple(template)
     if len(template) != p.k:
         raise DimensionError(f"template must have {p.k} entries")
-    holes = [i for i, v in enumerate(template) if v is None]
-    if not holes:
+    if None not in template:
         raise ValueError("template needs at least one None entry to solve for")
     if not in_orthant(v for v in template if v is not None):
         raise DomainError("fixed template coordinates must be positive and finite")
@@ -100,60 +81,36 @@ def sample_g_point(p: Params, template) -> GPoint:
     def filled(t):
         return tuple(t if v is None else v for v in template)
 
-    def z_of(t):  # the nodes t > 0 fill a template checked above
-        return eval_z.kernel(p, filled(t))
-
-    # Z is polynomial in t. With the fixed coordinates > 0, the h_odd holes at
-    # odd positions give prod_odd degree 2 h_odd, and the h_even at even ones
-    # give S * prod_even degree 2 h_even + 1 (t(t+1) each, times S, which
-    # holds every hole), both with positive leading coefficients: the
-    # parities differ, so nothing cancels, and the degree is >= 2.
-    bound = 1 + sum(3 if i % 2 else 2 for i in holes)
-    ts = [Fraction(j) for j in range(1, bound + 2)]
-    coeffs = _interp_poly(ts, [z_of(t) for t in ts])
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    degree = len(coeffs) - 1
-
-    root = _exact_root(coeffs, degree)
-    if root is not None:
-        return _g_point(p, filled(root))
-    return _float_root(p, coeffs, filled)
+    coeffs = eval_z.kernel(p, filled(Poly((0, 1)))).coeffs  # Z as a polynomial in t
+    root = _exact_root(coeffs, len(coeffs) - 1)
+    return _float_root(p, coeffs, filled) if root is None else _g_point(p, filled(root))
 
 
 def _exact_root(coeffs, degree):
-    if degree != 2:
+    if degree != 2 or any(isinstance(c, float) for c in coeffs):
         return None
     c0, c1, c2 = coeffs
     sq = _perfect_square(c1 * c1 - 4 * c2 * c0)
-    roots = [] if sq is None else sorted(r for r in ((-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2)) if r > 0)
-    return roots[0] if roots else None
+    roots = () if sq is None else ((-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2))
+    return min((r for r in roots if r > 0), default=None)
 
 
 def _float_root(p, coeffs, filled):
     # exact-sign bracketing on a per-decade rational grid in (0, 1e6)
-    grid = []
-    for e in range(-6, 6):
-        base = Fraction(10) ** e
-        grid.extend(base * j for j in range(1, 10))
-    grid.append(Fraction(10) ** 6)
+    grid = [Fraction(10) ** e * j for e in range(-6, 6) for j in range(1, 10)] + [Fraction(10) ** 6]
     signs = [(t, _poly_eval(coeffs, t)) for t in grid]
-    bracket = None
-    for (t0, v0), (t1, v1) in zip(signs, signs[1:]):
-        if v0 == 0:
-            return _g_point(p, filled(t0))
+    for (t0, v0), (t1, v1) in zip(signs, signs[1:] + signs[-1:]):  # the last pairs with itself
+        if v0 == 0:  # a root on the grid, in float for float coefficients
+            return _g_point(p, filled(float(t0) if isinstance(v0, float) else t0))
         if (v0 < 0) != (v1 < 0):
-            bracket = (t0, t1)
             break
-    if bracket is None:
-        if signs[-1][1] == 0:
-            return _g_point(p, filled(grid[-1]))
+    else:
         raise NoRootError("no sign change of Z on the template within (0, 1e6)")
 
     fc = [float(c) for c in coeffs]
     dfc = [float(c * (i + 1)) for i, c in enumerate(coeffs[1:])]
-    root = _bisect(lambda t: _poly_eval(fc, t), float(bracket[0]), float(bracket[1]), 0.0)
-    for _ in range(4):  # Newton polish on the exact-coefficient polynomial
+    root = _bisect(lambda t: _poly_eval(fc, t), float(t0), float(t1), 0.0)
+    for _ in range(4):  # Newton polish on Z's coefficients in float64
         d = _poly_eval(dfc, root)
         if d == 0.0:
             break

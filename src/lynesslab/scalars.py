@@ -1,23 +1,25 @@
-"""Exact scalar substrate: rationals, forward-mode duals, exact linear algebra.
+"""Scalar substrate: rationals, duals, polynomials in t, exact linear algebra.
 
 Every formula in this package is written against plain arithmetic operators so
-the same code runs over exact rationals (the stdlib Fraction: always reduced,
-positive denominator, exact field operations), float64 or `Dual` numbers. The
-one other exact backend is a traced kernel's exact form
-(`tracing.compile_exact`): integer straight-line code in the numerators and
-denominators of a rational point, which it never reduces, so it takes no gcd.
-The verify suites run it over a point's common denominator D, drawn as the
-integers `common_denominator` gives (`sampling.random_common_point`); the
-exact orbit rows and the reduce replay run it over each coordinate's own, and
-`fraction_of` turns each (numerator, denominator) pair it returns into the
-Fraction, confirming a known value by one cross-multiplication.
-A directional derivative is one dual pass (`jvp`), a gradient one per
-coordinate; ranks over the rationals use fraction-free integer elimination.
+the same code runs over exact rationals (the stdlib Fraction, always reduced),
+float64 or `Dual` numbers; division-free ones, such as Z, also run over `Poly`,
+giving their coefficients along a line of inputs. The one other exact backend
+is a traced kernel's exact form (`tracing.compile_exact`): integer
+straight-line code in the numerators and denominators of a rational point,
+which it never reduces, so it takes no gcd. The verify suites run it over a
+point's common denominator D, drawn as the integers `common_denominator` gives
+(`sampling.random_common_point`); the exact orbit rows and the reduce replay
+run it over each coordinate's own, and `fraction_of` turns each (numerator,
+denominator) pair it returns into the Fraction, confirming a known value by one
+cross-multiplication. A directional derivative is one dual pass (`jvp`), a
+gradient one per coordinate; ranks over the rationals use fraction-free integer
+elimination.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -130,6 +132,46 @@ class Dual:
 
     def __ge__(self, other):
         return self.value >= _lift(other).value
+
+
+def _terms(v):
+    return v.coeffs if isinstance(v, Poly) else (v,)
+
+
+class Poly:
+    """Polynomial in one unknown t: coefficients lowest first, no trailing
+    zeros (the zero polynomial keeps one). Ring `+ - *` with ints, Fractions,
+    floats and other polynomials, so a division-free kernel run with
+    t = Poly((0, 1)) among its inputs returns its value in t."""
+
+    def __init__(self, coeffs):
+        coeffs = list(coeffs)
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+
+    def __add__(self, other):
+        return Poly(u + v for u, v in itertools.zip_longest(self.coeffs, _terms(other), fillvalue=0))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + -Poly(_terms(other))
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        b = _terms(other)
+        out = [0] * (len(self.coeffs) + len(b) - 1)
+        for (i, u), (j, v) in itertools.product(enumerate(self.coeffs), enumerate(b)):
+            out[i + j] += u * v
+        return Poly(out)
+
+    __rmul__ = __mul__
 
 
 def jvp(f, x, v):

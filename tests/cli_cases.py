@@ -46,6 +46,7 @@ def _error(argv: str, line: str = "error: ") -> Case:
 
 
 T0 = (r"warning: trajectory truncated \(domain boundary or float64 range\) at t=0\.0$",)
+S0 = (r"warning: float orbit truncated \(domain boundary or float64 range\) at step 0$",)
 WROTE = (r"figure \d: wrote \S+/out(, \S+/out\.flow\.csv)?$",)
 K30 = ",".join(["1e-11"] * 30)
 
@@ -148,8 +149,10 @@ CASES = {
     # float rows whose float levels are not finite take the exact levels rounded, and the
     # orbit ends before a rounded level overflows (x0's V1 at 1e200,1e200,1e-300: 2e500)
     "orbit-nonfinite-then-zero-division": Case("orbit --k 3 --x0 1e200,1e200,1e-300 --steps 3",
-                                               "ab9159292803871fd62932a69f0b1130623f8aab0aa23401d3bb462977ed35d2",
-                                               (r"warning: float orbit left the domain at step 0$",)),
+                                               "ab9159292803871fd62932a69f0b1130623f8aab0aa23401d3bb462977ed35d2", S0),
+    # x0 is in the orthant, but its float V1, V2 and V3 overflow: only the header
+    "orbit-x0-levels-overflow": Case("orbit --k 3 --x0 1e-320,1,1 --steps 5",
+                                     "ab9159292803871fd62932a69f0b1130623f8aab0aa23401d3bb462977ed35d2", S0),
     "orbit-nonfinite-x0": Case("orbit --k 3 --x0 1e300,1e300,1e300 --steps 2",
                                "18650f05548bb2b897419d73be78c2287c0309e4f37ce5600383235b1b7b8a6d"),
     "orbit-zero-division-row-2": Case("orbit --k 3 --a 0 --x0 1e100,1e-20,1e-160 --steps 5",

@@ -290,7 +290,8 @@ def test_orbit_rows_equal_str_cells_and_json_dumps(k, a, x0, steps, proj, fmt, c
     text, rows = _reference_rows(p, x0, steps, proj, fmt)
     assert fh.getvalue() == text
     assert "nan" not in text and "inf" not in text
-    warning = f"warning: float orbit left the domain at step {rows}\n" if rows <= steps else ""
+    warning = (f"warning: float orbit truncated (domain boundary or float64 range) at step {rows}\n"
+               if rows <= steps else "")
     assert capsys.readouterr().err == warning
 
 

@@ -127,6 +127,24 @@ def test_z_along_a_template_is_never_linear(k, monkeypatch):
     assert min(degrees) == 2
 
 
+@pytest.mark.parametrize("a", [Fraction(0), Fraction(1), Fraction(7, 3)])
+@pytest.mark.parametrize("template", [
+    (1.0, 2.0, None),  # Z quadratic, with float coefficients
+    (2.0, 3.0, None, None, 6.0),  # at a = 0, Z is 0 on the bracketing grid
+    (0.5, None, 2.5, None, 1.25),
+    (0.1, None, 0.7, 3.3, None, None, 1.9),
+])
+def test_a_float_template_finds_the_root_of_its_fraction_form(template, a):
+    """A template of floats gives a float point with |Z| <= 1e-12, within
+    1e-12 (relative) of the point of the same template as Fractions."""
+    p = Params(len(template), a)
+    got = sample_g_point(p, template)
+    want = sample_g_point(p, [v if v is None else Fraction(v) for v in template])
+    assert all(type(c) is float for c in got.point)
+    assert got.residual <= 1e-12
+    assert got.point == pytest.approx([float(c) for c in want.point], rel=1e-12, abs=0)
+
+
 def test_odd_period_guard_certifies_off_the_hypersurface():
     verdict = odd_period_guard(P31, (Fraction(1), Fraction(1), Fraction(3)), 9)
     assert verdict.z_value == 12
@@ -244,7 +262,8 @@ def _api_and_cli_rows(k, a, x0, steps, capsys) -> int:
                         for n, x, sig in zip(trace.indices, trace.states, trace.signatures)]
         assert trace.truncated == (len(rows) <= steps)
     assert all(math.isfinite(float(cell)) for row in rows for cell in row)
-    warning = f"warning: float orbit left the domain at step {len(rows)}\n" if len(rows) <= steps else ""
+    warning = (f"warning: float orbit truncated (domain boundary or float64 range) at step {len(rows)}\n"
+               if len(rows) <= steps else "")
     assert captured.err == warning
     return len(rows)
 
