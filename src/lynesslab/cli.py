@@ -175,16 +175,37 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------- orbit rows
 
 
+def _level_text(limit: int = 1024):
+    """v -> str(v) for one orbit's levels, keeping the text of up to `limit`
+    nonzero floats (then starting again): along a float orbit V1, V2 and V3
+    take few distinct values, and a float's `repr` costs about ten dict
+    lookups. 0.0 and -0.0 are equal keys with different texts, and hashing a
+    `Fraction` costs more than its `str`, so neither is kept."""
+    texts = {}
+
+    def text(v):
+        if type(v) is not float or not v:
+            return str(v)
+        t = texts.get(v)
+        if t is None:
+            if len(texts) >= limit:
+                texts.clear()
+            t = texts[v] = repr(v)
+        return t
+
+    return text
+
+
 def _write_orbit(p: Params, x0, steps: int, proj, fmt: str, fh) -> None:
     """Rows of the orbit of x0, exact or float as x0 is, from a start that
     `float_point` or `require_point` has checked. F shifts a state and adds
     one coordinate (the contract by which `orbit` checks only the added one),
     so each row formats only its added coordinate x[-1] and takes the text
-    of the other k-1 from a window of the last k. A float orbit ends early,
-    with one warning, where `orbit` or `orbit_levels` ends: before the first
-    state that leaves the domain or whose levels overflow float64. An exact
-    orbit whose last state is off row 0's levels raises VerificationError
-    after its last row."""
+    of the other k-1 from a window of the last k; a level takes its text from
+    `_level_text`. A float orbit ends early, with one warning, where `orbit`
+    or `orbit_levels` ends: before the first state that leaves the domain or
+    whose levels overflow float64. An exact orbit whose last state is off
+    row 0's levels raises VerificationError after its last row."""
     header = ["n"] + [f"x{i}" for i in proj] + ["V1", "V2"] + ["V3", "signZ"] * (p.k % 2)
     if fmt == "csv":
         fh.write(",".join(header) + "\n")
@@ -195,10 +216,12 @@ def _write_orbit(p: Params, x0, steps: int, proj, fmt: str, fh) -> None:
     pick = operator.itemgetter(*(i - 1 for i in proj))
     odd = p.k % 2 == 1
     cells = collections.deque(map(str, x0[:-1]), maxlen=p.k)  # row 0 appends str(x0[-1])
+    text = _level_text()
     n = 0  # rows written
     for x, (v1, v2, v3, z) in orbit_levels(p, orbit.kernel(p, x0, steps)):
         cells.append(str(x[-1]))
-        fh.write(template % ((n, *pick(cells), v1, v2, v3, z) if odd else (n, *pick(cells), v1, v2)))
+        levels = (text(v1), text(v2), text(v3), z) if odd else (text(v1), text(v2))
+        fh.write(template % (n, *pick(cells), *levels))
         n += 1
     if n <= steps:
         print(f"warning: float orbit truncated (domain boundary or float64 range) at step {n}", file=sys.stderr)
@@ -275,8 +298,12 @@ def cmd_reduce(args) -> int:
     with _full_digits():
         with _output(args.out) as fh:
             fh.write(",".join(["n"] + names) + "\n")
+            shifted = ()  # (coordinate, text) of the row before
             for n, (y, gap) in enumerate(rows):
-                fh.write(",".join([str(n)] + [str(c) for c in y]) + "\n")
+                # a row shifts in coordinates of the row before; those keep their text
+                texts = [next((t for c0, t in shifted if c0 is c), None) or str(c) for c in y]
+                fh.write(",".join([str(n), *texts]) + "\n")
+                shifted = tuple(zip(y, texts))
                 residual = max(residual, gap)
         print(f"kappa = {1 / eval_w.kernel(p, x0)}")  # x0 passed replay's check
         print(f"semiconjugacy residual over {args.steps} double-steps: {residual}")

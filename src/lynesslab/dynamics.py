@@ -64,9 +64,11 @@ def sample_g_point(p: Params, template) -> GPoint:
     Z's coefficients in t come from one kernel pass with t a `scalars.Poly`.
     Z in t has degree >= 2. A rational root of a quadratic Z with exact
     coefficients (square discriminant) comes back exact with residual 0;
-    otherwise the smallest positive root is bracketed on (0, 1e6), bisected
-    and Newton-polished in float64 with |Z| <= 1e-12 demanded. No positive
-    root in range raises NoRootError.
+    otherwise the smallest positive root is found on a rational grid in
+    (0, 1e6): a root on the grid comes back as it is, exact for exact
+    coefficients, and one between two grid points of opposite sign is
+    bisected and Newton-polished in float64 with |Z| <= 1e-12 demanded. No
+    positive root in range raises NoRootError.
     """
     if p.k % 2 == 0:
         raise DimensionError("the separating surface lives in odd dimensions")
@@ -102,7 +104,7 @@ def _float_root(p, coeffs, filled):
     for (t0, v0), (t1, v1) in zip(signs, signs[1:] + signs[-1:]):  # the last pairs with itself
         if v0 == 0:  # a root on the grid, in float for float coefficients
             return _g_point(p, filled(float(t0) if isinstance(v0, float) else t0))
-        if (v0 < 0) != (v1 < 0):
+        if v0 < 0 < v1 or v1 < 0 < v0:  # strict: a zero at t1 is met exact as the next t0
             break
     else:
         raise NoRootError("no sign change of Z on the template within (0, 1e6)")

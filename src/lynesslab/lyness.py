@@ -33,6 +33,13 @@ orbit rows run `level_signature`'s over each coordinate's own). `jacobian`
 is ring arithmetic too, with the int literals 0 and 1 for its constant
 entries, so the `det closed form` suite traces it. Every float run enters
 float64 through `float_point`, the one place that converts a and x0.
+
+`orbit`, the one orbit driver, steps an exact start without the kernels:
+consecutive states share all of the sum S = a + x2 + ... + xk but one term,
+S' = S - x2 + F(x)_k, so it carries S and pays two `Fraction` additions a
+step, not k - 1. That is an identity over the rationals only; a carried float
+sum rounds differently from the one `step` adds, so float, `Dual` and
+all-int starts run `step.kernel` and keep its bits.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DimensionError, DomainError
-from .scalars import RatMatrix, fold
+from .scalars import RatMatrix, exact_kinds, fold
 from .tracing import traced
 
 
@@ -136,13 +143,35 @@ def inverse_step(p: Params, y) -> tuple:
     return ((p.a + fold(y[:-1])) / y[-1],) + y[:-1]
 
 
+def _carried(p: Params, x, forward: bool):
+    """`orbit`'s map step from the exact start x: F (F^-1 if not forward) of
+    each state it is given, x first, with S = a + x2 + ... + xk carried as
+    S - x2 + F(x)_k (S = a + y1 + ... + y_{k-1} as S - y_{k-1} + F^-1(y)_1)."""
+    s = p.a + fold(x[1:] if forward else x[:-1])
+
+    def advance(_p, x):
+        nonlocal s
+        if forward:
+            new = s / x[0]
+            s = s - x[1] + new
+            return x[1:] + (new,)
+        new = s / x[-1]
+        s = s - x[-2] + new
+        return (new,) + x[:-1]
+
+    return advance
+
+
 @validated
 def orbit(p: Params, x, n: int):
     """Yield x and then each image under F (F^-1 for n < 0), |n| images in
     all. Stops early at the first state outside `in_orthant`: float overflow
     or underflow. An image shifts the checked coordinates of the state
-    before it and adds one, so only the added one is checked."""
+    before it and adds one, so only the added one is checked. An exact start
+    (`exact_kinds` of a and x) carries its window sum (`_carried`)."""
     advance, added = (step.kernel, slice(-1, None)) if n >= 0 else (inverse_step.kernel, slice(1))
+    if exact_kinds((p.a, *x)):
+        advance = _carried(p, x, n >= 0)
     yield x
     for _ in range(abs(n)):
         x = advance(p, x)

@@ -295,6 +295,17 @@ def test_orbit_rows_equal_str_cells_and_json_dumps(k, a, x0, steps, proj, fmt, c
     assert capsys.readouterr().err == warning
 
 
+@pytest.mark.parametrize("limit", [1, 2, 1024])
+def test_a_level_prints_as_str_whatever_texts_were_kept(limit):
+    """`_level_text` keeps float texts and starts again past `limit` of them;
+    every level, repeated or not, still prints as its own str: 0.0 and -0.0
+    apart, ints and Fractions by str, nan as nan."""
+    text = cli._level_text(limit)
+    levels = [0.0, -0.0, 1, 1.0, math.nan, -3, 0, Fraction(7, 3), 2.5, 1e300, 5e-324]
+    for v in levels + levels[::-1] + [-0.0, 0.0, 1.0, 1, 2.5, 2.5]:
+        assert text(v) == str(v) and type(text(v)) is str
+
+
 def test_float_runs_compute_with_a_in_float64_and_print_it_as_given(monkeypatch, capsys):
     seen = []
     # where the float runs compute: the orbit writer and the RK4 driver

@@ -108,8 +108,9 @@ class _Solved(Exception):
 @pytest.mark.parametrize("k", [3, 5, 7])
 def test_z_along_a_template_is_never_linear(k, monkeypatch):
     """Over every nonempty hole set at positive fixed coordinates, Z in t has
-    the degree `sample_g_point` derives, max(2 h_odd, 2 h_even + 1) for the
-    holes at odd and at even positions: never 1."""
+    the degree `sample_g_point` reads off its one kernel pass over
+    `scalars.Poly`, max(2 h_odd, 2 h_even + 1) for the holes at odd and at
+    even positions: never 1."""
     degrees = []
 
     def solved(coeffs, degree):
@@ -143,6 +144,29 @@ def test_a_float_template_finds_the_root_of_its_fraction_form(template, a):
     assert all(type(c) is float for c in got.point)
     assert got.residual <= 1e-12
     assert got.point == pytest.approx([float(c) for c in want.point], rel=1e-12, abs=0)
+
+
+# each Z here has degree 3 or 4 in t, so the quadratic solve does not find the root
+@pytest.mark.parametrize("k, a, template, root, before, sign", [
+    (3, 0, (None, 2, None), 2, 1, -1),
+    (5, 0, (1, 2, None, None, None), 9, 8, -1),
+    (5, 0, (2, 1, None, 1, None), 1, Fraction(9, 10), -1),
+    (3, 1, (3, None, None), 4, 3, 1),
+])
+def test_a_zero_of_z_on_the_bracketing_grid_comes_back_exact(k, a, template, root, before, sign):
+    """A rational zero of Z on the grid `sample_g_point` scans comes back
+    exact, with residual 0, whether Z is negative or positive at the grid
+    point before it."""
+    p = Params(k, Fraction(a))
+    holes = [i for i, v in enumerate(template) if v is None]
+    filled = [list(template), list(template)]
+    for i in holes:
+        filled[0][i], filled[1][i] = Fraction(before), Fraction(root)
+    assert math.copysign(1, eval_z.kernel(p, filled[0])) == sign and eval_z.kernel(p, filled[1]) == 0
+    got = sample_g_point(p, template)
+    assert got.point == tuple(filled[1])
+    assert [type(got.point[i]) for i in holes] == [Fraction] * len(holes)
+    assert got.residual == 0 == got.image_residual
 
 
 def test_odd_period_guard_certifies_off_the_hypersurface():

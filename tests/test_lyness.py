@@ -243,3 +243,62 @@ def test_orbit_stops_at_the_first_state_outside_the_float_range():
     # tall rationals compare against inf without a float conversion
     tall = (Fraction(10**400), Fraction(1), Fraction(1))
     assert len(list(orbit(p, tall, 3))) == 4
+
+
+def _exact_starts(k):
+    """Exact starts of four kinds: every coordinate a Fraction, ints and
+    Fractions alternating, and only x1 or only xk a Fraction (the coordinate
+    F or F^-1 divides by, so the first window sum is an int at int a)."""
+    ints = tuple(range(2, k + 2))
+    return (
+        tuple(Fraction(i + 2, i % 3 + 1) for i in range(k)),
+        tuple(Fraction(c, 3) if i % 2 else c for i, c in enumerate(ints)),
+        (Fraction(1, 2),) + ints[1:],
+        ints[:-1] + (Fraction(5, 3),),
+    )
+
+
+def _types(states):
+    return [tuple(map(type, x)) for x in states]
+
+
+def _bits(x):
+    return tuple(c.hex() if isinstance(c, float) else c for c in x)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("n", [30, -30], ids=["forward", "backward"])
+def test_an_exact_orbit_carrying_its_window_sum_is_the_kernel_orbit(k, n, monkeypatch):
+    """An exact orbit carries a + x2 + ... + xk (a + y1 + ... + y_{k-1}
+    backward) from state to state and runs no step kernel, yet every state
+    equals the kernel's iterate in value and in the type of each coordinate."""
+    kernel = step.kernel if n > 0 else inverse_step.kernel
+    for a in (0, 1, Fraction(7, 10)):
+        p = Params(k, a)
+        for x0 in _exact_starts(k):
+            want = [x0]
+            for _ in range(abs(n)):
+                want.append(kernel(p, want[-1]))
+            with monkeypatch.context() as m:
+                for public in (step, inverse_step):
+                    m.setattr(public, "kernel", None)  # the carried path calls neither
+                got = list(orbit(p, x0, n))
+            assert got == want
+            assert _types(got) == _types(want)
+
+
+@pytest.mark.parametrize("x0", [(1, 2, 3, 4), (1.0, 2.0, 3.0, 4.0), (1, 2.0, 3, 4)], ids=["int", "float", "mixed"])
+def test_an_int_or_float_start_runs_the_step_kernel(x0, monkeypatch):
+    """No Fraction among a and x0: the orbit runs `step.kernel` (F^-1's kernel
+    backward) on every step, and its floats have the kernel's bits."""
+    for n, public in ((25, step), (-25, inverse_step)):
+        p = Params(4, 1)
+        want = [x0]
+        for _ in range(abs(n)):
+            want.append(public.kernel(p, want[-1]))
+        calls = []
+        monkeypatch.setattr(public, "kernel", lambda p, x, real=public.kernel: calls.append(x) or real(p, x))
+        got = list(orbit(p, x0, n))
+        assert len(calls) == abs(n)
+        assert _types(got) == _types(want)
+        assert [_bits(x) for x in got] == [_bits(x) for x in want]
