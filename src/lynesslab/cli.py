@@ -176,16 +176,20 @@ def cmd_verify(args) -> int:
 
 
 def _level_text(limit: int = 1024):
-    """v -> str(v) for one orbit's levels, keeping the text of up to `limit`
-    nonzero floats (then starting again): along a float orbit V1, V2 and V3
-    take few distinct values, and a float's `repr` costs about ten dict
-    lookups. 0.0 and -0.0 are equal keys with different texts, and hashing a
-    `Fraction` costs more than its `str`, so neither is kept."""
-    texts = {}
+    """v -> str(v) for one column of an orbit's levels, keeping the text of up
+    to `limit` nonzero floats (then starting again): along a float orbit V1,
+    V2 and V3 take few distinct values, and a float's `repr` costs about ten
+    dict lookups. 0.0 and -0.0 are equal keys with different texts, and
+    hashing a `Fraction` costs more than its `str`, so neither is kept by
+    value; the last one is kept by identity, as exact rows carry one object."""
+    texts, last = {}, (None, "None")
 
     def text(v):
+        nonlocal last
         if type(v) is not float or not v:
-            return str(v)
+            if v is not last[0]:
+                last = v, str(v)
+            return last[1]
         t = texts.get(v)
         if t is None:
             if len(texts) >= limit:
@@ -202,10 +206,10 @@ def _write_orbit(p: Params, x0, steps: int, proj, fmt: str, fh) -> None:
     one coordinate (the contract by which `orbit` checks only the added one),
     so each row formats only its added coordinate x[-1] and takes the text
     of the other k-1 from a window of the last k; a level takes its text from
-    `_level_text`. A float orbit ends early, with one warning, where `orbit`
-    or `orbit_levels` ends: before the first state that leaves the domain or
-    whose levels overflow float64. An exact orbit whose last state is off
-    row 0's levels raises VerificationError after its last row."""
+    its column's `_level_text`. A float orbit ends early, with one warning,
+    where `orbit` or `orbit_levels` ends: before the first state that leaves
+    the domain or whose levels overflow float64. An exact orbit whose last
+    state is off row 0's levels raises VerificationError after its last row."""
     header = ["n"] + [f"x{i}" for i in proj] + ["V1", "V2"] + ["V3", "signZ"] * (p.k % 2)
     if fmt == "csv":
         fh.write(",".join(header) + "\n")
@@ -216,11 +220,11 @@ def _write_orbit(p: Params, x0, steps: int, proj, fmt: str, fh) -> None:
     pick = operator.itemgetter(*(i - 1 for i in proj))
     odd = p.k % 2 == 1
     cells = collections.deque(map(str, x0[:-1]), maxlen=p.k)  # row 0 appends str(x0[-1])
-    text = _level_text()
+    text1, text2, text3 = _level_text(), _level_text(), _level_text()
     n = 0  # rows written
     for x, (v1, v2, v3, z) in orbit_levels(p, orbit.kernel(p, x0, steps)):
         cells.append(str(x[-1]))
-        levels = (text(v1), text(v2), text(v3), z) if odd else (text(v1), text(v2))
+        levels = (text1(v1), text2(v2), text3(v3), z) if odd else (text1(v1), text2(v2))
         fh.write(template % (n, *pick(cells), *levels))
         n += 1
     if n <= steps:

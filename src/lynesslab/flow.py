@@ -82,11 +82,11 @@ def _grid_steps(dt: float, t_max: float) -> int:
 def _rk4(p: Params, x0, h: float, n_steps: int):
     """(states, boundary_hit) of up to n_steps RK4 steps of signed size h,
     ending before a step that leaves the domain or raises ArithmeticError."""
-    half, h6 = 0.5 * h, h / 6.0
+    half, h6, stages = 0.5 * h, h / 6.0, _rk4_stages.at(p.k)
     states = [x0]
     for _ in range(n_steps):
         try:
-            out = _rk4_stages(p, states[-1], half, h, h6)
+            out = stages(p, states[-1], half, h, h6)
         except ArithmeticError:
             return states, True
         if not _in_domain(out):

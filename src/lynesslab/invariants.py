@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -135,22 +136,26 @@ def _exact_levels(p: Params, x, hint: LevelSignature) -> LevelSignature:
     return LevelSignature(fraction_of(v1, hint.v1), fraction_of(v2, hint.v2), v3, z)
 
 
-def _float_levels(p: Params, x):
-    """`level_signature.kernel(p, x)` at a float state, or where that raises
-    ArithmeticError or a level is not finite, the kernel over `Fraction` with
-    each level rounded once; None where a rounded level overflows."""
+def _float_levels(p: Params, states):
+    """(x, `level_signature.kernel(p, x)`) for each state x by the float rule:
+    by the compiled kernel at p.k; where that raises ArithmeticError or a
+    level is not finite, by the kernel over `Fraction`, each level rounded
+    once. Ends before a state whose rounded level overflows."""
+    kernel, isfinite = level_signature.kernel.at(p.k), math.isfinite
     n = 2 + p.k % 2  # V1, V2 and, for odd k, V3
-    try:
-        sig = level_signature.kernel(p, x)
-        if math.isfinite(sig.v1) and math.isfinite(sig.v2) and (n == 2 or math.isfinite(sig.v3)):
-            return sig
-    except ArithmeticError:
-        pass
-    exact = level_signature.kernel(Params(p.k, Fraction(p.a)), tuple(map(Fraction, x)))
-    try:
-        return LevelSignature(*map(float, exact[:n]), *exact[n:])
-    except OverflowError:
-        return None
+    for x in states:
+        try:
+            sig = kernel(p, x)
+            finite = isfinite(sig.v1) and isfinite(sig.v2) and (n == 2 or isfinite(sig.v3))
+        except ArithmeticError:
+            finite = False
+        if not finite:
+            exact = kernel(Params(p.k, Fraction(p.a)), tuple(map(Fraction, x)))
+            try:
+                sig = LevelSignature(*map(float, exact[:n]), *exact[n:])
+            except OverflowError:
+                return
+        yield x, sig
 
 
 def level_signatures(p: Params, states):
@@ -160,11 +165,14 @@ def level_signatures(p: Params, states):
     state's by one cross-multiplication (`fraction_of`), so only the first and a
     changed level are reduced. Float levels end before a state whose levels
     overflow float64 (`_float_levels`)."""
-    exact_a, hint = type(p.a) in (int, Fraction), LevelSignature(None, None)
+    if type(p.a) not in (int, Fraction):  # no state is exact
+        yield from map(operator.itemgetter(1), _float_levels(p, states))
+        return
+    hint = LevelSignature(None, None)
     for x in states:
-        if exact_a and exact_kinds((p.a, *x)):
+        if exact_kinds((p.a, *x)):
             sig = hint = _exact_levels(p, x, hint)
-        elif (sig := _float_levels(p, x)) is None:
+        elif (sig := next(_float_levels(p, (x,)), (None, None))[1]) is None:
             return
         yield sig
 
@@ -181,10 +189,7 @@ def orbit_levels(p: Params, states):
     states = iter(states)
     x = next(states)
     if not exact_kinds((p.a, *x)):
-        for x in itertools.chain((x,), states):
-            if (sig := _float_levels(p, x)) is None:
-                return
-            yield x, sig
+        yield from _float_levels(p, itertools.chain((x,), states))
         return
     first = sig = _exact_levels(p, x, LevelSignature(None, None))
     yield x, sig

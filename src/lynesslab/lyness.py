@@ -39,7 +39,8 @@ consecutive states share all of the sum S = a + x2 + ... + xk but one term,
 S' = S - x2 + F(x)_k, so it carries S and pays two `Fraction` additions a
 step, not k - 1. That is an identity over the rationals only; a carried float
 sum rounds differently from the one `step` adds, so float, `Dual` and
-all-int starts run `step.kernel` and keep its bits.
+all-int starts run `step.kernel`'s compiled function, which `orbit`, like
+each float driver, looks up once (`.at(k)`), and keep its bits.
 """
 
 from __future__ import annotations
@@ -169,9 +170,11 @@ def orbit(p: Params, x, n: int):
     or underflow. An image shifts the checked coordinates of the state
     before it and adds one, so only the added one is checked. An exact start
     (`exact_kinds` of a and x) carries its window sum (`_carried`)."""
-    advance, added = (step.kernel, slice(-1, None)) if n >= 0 else (inverse_step.kernel, slice(1))
     if exact_kinds((p.a, *x)):
         advance = _carried(p, x, n >= 0)
+    else:
+        advance = (step if n >= 0 else inverse_step).kernel.at(p.k)
+    added = slice(-1, None) if n >= 0 else slice(1)
     yield x
     for _ in range(abs(n)):
         x = advance(p, x)

@@ -2,13 +2,13 @@
 
 `traced` runs a pure kernel once per k on `Recording` inputs, which record
 each operation it performs as a tape, and writes that tape out as its
-compiled form (`_compile`), straight-line code over any scalar backend, and,
-on first exact use, as its exact form (`compile_exact`), integer
-straight-line code in a rational point's numerators and denominators, the
-one exact backend besides `Fraction`: the `verify` suites run it over the
-point's common denominator, the exact orbit rows (`level_signature`'s form)
-and the reduce replay (the reduced step, with kappa as an extra input) over
-each coordinate's own.
+compiled form (`_compile`), straight-line code over any scalar backend that
+a driver calls directly (`.at(k)`), and, on first exact use, as its exact
+form (`compile_exact`), integer straight-line code in a rational point's
+numerators and denominators, the one exact backend besides `Fraction`: the
+`verify` suites run it over the point's common denominator, the exact orbit
+rows (`level_signature`'s form) and the reduce replay (the reduced step,
+with kappa as an extra input) over each coordinate's own.
 """
 
 from __future__ import annotations
@@ -79,16 +79,20 @@ class Recording:
 
 def _expression(out, names: dict, leaf) -> str:
     """Source that rebuilds a kernel's result from the trace's variables, each
-    recording as leaf gives it; a tuple subclass is rebuilt by its
-    constructor, whose type is added to names."""
+    recording as leaf gives it; a namedtuple, which holds every field, by
+    `tuple.__new__` at half the cost of its `__new__`, its type put in names.
+    Any other tuple subclass raises TypeError: its items may not build it."""
     if isinstance(out, Recording):
         return leaf(out)
     if isinstance(out, tuple):
+        cls = type(out)
         items = "(" + "".join(_expression(v, names, leaf) + ", " for v in out) + ")"
-        if type(out) is tuple:
+        if cls is tuple:
             return items
-        names[type(out).__name__] = type(out)
-        return type(out).__name__ + items
+        if "_fields" not in vars(cls):  # not a namedtuple class itself (nor a subclass of one)
+            raise TypeError(f"a traced kernel returns tuples and namedtuples, not {cls.__qualname__}")
+        names[cls.__name__] = cls
+        return f"tuple.__new__({cls.__name__}, {items})"
     if out is None:
         return "None"
     raise TypeError(f"a traced kernel returns tuples of scalars, not {out!r}")
@@ -249,7 +253,10 @@ def traced(kernel):
     each distinct one once (a repeat, also a commuted `+` or `*`, reuses the
     first result), and no `1 * v`: IEEE 754 `+` and `*` commute exactly and
     `1 * v` is v for every float, so its results are f's, bit for bit. f
-    stays the source, as `__wrapped__`; `compiled` maps k to its function.
+    stays the source, as `__wrapped__`; `compiled` maps k to its function,
+    which `at(k)` returns, compiled on first use: `run` looks it up on every
+    call, a driver once per run. A namedtuple result is built in C, by
+    `tuple.__new__`; a result of another tuple subclass raises TypeError.
 
     `exact_form(k, denominators=False, common=True)` is f's exact form at
     dimension k (`compile_exact`), a function of (an, ad, D, n), or with
@@ -260,13 +267,14 @@ def traced(kernel):
     the reduce replay the reduced step's over each coordinate's own."""
     compiled, compiled_exact = {}, {}
 
+    def at(k: int):
+        if k not in compiled:
+            compiled[k] = _compile(kernel, k)
+        return compiled[k]
+
     @functools.wraps(kernel)
     def run(p, x, *extra):
-        try:
-            fn = compiled[p.k]
-        except KeyError:
-            fn = compiled[p.k] = _compile(kernel, p.k)
-        return fn(p, x, *extra) if extra else fn(p, x)  # a call with *() costs more
+        return at(p.k)(p, x, *extra)
 
     def exact_form(k: int, denominators: bool = False, common: bool = True):
         key = (k, denominators, common)
@@ -274,5 +282,5 @@ def traced(kernel):
             compiled_exact[key] = compile_exact(kernel, k, denominators, common)
         return compiled_exact[key]
 
-    run.compiled, run.compiled_exact, run.exact_form = compiled, compiled_exact, exact_form
+    run.at, run.compiled, run.compiled_exact, run.exact_form = at, compiled, compiled_exact, exact_form
     return run

@@ -297,12 +297,17 @@ def test_orbit_rows_equal_str_cells_and_json_dumps(k, a, x0, steps, proj, fmt, c
 
 @pytest.mark.parametrize("limit", [1, 2, 1024])
 def test_a_level_prints_as_str_whatever_texts_were_kept(limit):
-    """`_level_text` keeps float texts and starts again past `limit` of them;
-    every level, repeated or not, still prints as its own str: 0.0 and -0.0
-    apart, ints and Fractions by str, nan as nan."""
+    """`_level_text` keeps float texts and starts again past `limit` of them,
+    and reuses the text of the last other level while the next one is that
+    object; every level, repeated or not, still prints as its own str: 0.0
+    and -0.0 apart, ints and Fractions by str, nan as nan."""
     text = cli._level_text(limit)
-    levels = [0.0, -0.0, 1, 1.0, math.nan, -3, 0, Fraction(7, 3), 2.5, 1e300, 5e-324]
-    for v in levels + levels[::-1] + [-0.0, 0.0, 1.0, 1, 2.5, 2.5]:
+    third, big = Fraction(7, 3), 10**30
+    levels = [0.0, -0.0, 1, 1.0, math.nan, -3, 0, third, 2.5, 1e300, 5e-324]
+    # a repeated object, an equal but distinct Fraction (and int), and the two zeros in turn
+    repeats = [third, third, Fraction(14, 6), Fraction(7, 3), third, big, big, big + 1 - 1,
+               0.0, 0.0, -0.0, -0.0, 0.0, None, None]
+    for v in levels + levels[::-1] + [-0.0, 0.0, 1.0, 1, 2.5, 2.5] + repeats:
         assert text(v) == str(v) and type(text(v)) is str
 
 

@@ -13,12 +13,14 @@ from lynesslab.errors import DimensionError, DomainError
 from lynesslab.flow import METHODS, integrate_flow, transport_diagnostic
 from lynesslab.lyness import Params, float_params, float_point
 
-# name -> (run(a), owner, attribute): the kernel the run calls is owner.attribute;
-# compiled RK4 calls the field only when traced, so its spy is the whole step
+# name -> (run(a), owner, attribute): the kernel the run calls is owner.attribute,
+# or with an int attribute k, traced kernel owner's compiled function at k, which
+# the drivers call directly; compiled RK4 calls the field only when traced, so
+# its spy is the whole step
 DRIVERS = {
     "rk4": (
         lambda a: integrate_flow(Params(4, a), (1, 2, 3, 4), 1e-2, 0.5, method=METHODS[0]),
-        flow, "_rk4_stages",
+        flow._rk4_stages, 4,
     ),
     "rk45": (
         lambda a: integrate_flow(Params(5, a), (1, 2, 3, 4, 5), 1e-2, 0.5, method=METHODS[1]),
@@ -26,13 +28,13 @@ DRIVERS = {
     ),
     "transport-field": (
         lambda a: transport_diagnostic(Params(4, a), (1, 2, 3, 4), 0.2, 5),
-        flow, "_rk4_stages",
+        flow._rk4_stages, 4,
     ),
     "transport-step": (
         lambda a: transport_diagnostic(Params(4, a), (1, 2, 3, 4), 0.2, 5),
         lyness.step, "kernel",
     ),
-    "rotation": (lambda a: rotation_number(Params(3, a), (1, 1, 3), 500), lyness.step, "kernel"),
+    "rotation": (lambda a: rotation_number(Params(3, a), (1, 1, 3), 500), lyness.step.kernel, 3),
 }
 
 
@@ -61,13 +63,16 @@ def _result(run, a):
 def test_float_drivers_compute_with_a_in_float64(name, monkeypatch):
     run, owner, attribute = DRIVERS[name]
     seen = []
-    real = getattr(owner, attribute)
+    real = owner.at(attribute) if type(attribute) is int else getattr(owner, attribute)
 
     def spy(p, x, *rest):
         seen.append((type(p.a), all(isinstance(c, float) for c in x)))
         return real(p, x, *rest)
 
-    monkeypatch.setattr(owner, attribute, spy)
+    if type(attribute) is int:
+        monkeypatch.setitem(owner.compiled, attribute, spy)
+    else:
+        monkeypatch.setattr(owner, attribute, spy)
     run(Fraction(7, 10))
     assert seen
     assert set(seen) == {(float, True)}

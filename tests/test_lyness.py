@@ -289,15 +289,17 @@ def test_an_exact_orbit_carrying_its_window_sum_is_the_kernel_orbit(k, n, monkey
 
 @pytest.mark.parametrize("x0", [(1, 2, 3, 4), (1.0, 2.0, 3.0, 4.0), (1, 2.0, 3, 4)], ids=["int", "float", "mixed"])
 def test_an_int_or_float_start_runs_the_step_kernel(x0, monkeypatch):
-    """No Fraction among a and x0: the orbit runs `step.kernel` (F^-1's kernel
-    backward) on every step, and its floats have the kernel's bits."""
+    """No Fraction among a and x0: the orbit runs `step.kernel`'s compiled
+    function at k (F^-1's backward) on every step, and its floats have the
+    kernel's bits."""
     for n, public in ((25, step), (-25, inverse_step)):
         p = Params(4, 1)
         want = [x0]
         for _ in range(abs(n)):
             want.append(public.kernel(p, want[-1]))
         calls = []
-        monkeypatch.setattr(public, "kernel", lambda p, x, real=public.kernel: calls.append(x) or real(p, x))
+        monkeypatch.setitem(public.kernel.compiled, 4,
+                            lambda p, x, real=public.kernel.at(4): calls.append(x) or real(p, x))
         got = list(orbit(p, x0, n))
         assert len(calls) == abs(n)
         assert _types(got) == _types(want)

@@ -17,7 +17,7 @@ from lynesslab import cli, lyness
 from lynesslab.cli import main
 from lynesslab.dynamics import orbit_signature
 from lynesslab.errors import VerificationError
-from lynesslab.invariants import eval_z, level_signature
+from lynesslab.invariants import LevelSignature, eval_z, level_signature, level_signatures, orbit_levels
 from lynesslab.lyness import Params
 
 ORBIT = ["orbit", "--k", "5", "--a", "1", "--x0", "1,2,3,4,5", "--steps", "20", "--exact"]
@@ -103,3 +103,24 @@ def test_a_float_orbit_computes_every_row(monkeypatch):
     got = _kernel_levels(orbit_signature(Params(5, 1.0), (1.0, 2.0, 3.0, 4.0, 5.0), 20))
     assert math.isclose(got[6].v1, got[0].v1, rel_tol=1e-12)
     assert not math.isclose(got[7].v1, got[0].v1, rel_tol=1e-6)
+
+
+def test_level_signatures_and_orbit_levels_share_one_float_level_rule():
+    """A float state takes the kernel's levels where they are finite, else the
+    kernel's over `Fraction`, each level rounded once, and the levels end
+    before a state whose rounded level overflows; with an exact a, an exact
+    state among them takes its exact levels."""
+    exact = (1, Fraction(1, 2), 3)
+    # nan levels, finite rounded ones; finite levels; a rounded V1 of about 2e500; never reached
+    floats = [(1e300, 1e300, 1e300), (1.0, 2.0, 3.0), (1e200, 1e200, 1e-300), (1.0, 1.0, 1.0)]
+    for a in (Fraction(1), 1.0):
+        p = Params(3, a)
+        rounded = level_signature.kernel(Params(3, Fraction(a)), tuple(map(Fraction, floats[0])))
+        want = [LevelSignature(*map(float, rounded[:3]), rounded[3]), level_signature.kernel(p, floats[1])]
+        assert not math.isfinite(level_signature.kernel(p, floats[0]).v1)
+        assert list(level_signatures(p, floats)) == want
+        assert list(orbit_levels(p, floats)) == list(zip(floats, want))
+    p = Params(3, Fraction(1))
+    got = list(level_signatures(p, [exact, *floats[:2], exact, *floats[2:]]))
+    assert got == [level_signature.kernel(p, exact), *want, level_signature.kernel(p, exact)]
+    assert [type(sig.v1) for sig in got] == [Fraction, float, float, Fraction]

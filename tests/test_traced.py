@@ -282,6 +282,71 @@ def test_a_long_orbit_compiles_each_kernel_once_per_k(monkeypatch):
     assert compiled == [("step", 5), ("inverse_step", 5), ("level_signature", 5)]
 
 
+def test_at_k_is_the_compiled_function_built_once_per_k(monkeypatch):
+    compiled = []
+    real = tracing._compile
+    monkeypatch.setattr(tracing, "_compile", lambda kernel, k: compiled.append((kernel.__name__, k)) or real(kernel, k))
+    for k in list(step.kernel.compiled):
+        monkeypatch.delitem(step.kernel.compiled, k)
+    for k in (3, 4, 3, 5, 4):
+        fn = step.kernel.at(k)
+        assert fn is step.kernel.compiled[k] is step.kernel.at(k)
+        x = tuple(0.3 + 0.41 * i for i in range(k))
+        for p in (Params(k, 0.7), Params(k, Fraction(7, 10))):
+            assert _shape(fn(p, x)) == _shape(step.kernel(p, x))
+    assert compiled == [("step", 3), ("step", 4), ("step", 5)]
+    p, x, extra = Params(4, 0.7), (1.0, 2.0, 3.0, 4.0), _rk4_inputs(0.01)
+    assert _shape(_rk4_stages.at(4)(p, x, *extra)) == _shape(_rk4_stages(p, x, *extra))
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_a_compiled_level_signature_is_a_level_signature(k):
+    """The compiled kernel builds its namedtuple with `tuple.__new__`: the
+    same type, fields and values as the constructor gives, over every
+    backend and in the exact form."""
+    a, x = Fraction(7, 10), tuple(Fraction(2 * i + 3, i + 2) for i in range(k))
+    results = [level_signature.kernel(Params(k, a), x),
+               level_signature.kernel(Params(k, float(a)), tuple(map(float, x))),
+               level_signature.kernel(Params(k, a), tuple(map(Dual, x, range(k)))),
+               level_signature.kernel.exact_form(k)(a.numerator, a.denominator, *common_denominator(x)),
+               level_signature.kernel.exact_form(k, denominators=True, common=False)(
+                   a.numerator, a.denominator, tuple(c.denominator for c in x), tuple(c.numerator for c in x))]
+    for r in results:
+        assert type(r) is LevelSignature and r == LevelSignature(*r)
+        assert (r.v3 is None) == (r.z_sign is None) == (k % 2 == 0)
+    assert results[0] == level_signature.kernel.__wrapped__(Params(k, a), x)
+
+
+class _Pair(tuple):
+    """A tuple subclass that is not a namedtuple, with a constructor that does
+    not take its items."""
+
+    def __new__(cls, first, second):
+        return super().__new__(cls, (first, -second))
+
+
+class _Levels(LevelSignature):
+    """A subclass of a namedtuple, with a constructor of its own."""
+
+    def __new__(cls, v1, v2):
+        return super().__new__(cls, v2, v1)
+
+
+@pytest.mark.parametrize("cls", [_Pair, _Levels])
+def test_a_tuple_subclass_that_is_not_a_namedtuple_fails_when_traced(cls):
+    """Rebuilt from its items, such a result could differ from the body's, so
+    the kernel raises TypeError on its first call at k and compiles nothing."""
+    @traced
+    def kernel(p, x):
+        return cls(x[0] + x[1], x[0] * x[1])
+
+    p, x = Params(2, 0.5), (1.5, 2.5)
+    assert type(kernel.__wrapped__(p, x)) is cls
+    with pytest.raises(TypeError, match=f"tuples and namedtuples, not {cls.__name__}"):
+        kernel(p, x)
+    assert kernel.compiled == {}
+
+
 def _recorded(run, k: int) -> list:
     """The right-hand sides of the operations compiled for run at k, in order."""
     source = linecache.getlines(f"<traced {run.__qualname__} k={k}>")
@@ -367,7 +432,7 @@ SOURCE_DIGESTS = {
     "step": "29bfa434d2b6220ffb182a1f793fae82663dd43b94c697ff93d82b9b9bba5ce6",
     "inverse_step": "223aab24ae05dcd0718c301271a5850a68cb4642b56b6fba417e6545886e6bd5",
     "symmetry_vector": "3f9e13c20b52fcb39abe002680bd26e51ba0da7079bc2e37269185f348f6a46e",
-    "level_signature": "d54719169f1428cbe5ec96136292ef1fbb2b61f7153463638f5f9c434e028386",
+    "level_signature": "270a7925cc83eed6f47e47796f8ee178f64172bc1ea7df29ea94e4c2fe8678e6",
     "_rk4_stages": "4f85987664b7cb338f4622fce5ce677ab218a0ff91dd5126a67b7c7265a4835d",
 }
 
